@@ -26,7 +26,9 @@ class Config:
     show: int = 5
 
 
-def survey(cfg: Config) -> None:
+def survey(cfg: Config) -> int:
+    """Print the survey; returns the number of certificates that failed
+    verification."""
     g = load_fixture(f"{cfg.fixture}.sg")
     pres = mn.presentation(g)
     cyls = list(
@@ -50,7 +52,7 @@ def survey(cfg: Config) -> None:
         more = f" (+{len(cls) - 3} more)" if len(cls) > 3 else ""
         print(f"  typ {mn.format_monelem(cls[0][1])}: {reps}{more}")
 
-    shown = verified = unknown = 0
+    shown = verified = failed = unknown = 0
     for cls in classes:
         for i in range(len(cls)):
             for j in range(i + 1, len(cls)):
@@ -60,7 +62,9 @@ def survey(cfg: Config) -> None:
                 if isinstance(cert, Unknown):
                     unknown += 1
                     continue
-                mn.verify_certificate(g, cert, a, b)
+                if not mn.verify_certificate(g, cert, a, b):
+                    failed += 1
+                    continue
                 verified += 1
                 if shown < cfg.show:
                     shown += 1
@@ -68,7 +72,8 @@ def survey(cfg: Config) -> None:
                     rhs = sg.element_to_word(g, cls[j][0])
                     pieces = [sg.element_to_word(g, s) for s in cert.elements]
                     print(f"certificate Z({lhs}) ~ Z({rhs}): {pieces}")
-    print(f"certificates verified: {verified}, unknown: {unknown}")
+    print(f"certificates verified: {verified}, failed: {failed}, unknown: {unknown}")
+    return failed
 
 
 def main() -> int:
@@ -79,7 +84,7 @@ def main() -> int:
     ap.add_argument("--max-len", type=int, default=2)
     ap.add_argument("--show", type=int, default=5)
     args = ap.parse_args()
-    survey(
+    failed = survey(
         Config(
             fixture=args.fixture,
             max_depth=args.max_depth,
@@ -88,7 +93,7 @@ def main() -> int:
             show=args.show,
         )
     )
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 algebra, filters, germs, and monoid computations.
 
 Exit codes: 0 success/Yes/true, 1 No/false, 2 Unknown, 64 usage error,
-65 parse/validation error.
+65 parse/validation error, 70 internal error (an unexpected exception).
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def format_compact_open(g: SeparatedGraph, a: lt.CompactOpen) -> str:
     if lt.co_is_empty(a):
         return "(empty)"
     return " + ".join(
-        f"Z({sg.element_to_word(g, lt.idem_of(g, mu))})" for mu in a.cyls
+        f"Z({sg.element_to_word(g, lt.trusted_idem(g, mu))})" for mu in a.cyls
     )
 
 
@@ -159,10 +159,6 @@ def format_path(g: SeparatedGraph, mu: fl.SemifinitePath) -> str:
     if isinstance(mu.tail, fl.RegTail):
         return f"[{prefix}] ; reg({','.join(mu.tail.path)} ; )"
     return f"[{prefix}] ; reg({','.join(mu.tail.prefix)} ; {','.join(mu.tail.cycle)})"
-
-
-def _trivial_tail(g: SeparatedGraph, p: str):
-    return (0,) * g.k(p) if g.is_free(p) else ()
 
 
 def _body_trivial(body) -> bool:
@@ -237,6 +233,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 64 if exc.code else 0
     try:
+        for opt in ("max_steps", "max_weight", "max_depth", "max_exp"):
+            if getattr(args, opt) < 0:
+                raise UsageError(f"--{opt.replace('_', '-')} must not be negative")
         return _dispatch(args)
     except BrokenPipeError:
         return 0
@@ -247,6 +246,9 @@ def main(argv=None) -> int:
             gp.GroupoidError, mn.MonoidError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 65
+    except Exception as exc:  # noqa: BLE001 - no exit code may claim a result
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 70
 
 
 def _need(args, n: int):
@@ -277,7 +279,7 @@ def _dispatch(args) -> int:
     rest = args.args[1:]
 
     if cmd == "normalize":
-        (word,) = rest or [""]
+        (word,) = _need_rest(rest, 1, "normalize GRAPH WORD")
         out = sg.element_to_word(g, sg.parse_word(g, word))
         doc["result"] = out
         _emit(args, doc, [out])
@@ -323,6 +325,8 @@ def _dispatch(args) -> int:
         return 0 if ok else 1
 
     if cmd == "cover-to-expansion":
+        if len(rest) < 1:
+            raise UsageError("cover-to-expansion GRAPH WORD MEMBER...")
         e = sg.parse_word(g, rest[0])
         members = [sg.parse_word(g, w) for w in rest[1:]]
         script = lt.cover_to_expansion(g, e, members)

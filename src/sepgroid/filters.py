@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .graph import SeparatedGraph
-from .lattice import Bounds, EPath, enumerate_cpaths, epath_of, simple_expand, idem_of
+from .lattice import Bounds, EPath, enumerate_cpaths, epath_of, idem_of
+from .lattice import internal_paths, simple_expand
 from .semigroup import (
     CPath,
     Element,
@@ -97,17 +98,10 @@ def validate_path(g: SeparatedGraph, mu: SemifinitePath) -> None:
             if g.prime_of_vertex(e.src) != mu.p or e.src != at:
                 raise FilterError(f"tail edge {name} does not continue at {at}")
             at = e.rng
-        if isinstance(mu.tail, PerTail) and piece is mu.tail.cycle and at != _reg_end(
-            g, v, mu.tail.prefix
+        if isinstance(mu.tail, PerTail) and piece is mu.tail.cycle and at != g.path_end(
+            v, mu.tail.prefix
         ):
             raise FilterError("cycle does not return to its start")
-
-
-def _reg_end(g: SeparatedGraph, start: str, path) -> str:
-    at = start
-    for name in path:
-        at = g.edge(name).rng
-    return at
 
 
 def is_infinite(mu: SemifinitePath) -> bool:
@@ -128,7 +122,7 @@ def is_initial_segment(g: SeparatedGraph, mu_p: EPath, mu: SemifinitePath) -> bo
         if isinstance(step, FreeStep):
             return mu_p.tail[step.i - 1] <= step.m
         return step.path[: len(mu_p.tail)] == tuple(mu_p.tail)
-    if g.is_free(mu.p):
+    if mu.p in g.free_k:
         return all(a <= b for a, b in zip(mu_p.tail, mu.tail.k))
     lam = tuple(mu_p.tail)
     if isinstance(mu.tail, RegTail):
@@ -198,7 +192,7 @@ def extend_to_infinite(g: SeparatedGraph, mu: SemifinitePath) -> SemifinitePath:
         raise FilterError("path is already infinite")
     if isinstance(mu.tail, FreeTail):
         return SemifinitePath(mu.gamma, mu.p, FreeTail((INF,) * g.k(mu.p)))
-    v = _reg_end(g, cpath_range(g, mu.gamma), mu.tail.path)
+    v = g.path_end(cpath_range(g, mu.gamma), mu.tail.path)
     cycle = _cycle_at(g, v)
     prefix, cycle = canonical_periodic(tuple(mu.tail.path), cycle)
     return SemifinitePath(mu.gamma, mu.p, PerTail(prefix, cycle))
@@ -239,15 +233,6 @@ def canonical_periodic(prefix, cycle):
 # -- bounded enumerations ------------------------------------------------
 
 
-def _internal_paths_from(g: SeparatedGraph, start: str, max_len: int):
-    yield ()
-    if max_len == 0:
-        return
-    for edge in g.out_edges(start):
-        for rest in _internal_paths_from(g, edge.rng, max_len - 1):
-            yield (edge.name,) + rest
-
-
 def enumerate_semifinite(g: SeparatedGraph, start: str, bounds: Bounds):
     """All semifinite paths from a vertex within the bounds; eventually
     periodic tails appear in canonical form only."""
@@ -259,11 +244,11 @@ def enumerate_semifinite(g: SeparatedGraph, start: str, bounds: Bounds):
             for k in product(choices, repeat=g.k(p)):
                 yield SemifinitePath(gamma, p, FreeTail(k))
         else:
-            for path in _internal_paths_from(g, v, bounds.max_len):
+            for path in internal_paths(g, v, bounds.max_len):
                 yield SemifinitePath(gamma, p, RegTail(path))
-                end = _reg_end(g, v, path)
-                for cyc in _internal_paths_from(g, end, bounds.max_len):
-                    if cyc and _reg_end(g, end, cyc) == end:
+                end = g.path_end(v, path)
+                for cyc in internal_paths(g, end, bounds.max_len):
+                    if cyc and g.path_end(end, cyc) == end:
                         if canonical_periodic(path, cyc) == (path, cyc):
                             yield SemifinitePath(gamma, p, PerTail(path, cyc))
 

@@ -67,6 +67,13 @@ class SeparatedGraph:
     prime_by_name: dict = field(default_factory=dict, repr=False)
     vertex_prime: dict = field(default_factory=dict, repr=False)
     edge_by_name: dict = field(default_factory=dict, repr=False)
+    # Compiled tables, read directly by hot paths that only see checked names:
+    # free prime -> k, edge or connector -> its range, vertex -> its internal
+    # out-edges / out-connectors (both empty at a free vertex).
+    free_k: dict = field(default_factory=dict, repr=False)
+    edge_rng: dict = field(default_factory=dict, repr=False)
+    out_edges_of: dict = field(default_factory=dict, repr=False)
+    out_connectors_of: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for p in self.primes:
@@ -76,15 +83,20 @@ class SeparatedGraph:
         for p in self.primes:
             if isinstance(p, FreePrime):
                 self._add_vertex(p.name, p.name)
+                self.free_k[p.name] = p.k
+                self.out_edges_of[p.name] = self.out_connectors_of[p.name] = ()
             else:
                 for v in p.vertices:
                     self._add_vertex(v, p.name)
+                    self.out_edges_of[v] = tuple(e for e in p.edges if e.src == v)
+                    self.out_connectors_of[v] = tuple(c for c in p.connectors if c.src == v)
         for p in self.primes:
             if isinstance(p, RegularPrime):
                 for e in list(p.edges) + list(p.connectors):
                     if e.name in self.edge_by_name or e.name in self.vertex_prime:
                         raise GraphError(f"duplicate name {e.name!r}")
                     self.edge_by_name[e.name] = e
+                    self.edge_rng[e.name] = e.rng
 
     def _add_vertex(self, v, prime_name):
         if v in self.vertex_prime or v in self.prime_by_name and v != prime_name:
@@ -109,13 +121,15 @@ class SeparatedGraph:
             raise GraphError(f"unknown prime {name!r}") from None
 
     def is_free(self, prime_name: str) -> bool:
-        return isinstance(self.prime(prime_name), FreePrime)
+        if prime_name in self.free_k:
+            return True
+        self.prime(prime_name)  # raises GraphError on an unknown name
+        return False
 
     def k(self, prime_name: str) -> int:
-        p = self.prime(prime_name)
-        if not isinstance(p, FreePrime):
+        if not self.is_free(prime_name):
             raise GraphError(f"{prime_name!r} is not a free prime")
-        return p.k
+        return self.free_k[prime_name]
 
     def g(self, prime_name: str, i: int) -> int:
         p = self.prime(prime_name)
@@ -137,18 +151,18 @@ class SeparatedGraph:
         except KeyError:
             raise GraphError(f"unknown edge {name!r}") from None
 
-    def out_edges(self, v: str) -> list[InternalEdge]:
+    def out_edges(self, v: str) -> tuple[InternalEdge, ...]:
         """Internal edges of the regular component of v with source v."""
-        p = self.prime(self.prime_of_vertex(v))
-        if isinstance(p, FreePrime):
-            return []
-        return [e for e in p.edges if e.src == v]
+        self.prime_of_vertex(v)  # raises GraphError on an unknown name
+        return self.out_edges_of[v]
 
-    def out_connectors(self, v: str) -> list[RegularConnector]:
-        p = self.prime(self.prime_of_vertex(v))
-        if isinstance(p, FreePrime):
-            return []
-        return [c for c in p.connectors if c.src == v]
+    def out_connectors(self, v: str) -> tuple[RegularConnector, ...]:
+        self.prime_of_vertex(v)
+        return self.out_connectors_of[v]
+
+    def path_end(self, v: str, path) -> str:
+        """The vertex a valid internal path from v ends at (v if empty)."""
+        return self.edge_rng[path[-1]] if path else v
 
     def sigma(self, prime_name: str, i: int) -> int:
         """The shift i -> i + k(p) - 1 applied when a t crosses a connector."""
@@ -473,24 +487,3 @@ def hereditary_subsets(g: SeparatedGraph) -> list[frozenset[str]]:
             if all(g.downset(p) <= s for p in combo):
                 out.append(frozenset(s))
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
-
-
-def monoid_presentation(g: SeparatedGraph) -> list[tuple[str, dict[str, int]]]:
-    """One relation a_v = sum a_{r(e)} per (v, X in C_v), as (v, rhs-counts)."""
-    rels: list[tuple[str, dict[str, int]]] = []
-    for p in g.primes:
-        if isinstance(p, FreePrime):
-            for targets in p.targets:
-                rhs: dict[str, int] = {p.name: 1}
-                for v in targets:
-                    rhs[v] = rhs.get(v, 0) + 1
-                rels.append((p.name, rhs))
-        else:
-            for v in p.vertices:
-                rhs = {}
-                for e in g.out_edges(v):
-                    rhs[e.rng] = rhs.get(e.rng, 0) + 1
-                for c in g.out_connectors(v):
-                    rhs[c.rng] = rhs.get(c.rng, 0) + 1
-                rels.append((v, rhs))
-    return rels

@@ -23,7 +23,7 @@ from .filters import (
     filter_contains,
     is_infinite,
 )
-from .lattice import CompactOpen, EPath, co_of, idem_of
+from .lattice import CompactOpen, EPath, co_of, trusted_idem
 from .semigroup import (
     CPath,
     Element,
@@ -119,7 +119,7 @@ def norm_length(g: SeparatedGraph, mu: EPath) -> tuple[int, ...]:
     """|mu|_infinity: per-loop lengths at a free terminal prime, total
     length at a regular one (trailing zeros dropped)."""
     base = cpath_edge_len(mu.gamma)
-    if g.is_free(mu.p):
+    if mu.p in g.free_k:
         return tuple(base + t for t in mu.tail)
     return (base + len(mu.tail),)
 
@@ -173,7 +173,7 @@ def germ_of(g: SeparatedGraph, s: Element, x: SemifinitePath) -> Germ:
         raise GroupoidError("germs live over infinite paths")
     if not filter_contains(g, x, mul(g, star(g, s), s)):
         raise GroupoidError("x is not in the source cylinder of s")
-    absorber = idem_of(g, _trivial_epath(g, x))
+    absorber = trusted_idem(g, _trivial_epath(g, x))
     sp = mul(g, s, absorber)
     if is_zero(sp) or sp.eta != x.gamma:
         raise GroupoidError("absorption failed; x not in the source cylinder")
@@ -195,7 +195,8 @@ def germ_of(g: SeparatedGraph, s: Element, x: SemifinitePath) -> Germ:
 
 
 def _trivial_epath(g: SeparatedGraph, x: SemifinitePath) -> EPath:
-    tail = (0,) * g.k(x.p) if g.is_free(x.p) else ()
+    kp = g.free_k.get(x.p)
+    tail = () if kp is None else (0,) * kp
     return EPath(x.gamma, x.p, tail)
 
 

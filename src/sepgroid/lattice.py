@@ -23,13 +23,13 @@ from .semigroup import (
     RegBody,
     RegularStep,
     Triple,
-    WordError,
     cpath_edge_len,
     cpath_range,
     is_idempotent,
     is_zero,
     mul,
-    trivial_cpath,
+    trivial_monomial,
+    validate_cpath,
     validate_element,
 )
 
@@ -69,22 +69,35 @@ def epath_of(g: SeparatedGraph, e: Element) -> EPath:
 
 
 def idem_of(g: SeparatedGraph, mu: EPath) -> Element:
+    """The idempotent of an E-path that comes from a caller.
+
+    The E-path is checked in full: its prefix must be a valid c-path ending
+    in the component of mu.p, and its tail a loop-exponent vector of length
+    k(p) or an internal path continuing from the end of the prefix.  Raises
+    LatticeError, WordError or GraphError otherwise.  E-paths the library
+    builds itself go through trusted_idem instead."""
+    validate_cpath(g, mu.gamma)
     v = cpath_range(g, mu.gamma)
-    if g.prime_of_vertex(v) != mu.p:
+    if g.vertex_prime[v] != mu.p:
         raise LatticeError(f"E-path prefix ends at {v}, not in {mu.p}")
-    if g.is_free(mu.p):
-        if len(mu.tail) != g.k(mu.p):
-            raise LatticeError("free tail length does not match prime")
-        m = Monomial(mu.p, (), FreeBody(tuple(mu.tail), tuple(mu.tail)))
-    else:
-        m = Monomial(mu.p, (), RegBody(tuple(mu.tail), tuple(mu.tail), v, v))
-    e = Triple(mu.gamma, m, mu.gamma)
+    if g.is_free(mu.p) and len(mu.tail) != g.k(mu.p):
+        raise LatticeError("free tail length does not match prime")
+    e = trusted_idem(g, EPath(mu.gamma, mu.p, tuple(mu.tail)))
     validate_element(g, e)
     return e
 
 
-def epath_depth(mu: EPath) -> int:
-    return len(mu.gamma.steps)
+def trusted_idem(g: SeparatedGraph, mu: EPath) -> Element:
+    """The idempotent of an E-path the library built itself, without any
+    check.  The caller guarantees what idem_of would check: gamma is a valid
+    c-path ending in the component of mu.p, and mu.tail is a tuple that is a
+    valid tail there.  A malformed E-path gives a malformed element."""
+    if mu.p in g.free_k:
+        body = FreeBody(mu.tail, mu.tail)
+    else:
+        v = cpath_range(g, mu.gamma)
+        body = RegBody(mu.tail, mu.tail, v, v)
+    return Triple(mu.gamma, Monomial(mu.p, (), body), mu.gamma)
 
 
 def _step_key(s):
@@ -95,7 +108,7 @@ def _step_key(s):
 
 def epath_key(g: SeparatedGraph, mu: EPath):
     return (
-        cpath_edge_len(mu.gamma) + (sum(mu.tail) if g.is_free(mu.p) else len(mu.tail)),
+        cpath_edge_len(mu.gamma) + (sum(mu.tail) if mu.p in g.free_k else len(mu.tail)),
         mu.gamma.start,
         tuple(_step_key(s) for s in mu.gamma.steps),
         mu.p,
@@ -142,44 +155,39 @@ def simple_expand(
     _require_idem(e, "e")
     mu = epath_of(g, e)
     out: list[Element] = []
-    if g.is_free(mu.p):
-        kp = g.k(mu.p)
+    kp = g.free_k.get(mu.p)
+    if kp is not None:
         if choice is None or not 1 <= choice <= kp:
             raise LatticeError(f"simple_expand at free {mu.p} needs a loop index")
         j0 = choice
         bumped = tuple(
             x + 1 if j == j0 else x for j, x in enumerate(mu.tail, start=1)
         )
-        out.append(idem_of(g, EPath(mu.gamma, mu.p, bumped)))
-        for t in range(1, g.g(mu.p, j0) + 1):
+        out.append(trusted_idem(g, EPath(mu.gamma, mu.p, bumped)))
+        for t, u in enumerate(g.prime_by_name[mu.p].targets[j0 - 1], start=1):
             step = FreeStep(mu.p, j0, mu.tail[j0 - 1], t)
             gamma = CPath(mu.gamma.start, mu.gamma.steps + (step,))
-            out.append(_trivial_idem_at(g, gamma))
+            out.append(Triple(gamma, trivial_monomial(g, u), gamma))
     else:
         if choice is not None:
             raise LatticeError("simple_expand at a regular prime takes no choice")
-        v = _reg_tail_end(g, mu)
-        for edge in g.out_edges(v):
-            out.append(idem_of(g, EPath(mu.gamma, mu.p, mu.tail + (edge.name,))))
-        for conn in g.out_connectors(v):
-            step = RegularStep(mu.p, tuple(mu.tail), conn.name)
+        v = epath_end(g, mu)
+        for edge in g.out_edges_of[v]:
+            out.append(trusted_idem(g, EPath(mu.gamma, mu.p, mu.tail + (edge.name,))))
+        for conn in g.out_connectors_of[v]:
+            step = RegularStep(mu.p, mu.tail, conn.name)
             gamma = CPath(mu.gamma.start, mu.gamma.steps + (step,))
-            out.append(_trivial_idem_at(g, gamma))
+            out.append(Triple(gamma, trivial_monomial(g, conn.rng), gamma))
     return out
 
 
-def _trivial_idem_at(g: SeparatedGraph, gamma: CPath) -> Element:
-    v = cpath_range(g, gamma)
-    p = g.prime_of_vertex(v)
-    tail = (0,) * g.k(p) if g.is_free(p) else ()
-    return idem_of(g, EPath(gamma, p, tail))
-
-
-def _reg_tail_end(g: SeparatedGraph, mu: EPath) -> str:
-    v = cpath_range(g, mu.gamma)
-    for name in mu.tail:
-        v = g.edge(name).rng
-    return v
+def epath_end(g: SeparatedGraph, mu: EPath) -> str:
+    """The vertex where the E-path ends: the free prime itself, or the end
+    of the internal tail at a regular prime.  It represents Z(mu) in the
+    graph monoid."""
+    if mu.p in g.free_k:
+        return mu.p
+    return g.path_end(cpath_range(g, mu.gamma), mu.tail)
 
 
 Script = list[tuple[int, int | None]]
@@ -218,21 +226,21 @@ def _normalize(g: SeparatedGraph, cyls) -> CompactOpen:
 
 
 def _cyl_meet(g: SeparatedGraph, mu: EPath, rho: EPath) -> EPath | None:
-    m = mul(g, idem_of(g, mu), idem_of(g, rho))
+    m = mul(g, trusted_idem(g, mu), trusted_idem(g, rho))
     return None if is_zero(m) else epath_of(g, m)
 
 
 def _cyl_subtract(g: SeparatedGraph, mu: EPath, rho: EPath) -> list[EPath]:
     """Z(mu) minus Z(rho) as disjoint cylinders, by directed expansion."""
-    e = idem_of(g, mu)
-    f = idem_of(g, rho)
+    e = trusted_idem(g, mu)
+    f = trusted_idem(g, rho)
     mt = mul(g, e, f)
     if is_zero(mt):
         return [mu]
     if mt == e:
         return []
     target = epath_of(g, mt)
-    choice = _direction(g, mu, target) if g.is_free(mu.p) else None
+    choice = _direction(g, mu, target) if mu.p in g.free_k else None
     out: list[EPath] = []
     for child in simple_expand(g, e, choice):
         out.extend(_cyl_subtract(g, epath_of(g, child), rho))
@@ -373,7 +381,7 @@ def cover_to_expansion(g: SeparatedGraph, e: Element, sigma) -> Script:
 
 def _cover_direction(g: SeparatedGraph, x: Element, goal) -> int | None:
     mu = epath_of(g, x)
-    if not g.is_free(mu.p):
+    if mu.p not in g.free_k:
         return None
     same = [s for s in goal if epath_of(g, s).gamma == mu.gamma]
     if len(same) != 1:
@@ -400,11 +408,8 @@ def enumerate_cpaths(g: SeparatedGraph, start: str, bounds: Bounds):
                         for rest in rec(g.beta_target(p, i, t), depth + 1):
                             yield (step,) + rest
         else:
-            for path in _internal_paths(g, at, bounds.max_len):
-                end = at
-                for name in path:
-                    end = g.edge(name).rng
-                for conn in g.out_connectors(end):
+            for path in internal_paths(g, at, bounds.max_len):
+                for conn in g.out_connectors(g.path_end(at, path)):
                     step = RegularStep(p, path, conn.name)
                     for rest in rec(conn.rng, depth + 1):
                         yield (step,) + rest
@@ -413,12 +418,14 @@ def enumerate_cpaths(g: SeparatedGraph, start: str, bounds: Bounds):
         yield CPath(start, steps)
 
 
-def _internal_paths(g: SeparatedGraph, start: str, max_len: int):
+def internal_paths(g: SeparatedGraph, start: str, max_len: int):
+    """All internal paths of at most max_len edges from a vertex of a
+    regular component, the empty path first."""
     yield ()
     if max_len == 0:
         return
     for edge in g.out_edges(start):
-        for rest in _internal_paths(g, edge.rng, max_len - 1):
+        for rest in internal_paths(g, edge.rng, max_len - 1):
             yield (edge.name,) + rest
 
 
@@ -431,11 +438,11 @@ def enumerate_epaths(g: SeparatedGraph, start: str, bounds: Bounds):
             for tail in product(range(bounds.max_exp + 1), repeat=g.k(p)):
                 yield EPath(gamma, p, tail)
         else:
-            for tail in _internal_paths(g, v, bounds.max_len):
+            for tail in internal_paths(g, v, bounds.max_len):
                 yield EPath(gamma, p, tail)
 
 
 def enumerate_idempotents(g: SeparatedGraph, bounds: Bounds):
     for v in sorted(g.vertex_prime):
         for mu in enumerate_epaths(g, v, bounds):
-            yield idem_of(g, mu)
+            yield trusted_idem(g, mu)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graph import FreePrime, SeparatedGraph
-from .lattice import CompactOpen, co_eq, co_of, epath_of, idem_of, simple_expand
+from .lattice import CompactOpen, co_eq, co_of, epath_end, simple_expand, trusted_idem
 from .semigroup import (
     Element,
     FreeBody,
@@ -340,16 +340,13 @@ def vertex_of_idempotent(g: SeparatedGraph, e: Element) -> str:
         raise MonoidError("not a nonzero idempotent")
     if isinstance(e.m.body, FreeBody):
         return e.m.p
-    v = e.m.body.src
-    for name in e.m.body.gamma:
-        v = g.edge(name).rng
-    return v
+    return g.path_end(e.m.body.src, e.m.body.gamma)
 
 
 def typ_of(g: SeparatedGraph, a: CompactOpen) -> MonElem:
     out = ZERO_ELEM
     for mu in a.cyls:
-        out = mon_add(out, mon_unit(vertex_of_idempotent(g, idem_of(g, mu))))
+        out = mon_add(out, mon_unit(epath_end(g, mu)))
     return out
 
 
@@ -453,8 +450,8 @@ def equidecompose(
     pres = presentation(g)
     if not isinstance(mon_eq(pres, typ_of(g, a), typ_of(g, b), budget), Yes):
         return Unknown()
-    pieces_a = tuple(idem_of(g, mu) for mu in a.cyls)
-    pieces_b = tuple(idem_of(g, mu) for mu in b.cyls)
+    pieces_a = tuple(trusted_idem(g, mu) for mu in a.cyls)
+    pieces_b = tuple(trusted_idem(g, mu) for mu in b.cyls)
     reach_a = _refinement_reach(g, pres, pieces_a, budget)
     reach_b = _refinement_reach(g, pres, pieces_b, budget)
     common = set(reach_a) & set(reach_b)

@@ -60,18 +60,11 @@ def trivial_cpath(v: str) -> CPath:
     return CPath(v, ())
 
 
-def step_source(g: SeparatedGraph, s: Step) -> str:
-    if isinstance(s, FreeStep):
-        return s.p
-    if s.path:
-        return g.edge(s.path[0]).src
-    return g.edge(s.connector).src
-
-
 def step_range(g: SeparatedGraph, s: Step) -> str:
+    """The range of a valid step (see validate_cpath)."""
     if isinstance(s, FreeStep):
-        return g.beta_target(s.p, s.i, s.t)
-    return g.edge(s.connector).rng
+        return g.prime_by_name[s.p].targets[s.i - 1][s.t - 1]
+    return g.edge_rng[s.connector]
 
 
 def step_edge_len(s: Step) -> int:
@@ -113,16 +106,18 @@ def validate_cpath(g: SeparatedGraph, c: CPath) -> None:
     at = c.start
     g.prime_of_vertex(at)
     for s in c.steps:
+        p = g.vertex_prime[at]
         if isinstance(s, FreeStep):
-            if g.vertex_prime[at] != s.p or not g.is_free(s.p):
+            kp = g.free_k.get(p)
+            if p != s.p or kp is None:
                 raise WordError(f"free step at {s.p} does not start at {at}")
-            if not (1 <= s.i <= g.k(s.p) and 0 <= s.m and 1 <= s.t <= g.g(s.p, s.i)):
+            if not (1 <= s.i <= kp and 0 <= s.m and 1 <= s.t <= g.g(p, s.i)):
                 raise WordError(f"bad free step {s}")
         else:
-            if g.is_free(g.vertex_prime[at]):
+            if p in g.free_k:
                 raise WordError(f"regular step starting at free vertex {at}")
-            if step_source(g, s) != at:
-                raise WordError(f"step source mismatch at {at}")
+            if p != s.p:
+                raise WordError(f"regular step at {s.p} does not start at {at}")
             pos = at
             for name in s.path:
                 e = g.edge(name)
@@ -168,17 +163,14 @@ def ttuple(d: dict[int, int]) -> tuple[tuple[int, int], ...]:
 
 
 def trivial_monomial(g: SeparatedGraph, v: str) -> Monomial:
-    p = g.prime_of_vertex(v)
-    if g.is_free(p):
-        z = (0,) * g.k(p)
-        return Monomial(p, (), FreeBody(z, z))
-    return Monomial(p, (), RegBody((), (), v, v))
+    return t_monomial(g, {}, v)
 
 
 def t_monomial(g: SeparatedGraph, tmap: dict[int, int], base: str) -> Monomial:
     p = g.prime_of_vertex(base)
-    if g.is_free(p):
-        z = (0,) * g.k(p)
+    kp = g.free_k.get(p)
+    if kp is not None:
+        z = (0,) * kp
         return Monomial(p, ttuple(tmap), FreeBody(z, z))
     return Monomial(p, ttuple(tmap), RegBody((), (), base, base))
 
@@ -192,7 +184,7 @@ def mono_range(g: SeparatedGraph, m: Monomial) -> str:
 
 
 def star_monomial(g: SeparatedGraph, m: Monomial) -> Monomial:
-    neg = ttuple({i: -d for i, d in m.tpart})
+    neg = tuple((i, -d) for i, d in m.tpart)
     if isinstance(m.body, FreeBody):
         return Monomial(m.p, neg, FreeBody(m.body.l, m.body.k))
     b = m.body
@@ -205,15 +197,21 @@ def mul_monomials(g: SeparatedGraph, m1: Monomial, m2: Monomial):
         raise WordError(f"monomial primes differ: {m1.p} vs {m2.p}")
     if mono_range(g, m1) != mono_source(g, m2):
         raise WordError("monomial endpoints do not match")
-    t = tdict(m1.tpart)
-    for i, d in m2.tpart:
-        t[i] = t.get(i, 0) + d
+    if not m2.tpart:
+        tp = m1.tpart
+    elif not m1.tpart:
+        tp = m2.tpart
+    else:
+        t = tdict(m1.tpart)
+        for i, d in m2.tpart:
+            t[i] = t.get(i, 0) + d
+        tp = ttuple(t)
     if isinstance(m1.body, FreeBody):
         k1, l1 = m1.body.k, m1.body.l
         k2, l2 = m2.body.k, m2.body.l
         k3 = tuple(max(a, a + c - b) for a, b, c in zip(k1, l1, k2))
         l3 = tuple(max(d, d + b - c) for b, c, d in zip(l1, k2, l2))
-        return Monomial(m1.p, ttuple(t), FreeBody(k3, l3))
+        return Monomial(m1.p, tp, FreeBody(k3, l3))
     b1, b2 = m1.body, m2.body
     if b2.gamma[: len(b1.nu)] == b1.nu:
         gamma = b1.gamma + b2.gamma[len(b1.nu) :]
@@ -223,7 +221,7 @@ def mul_monomials(g: SeparatedGraph, m1: Monomial, m2: Monomial):
         nu = b2.nu + b1.nu[len(b2.gamma) :]
     else:
         return None
-    return Monomial(m1.p, ttuple(t), RegBody(gamma, nu, b1.src, b2.rng))
+    return Monomial(m1.p, tp, RegBody(gamma, nu, b1.src, b2.rng))
 
 
 # -- elements ------------------------------------------------------------
@@ -280,7 +278,8 @@ def endpoints(g: SeparatedGraph, e: Element) -> tuple[str, str]:
 
 def _shift_of_steps(g: SeparatedGraph, steps) -> int:
     """Total index shift a t-variable picks up crossing these steps."""
-    return sum(g.k(s.p) - 1 for s in steps if isinstance(s, FreeStep))
+    free_k = g.free_k
+    return sum(free_k[s.p] - 1 for s in steps if isinstance(s, FreeStep))
 
 
 def translate(g: SeparatedGraph, m: Monomial, eta: CPath):
@@ -299,7 +298,7 @@ def translate(g: SeparatedGraph, m: Monomial, eta: CPath):
     first = eta.steps[0]
     if isinstance(m.body, FreeBody):
         assert isinstance(first, FreeStep) and first.p == m.p
-        i, kp = first.i, g.k(m.p)
+        i, kp = first.i, g.free_k[m.p]
         k, l = m.body.k, m.body.l
         if l[i - 1] > first.m:
             return None
@@ -312,7 +311,7 @@ def translate(g: SeparatedGraph, m: Monomial, eta: CPath):
                 continue
             diff = k[j - 1] - l[j - 1]
             if diff:
-                idx = g.sigma_drop(m.p, i, j)
+                idx = j if j < i else j - 1  # graph.sigma_drop(i, j)
                 phi[idx] = phi.get(idx, 0) + diff
         shift = _shift_of_steps(g, eta.steps[1:])
         phi = {idx + shift: d for idx, d in phi.items() if d != 0}
@@ -337,12 +336,12 @@ def mul(g: SeparatedGraph, e1: Element, e2: Element) -> Element:
         return ZERO
     eta1, gamma2 = e1.eta, e2.gamma
     if cpath_is_prefix(gamma2, eta1):
-        rem = cpath_remainder(g, gamma2, eta1)
-        if not rem.steps:
+        if len(gamma2.steps) == len(eta1.steps):
             mm = mul_monomials(g, e1.m, e2.m)
             if mm is None:
                 return ZERO
             return Triple(e1.gamma, mm, e2.eta)
+        rem = cpath_remainder(g, gamma2, eta1)
         tr = translate(g, star_monomial(g, e2.m), rem)
         if tr is None:
             return ZERO
@@ -505,15 +504,6 @@ def element_to_word(g: SeparatedGraph, e: Element) -> str:
     if not toks:
         return f"v:{e.gamma.start}"
     return " ".join(toks)
-
-
-def format_element(g: SeparatedGraph, e: Element) -> str:
-    if is_zero(e):
-        return "0"
-    f = element_fields(g, e)
-    if not any(f):
-        return f"v:{e.gamma.start}"
-    return " | ".join(f)
 
 
 def validate_element(g: SeparatedGraph, e: Element) -> None:

@@ -370,7 +370,7 @@ def test_criterion_08_type_semigroup_theorem(graphs):
             cert = mn.equidecompose(g, a, b)
             if isinstance(eq, Yes):
                 assert not isinstance(cert, Unknown)
-                mn.verify_certificate(g, cert, a, b)
+                assert mn.verify_certificate(g, cert, a, b)
                 certs += 1
             elif isinstance(eq, No):
                 assert isinstance(cert, Unknown)

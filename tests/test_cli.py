@@ -153,3 +153,29 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--seed", "1")
     assert code == 0
     assert "0 failed" in out
+
+
+def test_missing_cover_word_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "cover-to-expansion", G3)
+    assert code == 64 and err.startswith("usage error")
+
+
+def test_extra_normalize_word_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "normalize", G3, "v:p", "v:p")
+    assert code == 64 and err.startswith("usage error")
+
+
+@pytest.mark.parametrize("opt", ["--max-steps", "--max-weight", "--max-depth", "--max-exp"])
+def test_negative_limits_are_usage_errors(capsys, opt):
+    code, out, err = run(capsys, "monoid-eq", G1, "a:p", "a:p", opt, "-1")
+    assert code == 64 and not out and opt in err
+
+
+def test_unexpected_exception_exits_70(capsys, monkeypatch):
+    def boom(g, e):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("sepgroid.semigroup.element_to_word", boom)
+    code, out, err = run(capsys, "normalize", G3, "v:p")
+    assert code == 70 and not out
+    assert err == "internal error: RuntimeError: boom"

@@ -70,3 +70,19 @@ def test_free_prime_accessors(g1):
     p = next(q for q in g1.primes if isinstance(q, FreePrime) and q.name == "p")
     assert p.k == 2
     assert g1.g("p", 1) == 1 and g1.g("p", 2) == 1
+
+
+def test_compiled_tables_and_unknown_names():
+    g = parse_graph(
+        "graph two\nfree z k=0\nregular r\nvertex u v\nedge e1: u -> v\n"
+        "edge e2: u -> u\nedge e3: v -> u\nedge e4: v -> v\nconnector c1: v -> z\n"
+    )
+    assert [e.name for e in g.out_edges("u")] == ["e1", "e2"]
+    assert [c.name for c in g.out_connectors("v")] == ["c1"]
+    assert g.out_edges("z") == () and g.out_connectors("u") == ()
+    assert g.path_end("u", ("e1", "e3", "e1")) == "v" and g.path_end("u", ()) == "u"
+    assert g.is_free("z") and not g.is_free("r") and g.k("z") == 0
+    for bad in (lambda: g.out_edges("x"), lambda: g.out_connectors("x"),
+                lambda: g.is_free("x"), lambda: g.k("x"), lambda: g.k("r")):
+        with pytest.raises(GraphError):
+            bad()

@@ -1,8 +1,12 @@
+import importlib.util
+import pathlib
 import random
+import sys
 
 import pytest
 
-from sepgroid import lattice as lt, semigroup as sg
+from sepgroid import lattice as lt, monoid as mn, semigroup as sg
+from sepgroid.graph import parse_graph
 from sepgroid.lattice import Bounds, CompactOpen, LatticeError
 
 from conftest import alphabet, random_word
@@ -194,6 +198,112 @@ def test_enumerations_are_bounded(graphs):
         for e in idems:
             assert sg.is_idempotent(e)
         assert len(set(idems)) == len(idems)
+
+
+# -- the trust boundary --------------------------------------------------
+
+
+def _load_perfbench_gen():
+    """The benchmark's seeded graph generator, loaded read-only."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up here
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return mod
+
+
+GENERATED = [
+    (shape, tag) for shape in ("tower_graph", "regular_graph", "mixed_graph")
+    for tag in ("trust-0", "trust-1")
+]
+
+
+@pytest.fixture(scope="module")
+def gen_module():
+    return _load_perfbench_gen()
+
+
+def _valid(g, e):
+    sg.validate_element(g, e)
+    return e
+
+
+def _check_cylinders(g, a):
+    for mu in a.cyls:
+        assert lt.epath_of(g, _valid(g, lt.trusted_idem(g, mu))) == mu
+
+
+def _check_library_built_elements(g, rng):
+    pool = [_valid(g, e) for e in lt.enumerate_idempotents(g, Bounds(1, 1, 2))]
+    expandable = [e for e in pool if not _is_point(g, lt.epath_of(g, e))] or pool
+    budget = mn.Budget(max_states=300, max_weight=10)
+    for _ in range(12):
+        base = rng.choice(expandable)
+        pieces, script = [base], []
+        for _ in range(rng.randint(1, 3)):
+            cand = [i for i, x in enumerate(pieces) if not _is_point(g, lt.epath_of(g, x))]
+            if not cand:
+                break
+            pos = rng.choice(cand)
+            mu = lt.epath_of(g, pieces[pos])
+            ch = rng.randint(1, g.k(mu.p)) if g.is_free(mu.p) else None
+            script.append((pos, ch))
+            pieces[pos : pos + 1] = [_valid(g, x) for x in lt.simple_expand(g, pieces[pos], ch)]
+        assert [_valid(g, x) for x in lt.expand(g, base, script)] == pieces
+        replay = lt.expand(g, base, lt.cover_to_expansion(g, base, pieces))
+        assert sorted(map(repr, (_valid(g, x) for x in replay))) == sorted(map(repr, pieces))
+        redundant = pieces + [base]
+        for x in lt.orthogonalize_cover(g, base, redundant):
+            _valid(g, x)
+
+        a = lt.co_of(g, base)
+        b = lt.co_of(g, *rng.sample(pieces, rng.randint(1, len(pieces))))
+        c = lt.co_of(g, rng.choice(pool), rng.choice(pool))
+        for x in (a, b, c):
+            _check_cylinders(g, x)
+        for x, y in ((a, b), (a, c), (c, b)):
+            _check_cylinders(g, lt.co_subtract(g, x, y))
+            _check_cylinders(g, lt.co_intersect(g, x, y))
+            _check_cylinders(g, lt.co_union(g, x, y))
+
+        cert = mn.equidecompose(g, a, lt.co_of(g, *pieces), budget)
+        assert isinstance(cert, mn.EquidecompCertificate)
+        for x in cert.elements + cert.sources + cert.ranges:
+            _valid(g, x)
+
+
+@pytest.mark.parametrize("name", ["g0", "g1", "g2", "g3"])
+def test_library_built_elements_validate_on_fixtures(graphs, name):
+    _check_library_built_elements(graphs[name], random.Random(name))
+
+
+@pytest.mark.parametrize("shape,tag", GENERATED)
+def test_library_built_elements_validate_on_generated(gen_module, shape, tag):
+    g = parse_graph(getattr(gen_module, shape)(tag).text())
+    _check_library_built_elements(g, random.Random(f"{shape}/{tag}"))
+
+
+def test_public_idem_of_rejects_malformed_epaths(g1, g3):
+    top = lt.epath_of(g1, w(g1, "v:p"))
+    with pytest.raises(LatticeError, match="free tail length"):
+        lt.idem_of(g1, lt.EPath(top.gamma, "p", (1, 0, 0)))
+    g = parse_graph(
+        "graph two\nregular r\nvertex u v\n"
+        "edge e1: u -> v\nedge e2: u -> u\nedge e3: v -> u\nedge e4: v -> v\n"
+    )
+    at_u = lt.epath_of(g, w(g, "v:u"))
+    assert lt.idem_of(g, lt.EPath(at_u.gamma, "r", ("e1", "e3"))) == w(g, "e:e1 e:e3 e:e3* e:e1*")
+    with pytest.raises(sg.WordError, match="bad body path"):
+        lt.idem_of(g, lt.EPath(at_u.gamma, "r", ("e1", "e1")))
+    below = lt.epath_of(g3, w(g3, "b:p.1.1 b:p.1.1*"))
+    with pytest.raises(LatticeError, match="not in p"):
+        lt.idem_of(g3, lt.EPath(below.gamma, "p", (0,)))
 
 
 # -- helpers -------------------------------------------------------------

@@ -219,7 +219,7 @@ def test_equidecompose_spec_example(g3):
     cert = mn.equidecompose(g3, co(g3, "v:p"), co(g3, "a:p.1 a:p.1*"))
     assert not isinstance(cert, Unknown)
     assert [sg.element_to_word(g3, s) for s in cert.elements] == ["a:p.1"]
-    mn.verify_certificate(
+    assert mn.verify_certificate(
         g3, cert, co(g3, "v:p"), co(g3, "a:p.1 a:p.1*")
     )
 
@@ -229,14 +229,14 @@ def test_equidecompose_g2_double(g2):
     b = lt.co_of(g2, w(g2, "e:f1 e:f1*"), w(g2, "e:f2 e:f2*"))
     cert = mn.equidecompose(g2, a, b)
     assert not isinstance(cert, Unknown)
-    mn.verify_certificate(g2, cert, a, b)
+    assert mn.verify_certificate(g2, cert, a, b)
 
 
 def test_equidecompose_identity(g1):
     a = co(g1, "v:p")
     cert = mn.equidecompose(g1, a, a)
     assert not isinstance(cert, Unknown)
-    mn.verify_certificate(g1, cert, a, a)
+    assert mn.verify_certificate(g1, cert, a, a)
 
 
 def test_equidecompose_iff_mon_eq_sample(graphs, rng):
@@ -260,7 +260,7 @@ def test_equidecompose_iff_mon_eq_sample(graphs, rng):
             cert = mn.equidecompose(g, a, b)
             if isinstance(eq, Yes):
                 assert not isinstance(cert, Unknown)
-                mn.verify_certificate(g, cert, a, b)
+                assert mn.verify_certificate(g, cert, a, b)
             elif isinstance(eq, No):
                 assert isinstance(cert, Unknown)
 
