@@ -117,7 +117,9 @@ def parse_path(g: SeparatedGraph, text: str) -> fl.SemifinitePath:
     text = text.strip()
     if not text.startswith("["):
         raise UsageError("path literal must start with [<word>]")
-    close = text.index("]")
+    close = text.find("]")
+    if close < 0:
+        raise fl.FilterError("path literal has no closing ]")
     word = text[1:close].strip()
     rest = text[close + 1 :].strip()
     if not rest.startswith(";"):
@@ -132,7 +134,10 @@ def parse_path(g: SeparatedGraph, text: str) -> fl.SemifinitePath:
     if tail_spec.startswith("free(") and tail_spec.endswith(")"):
         inner = tail_spec[5:-1].strip()
         entries = [] if not inner else [x.strip() for x in inner.split(",")]
-        k = tuple(fl.INF if x == "inf" else int(x) for x in entries)
+        try:
+            k = tuple(fl.INF if x == "inf" else int(x) for x in entries)
+        except ValueError:
+            raise fl.FilterError(f"bad free tail entries {inner!r}") from None
         tail = fl.FreeTail(k)
     elif tail_spec.startswith("reg(") and tail_spec.endswith(")"):
         inner = tail_spec[4:-1]
@@ -178,12 +183,15 @@ def format_germ(g: SeparatedGraph, germ: gp.Germ) -> str:
 def parse_script(text: str) -> lt.Script:
     """Expansion scripts: whitespace-separated `pos` or `pos:choice` items."""
     out: lt.Script = []
-    for item in text.split():
-        if ":" in item:
-            p, c = item.split(":", 1)
-            out.append((int(p), int(c)))
-        else:
-            out.append((int(item), None))
+    try:
+        for item in text.split():
+            if ":" in item:
+                p, c = item.split(":", 1)
+                out.append((int(p), int(c)))
+            else:
+                out.append((int(item), None))
+    except ValueError:
+        raise lt.LatticeError(f"bad expansion script {text!r}") from None
     return out
 
 
@@ -195,8 +203,11 @@ def format_script(script: lt.Script) -> str:
 
 
 def _load(path: str) -> SeparatedGraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_graph(fh.read())
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _budget(args) -> mn.Budget:
@@ -243,7 +254,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
     except (GraphError, sg.WordError, fl.FilterError, lt.LatticeError,
-            gp.GroupoidError, mn.MonoidError, FileNotFoundError, ValueError) as exc:
+            gp.GroupoidError, mn.MonoidError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 65
     except Exception as exc:  # noqa: BLE001 - no exit code may claim a result

@@ -3,20 +3,25 @@
 M(E,C) is the commutative monoid generated by the vertices with one
 relation per separation class: a free prime p contributes a_p = a_p +
 sum of its class-i connector targets (one relation per loop index i), and
-a regular vertex v contributes a_v = sum over edges leaving v.  The word
-problem is a bounded bidirectional breadth-first search; No is only
-returned when a full congruence class was enumerated below the weight cap.
-Equidecomposition realizes monoid equalities as partial isomorphisms
-between compact opens: relations are replayed as simple expansions of
-cylinders, and matching cylinders with equal type vertex are connected by
-explicit semigroup elements.
+a regular vertex v contributes a_v = sum over edges leaving v.
+
+One bounded breadth-first search, `_Search`, runs over integer vectors in
+the sorted vertex order of the presentation.  `mon_eq` runs it from both
+sides; No is only returned when a full congruence class was enumerated
+below the weight cap.  `mon_leq` and `refinement_witness` read closures
+run to the state cap.  Equidecomposition closes both types under
+expansions only and replays the relation path to the lightest common type
+as simple expansions of cylinders; matching cylinders with equal type
+vertex are connected by explicit semigroup elements.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+from itertools import product
+from operator import add, ge, sub
 
 from .graph import FreePrime, SeparatedGraph
 from .lattice import CompactOpen, co_eq, co_of, epath_end, simple_expand, trusted_idem
@@ -26,7 +31,6 @@ from .semigroup import (
     Monomial,
     RegBody,
     Triple,
-    WordError,
     cpath_range,
     is_idempotent,
     is_zero,
@@ -98,7 +102,10 @@ def parse_monelem(g: SeparatedGraph, text: str) -> MonElem:
         coeff = 1
         if "*" in term:
             c, term = term.split("*", 1)
-            coeff = int(c.strip())
+            try:
+                coeff = int(c.strip())
+            except ValueError:
+                raise MonoidError(f"bad coefficient {c.strip()!r}") from None
         term = term.strip()
         if not term.startswith("a:"):
             raise MonoidError(f"bad monoid term {term!r}")
@@ -129,6 +136,27 @@ class Relation:
 @dataclass(frozen=True)
 class Presentation:
     relations: tuple[Relation, ...]
+    vertices: tuple[str, ...]  # sorted; the coordinates of a search state
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _moves(self) -> tuple:
+        """(needed counts, change, weight change, relation) of each relation
+        applied left to right, then right to left."""
+        out = []
+        for rel in self.relations:
+            rhs = _vector(self, rel.rhs)
+            v = self._index[rel.vertex]
+            change = list(rhs)
+            change[v] -= 1
+            change = tuple((i, n) for i, n in enumerate(change) if n)
+            out.append((((v, 1),), change, sum(rhs) - 1, rel))
+            need = tuple((i, n) for i, n in enumerate(rhs) if n)
+            out.append((need, tuple((i, -n) for i, n in change), 1 - sum(rhs), rel))
+        return tuple(out)
 
 
 def presentation(g: SeparatedGraph) -> Presentation:
@@ -146,7 +174,22 @@ def presentation(g: SeparatedGraph) -> Presentation:
                 for e in list(g.out_edges(v)) + list(g.out_connectors(v)):
                     d[e.rng] = d.get(e.rng, 0) + 1
                 rels.append(Relation(v, mon_of(d), "regular", None))
-    return Presentation(tuple(rels))
+    return Presentation(tuple(rels), tuple(sorted(g.vertex_prime)))
+
+
+def _vector(pres: Presentation, x: MonElem) -> tuple[int, ...]:
+    """x as counts over pres.vertices: the searches' input boundary."""
+    u = [0] * len(pres.vertices)
+    for v, n in x.counts:
+        i = pres._index.get(v)
+        if i is None:
+            raise MonoidError(f"vertex {v!r} is not in the presentation")
+        u[i] += n
+    return tuple(u)
+
+
+def _elem(pres: Presentation, u: tuple[int, ...]) -> MonElem:
+    return MonElem(tuple((v, n) for v, n in zip(pres.vertices, u) if n))
 
 
 # -- word problem --------------------------------------------------------
@@ -173,115 +216,95 @@ class Unknown:
     pass
 
 
-def _neighbors(pres: Presentation, u: MonElem, max_weight: int):
-    """Undirected one-step rewrites of u; second value flags weight pruning."""
-    out = []
-    pruned = False
-    for rel in pres.relations:
-        lhs = mon_unit(rel.vertex)
-        if mon_geq(u, lhs):
-            w = mon_add(mon_sub(u, lhs), rel.rhs)
-            if mon_weight(w) <= max_weight:
-                out.append(w)
+class _Search:
+    """Breadth-first search over the states reachable from one start state.
+    Each expanded state tries every relation left to right and, unless
+    expand_only, right to left; states above max_weight are dropped and
+    flagged in `pruned`."""
+
+    def __init__(self, pres: Presentation, start, max_weight: int, expand_only=False):
+        # _moves alternates expansions and contractions
+        self.moves = pres._moves[::2] if expand_only else pres._moves
+        self.max_weight = max_weight
+        # state -> (previous state, relation), None at the start
+        self.parents: dict = {start: None}
+        self.queue = deque([start])
+        self.pruned = False
+
+    def expand(self) -> list:
+        """Pop the next state and return the states first reached from it."""
+        u = self.queue.popleft()
+        weight = sum(u)
+        new = []
+        for need, change, dw, rel in self.moves:
+            for i, n in need:
+                if u[i] < n:
+                    break
             else:
-                pruned = True
-        if mon_geq(u, rel.rhs):
-            w = mon_add(mon_sub(u, rel.rhs), lhs)
-            if mon_weight(w) <= max_weight:
-                out.append(w)
-            else:
-                pruned = True
-    return out, pruned
+                if weight + dw > self.max_weight:
+                    self.pruned = True
+                    continue
+                w = list(u)
+                for i, n in change:
+                    w[i] += n
+                w = tuple(w)
+                if w not in self.parents:
+                    self.parents[w] = (u, rel)
+                    self.queue.append(w)
+                    new.append(w)
+        return new
+
+    def trail(self, u) -> list:
+        """(state, relation that reached it) from u back to the start."""
+        out = []
+        while self.parents[u] is not None:
+            out.append((u, self.parents[u][1]))
+            u = self.parents[u][0]
+        return out + [(u, None)]
 
 
-def reachable_set(pres: Presentation, x: MonElem, budget: Budget):
-    """(reachable vectors with parents, complete?, weight-pruned?)"""
-    parents: dict[MonElem, MonElem | None] = {x: None}
-    queue = deque([x])
-    pruned = False
-    complete = True
-    while queue:
-        if len(parents) > budget.max_states:
-            complete = False
-            break
-        u = queue.popleft()
-        nbrs, pr = _neighbors(pres, u, budget.max_weight)
-        pruned = pruned or pr
-        for w in nbrs:
-            if w not in parents:
-                parents[w] = u
-                queue.append(w)
-    return parents, complete and not queue, pruned
-
-
-@lru_cache(maxsize=4096)
-def _reach_cached(pres: Presentation, x: MonElem, budget: Budget):
-    """Shared read-only reachable sets; callers must not mutate them."""
-    return reachable_set(pres, x, budget)
-
-
-def _trace(parents, u) -> list[MonElem]:
-    path = [u]
-    while parents[u] is not None:
-        u = parents[u]
-        path.append(u)
-    return path
+def _closure(pres: Presentation, x, budget: Budget, expand_only=False) -> _Search:
+    """The search from x, run until it is exhausted or over the state cap."""
+    search = _Search(pres, x, budget.max_weight, expand_only)
+    while search.queue and len(search.parents) <= budget.max_states:
+        search.expand()
+    return search
 
 
 def mon_eq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()):
     """Bounded bidirectional search; No only on provable exhaustion."""
-    if x == y:
+    ux, uy = _vector(pres, x), _vector(pres, y)
+    if ux == uy:
         return Yes((x,))
-    if mon_weight(x) > budget.max_weight or mon_weight(y) > budget.max_weight:
+    if sum(ux) > budget.max_weight or sum(uy) > budget.max_weight:
         return Unknown()
-    sides = [
-        {x: None},
-        {y: None},
-    ]
-    queues = [deque([x]), deque([y])]
-    pruned = [False, False]
-    exhausted = [False, False]
+    sides = (_Search(pres, ux, budget.max_weight), _Search(pres, uy, budget.max_weight))
     states = 2
-    while True:
-        active = [i for i in (0, 1) if queues[i] and not exhausted[i]]
-        if not active:
-            break
-        i = min(active, key=lambda i: len(queues[i]))
-        u = queues[i].popleft()
-        nbrs, pr = _neighbors(pres, u, budget.max_weight)
-        pruned[i] = pruned[i] or pr
-        for w in nbrs:
-            if w in sides[i]:
-                continue
-            sides[i][w] = u
-            queues[i].append(w)
+    while sides[0].queue or sides[1].queue:
+        q0, q1 = sides[0].queue, sides[1].queue
+        i = 0 if q0 and (not q1 or len(q0) <= len(q1)) else 1
+        for w in sides[i].expand():
             states += 1
-            if w in sides[1 - i]:
-                half_x = _trace(sides[0], w)
-                half_y = _trace(sides[1], w)
-                return Yes(tuple(reversed(half_x)) + tuple(half_y[1:]))
+            if w in sides[1 - i].parents:
+                path = sides[0].trail(w)[::-1] + sides[1].trail(w)[1:]
+                return Yes(tuple(_elem(pres, u) for u, _ in path))
             if states > budget.max_states:
                 return Unknown()
-    for i in (0, 1):
-        exhausted[i] = not queues[i]
-    if (exhausted[0] and not pruned[0]) or (exhausted[1] and not pruned[1]):
+    if not (sides[0].pruned and sides[1].pruned):
         return No()
     return Unknown()
 
 
 def mon_leq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()):
     """Yes(z) with x + z equal to y, or Unknown."""
-    parents, _, _ = reachable_set(pres, y, budget)
+    ux = _vector(pres, x)
     best = None
-    for u in parents:
-        if mon_geq(u, x):
-            z = mon_sub(u, x)
-            if best is None or mon_weight(z) < mon_weight(best):
-                best = z
+    for u in _closure(pres, _vector(pres, y), budget).parents:
+        if all(map(ge, u, ux)) and (best is None or sum(u) < sum(best)):
+            best = u
     if best is None:
         return Unknown()
-    check = mon_eq(pres, mon_add(x, best), y, budget)
-    return Yes((best,)) if isinstance(check, Yes) else Unknown()
+    return Yes((_elem(pres, tuple(map(sub, best, ux))),))
 
 
 def refinement_witness(
@@ -289,46 +312,35 @@ def refinement_witness(
     budget: Budget = Budget(),
 ):
     """(w,x,y,z) with a=w+x, b=y+z, c=w+y, d=x+z, or Unknown."""
-    pre = mon_eq(pres, mon_add(a, b), mon_add(c, d), budget)
-    if not isinstance(pre, Yes):
+    if not isinstance(mon_eq(pres, mon_add(a, b), mon_add(c, d), budget), Yes):
         raise MonoidError("a+b = c+d not established within budget")
-    reach_a, _, _ = _reach_cached(pres, a, budget)
-    reach_b, _, _ = _reach_cached(pres, b, budget)
-    reach_c, _, _ = _reach_cached(pres, c, budget)
+    reach_a, reach_b, reach_c, reach_d = (
+        _closure(pres, _vector(pres, m), budget).parents for m in (a, b, c, d)
+    )
     for ua in reach_a:
-        for w in _splits(ua):
-            xx = mon_sub(ua, w)
+        for w in _below(ua):
+            xx = tuple(map(sub, ua, w))
             for uc in reach_c:
-                if not mon_geq(uc, w):
+                if not all(map(ge, uc, w)):
                     continue
-                yy = mon_sub(uc, w)
+                yy = tuple(map(sub, uc, w))
                 for ub in reach_b:
-                    if not mon_geq(ub, yy):
+                    if not all(map(ge, ub, yy)):
                         continue
-                    zz = mon_sub(ub, yy)
-                    if isinstance(mon_eq(pres, d, mon_add(xx, zz), budget), Yes):
-                        return (w, xx, yy, zz)
+                    zz = tuple(map(sub, ub, yy))
+                    if tuple(map(add, xx, zz)) in reach_d:
+                        return tuple(_elem(pres, u) for u in (w, xx, yy, zz))
     return Unknown()
 
 
-def _splits(u: MonElem):
-    """All w with w <= u componentwise."""
-    items = list(u.counts)
-
-    def rec(i):
-        if i == len(items):
-            yield {}
-            return
-        v, n = items[i]
-        for rest in rec(i + 1):
-            for take in range(n + 1):
-                out = dict(rest)
-                if take:
-                    out[v] = take
-                yield out
-
-    for d in rec(0):
-        yield mon_of(d)
+def _below(u):
+    """Every w <= u componentwise, the first coordinate varying fastest."""
+    support = [i for i, n in enumerate(u) if n][::-1]
+    for takes in product(*(range(u[i] + 1) for i in support)):
+        w = [0] * len(u)
+        for i, n in zip(support, takes):
+            w[i] = n
+        yield tuple(w)
 
 
 # -- the type map --------------------------------------------------------
@@ -344,10 +356,7 @@ def vertex_of_idempotent(g: SeparatedGraph, e: Element) -> str:
 
 
 def typ_of(g: SeparatedGraph, a: CompactOpen) -> MonElem:
-    out = ZERO_ELEM
-    for mu in a.cyls:
-        out = mon_add(out, mon_unit(epath_end(g, mu)))
-    return out
+    return mon_of(Counter(epath_end(g, mu) for mu in a.cyls))
 
 
 def connect_idempotents(g: SeparatedGraph, e1: Element, e2: Element) -> Element:
@@ -405,60 +414,37 @@ def verify_certificate(
 
 
 def _expand_for_relation(g: SeparatedGraph, pieces, rel: Relation):
-    """Apply one relation to a cylinder list; None if no piece matches."""
+    """Apply one relation to a cylinder list: expand its first piece of type
+    rel.vertex."""
     for i, e in enumerate(pieces):
         if vertex_of_idempotent(g, e) == rel.vertex:
-            children = simple_expand(g, e, rel.index)
-            return pieces[:i] + tuple(children) + pieces[i + 1 :]
-    return None
+            return pieces[:i] + tuple(simple_expand(g, e, rel.index)) + pieces[i + 1 :]
+    raise MonoidError(f"no cylinder of type {rel.vertex!r} to expand")
 
 
-def _refinement_reach(g: SeparatedGraph, pres, pieces0, budget: Budget):
-    """Breadth-first closure of a cylinder list under relation-driven
-    simple expansions, keyed by type vector."""
-    start = _typ_pieces(g, pieces0)
-    seen = {start: tuple(pieces0)}
-    queue = deque([start])
-    while queue and len(seen) <= budget.max_states:
-        t = queue.popleft()
-        pieces = seen[t]
-        for rel in pres.relations:
-            if not mon_geq(t, mon_unit(rel.vertex)):
-                continue
-            t2 = mon_add(mon_sub(t, mon_unit(rel.vertex)), rel.rhs)
-            if mon_weight(t2) > budget.max_weight or t2 in seen:
-                continue
-            p2 = _expand_for_relation(g, pieces, rel)
-            if p2 is None:
-                continue
-            seen[t2] = p2
-            queue.append(t2)
-    return seen
-
-
-def _typ_pieces(g: SeparatedGraph, pieces) -> MonElem:
-    out = ZERO_ELEM
-    for e in pieces:
-        out = mon_add(out, mon_unit(vertex_of_idempotent(g, e)))
-    return out
+def _replay(g: SeparatedGraph, a: CompactOpen, search: _Search, t) -> list[Element]:
+    """The cylinders of A expanded along the search's relation path to t."""
+    pieces = tuple(trusted_idem(g, mu) for mu in a.cyls)
+    for _, rel in reversed(search.trail(t)[:-1]):
+        pieces = _expand_for_relation(g, pieces, rel)
+    return list(pieces)
 
 
 def equidecompose(
     g: SeparatedGraph, a: CompactOpen, b: CompactOpen, budget: Budget = Budget()
 ):
-    """A certificate that A and B are equidecomposable, or Unknown."""
+    """A certificate that A and B are equidecomposable, or Unknown.  Of the
+    lightest common types, the first in A's breadth-first order is used."""
     pres = presentation(g)
-    if not isinstance(mon_eq(pres, typ_of(g, a), typ_of(g, b), budget), Yes):
+    ta, tb = typ_of(g, a), typ_of(g, b)
+    if not isinstance(mon_eq(pres, ta, tb, budget), Yes):
         return Unknown()
-    pieces_a = tuple(trusted_idem(g, mu) for mu in a.cyls)
-    pieces_b = tuple(trusted_idem(g, mu) for mu in b.cyls)
-    reach_a = _refinement_reach(g, pres, pieces_a, budget)
-    reach_b = _refinement_reach(g, pres, pieces_b, budget)
-    common = set(reach_a) & set(reach_b)
+    reach_a, reach_b = (_closure(pres, _vector(pres, t), budget, True) for t in (ta, tb))
+    common = [t for t in reach_a.parents if t in reach_b.parents]
     if not common:
         return Unknown()
-    t = min(common, key=mon_weight)
-    fin_a, fin_b = list(reach_a[t]), list(reach_b[t])
+    t = min(common, key=sum)
+    fin_a, fin_b = _replay(g, a, reach_a, t), _replay(g, b, reach_b, t)
     by_vertex: dict[str, list[Element]] = {}
     for e in fin_b:
         by_vertex.setdefault(vertex_of_idempotent(g, e), []).append(e)

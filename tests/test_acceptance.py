@@ -13,7 +13,7 @@ from sepgroid.filters import INF, FreeTail, PerTail, RegTail
 from sepgroid.lattice import Bounds
 from sepgroid.monoid import No, Unknown, Yes
 
-from conftest import alphabet, random_word
+from conftest import _expandable, _random_cover, _top_idem, alphabet, random_word
 from oracle import ZERO, oracle_nf
 
 SIX_TOKEN_ALPHABETS = {
@@ -21,36 +21,6 @@ SIX_TOKEN_ALPHABETS = {
     "g2": ["e:f1", "e:f1*", "e:f2", "e:f2*", "v:w", "t:w.1"],
     "g3": ["a:p.1", "a:p.1*", "b:p.1.1", "b:p.1.1*", "e:f1", "e:f2*"],
 }
-
-
-def _expandable(g, e):
-    mu = lt.epath_of(g, e)
-    return not (g.is_free(mu.p) and g.k(mu.p) == 0)
-
-
-def _random_cover(g, rng, base, rounds):
-    pieces = [base]
-    for _ in range(rounds):
-        cand = [i for i, x in enumerate(pieces) if _expandable(g, x)]
-        if not cand:
-            break
-        pos = rng.choice(cand)
-        mu = lt.epath_of(g, pieces[pos])
-        ch = rng.randint(1, g.k(mu.p)) if g.is_free(mu.p) else None
-        pieces[pos : pos + 1] = lt.simple_expand(g, pieces[pos], ch)
-    return pieces
-
-
-def _top_idem(g):
-    from sepgroid.graph import FreePrime
-
-    for p in g.primes:
-        if isinstance(p, FreePrime) and p.k > 0:
-            return sg.parse_word(g, f"v:{p.name}")
-    for p in g.primes:
-        if not isinstance(p, FreePrime):
-            return sg.parse_word(g, f"v:{sorted(p.vertices)[0]}")
-    return sg.parse_word(g, f"v:{g.primes[0].name}")
 
 
 def test_criterion_01_semigroup_laws(graphs):

@@ -179,3 +179,32 @@ def test_unexpected_exception_exits_70(capsys, monkeypatch):
     code, out, err = run(capsys, "normalize", G3, "v:p")
     assert code == 70 and not out
     assert err == "internal error: RuntimeError: boom"
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", G3, "v:p", "x"),
+    ("expand", G3, "v:p", "0:y"),
+    ("filter-contains", G3, "[v:p ; free(0)", "v:p"),
+    ("filter-contains", G3, "[v:p] ; free(x)", "v:p"),
+    ("monoid-eq", G1, "x*a:p", "a:p"),
+])
+def test_malformed_literals_are_parse_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 65 and not out and err.startswith("error: ")
+
+
+def test_graph_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "latin1.sg"
+    bad.write_bytes(b"graph caf\xe9\n")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 65 and not out and "UTF-8" in err
+
+
+def test_internal_value_error_exits_70(capsys, monkeypatch):
+    def boom(g, e):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("sepgroid.semigroup.element_to_word", boom)
+    code, out, err = run(capsys, "normalize", G3, "v:p")
+    assert code == 70 and not out
+    assert err == "internal error: ValueError: boom"

@@ -1,7 +1,4 @@
-import importlib.util
-import pathlib
 import random
-import sys
 
 import pytest
 
@@ -9,7 +6,7 @@ from sepgroid import lattice as lt, monoid as mn, semigroup as sg
 from sepgroid.graph import parse_graph
 from sepgroid.lattice import Bounds, CompactOpen, LatticeError
 
-from conftest import alphabet, random_word
+from conftest import _top_idem, alphabet, random_word
 
 
 def w(g, text):
@@ -203,30 +200,10 @@ def test_enumerations_are_bounded(graphs):
 # -- the trust boundary --------------------------------------------------
 
 
-def _load_perfbench_gen():
-    """The benchmark's seeded graph generator, loaded read-only."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # dataclasses look their module up here
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(mod)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return mod
-
-
 GENERATED = [
     (shape, tag) for shape in ("tower_graph", "regular_graph", "mixed_graph")
     for tag in ("trust-0", "trust-1")
 ]
-
-
-@pytest.fixture(scope="module")
-def gen_module():
-    return _load_perfbench_gen()
 
 
 def _valid(g, e):
@@ -307,18 +284,6 @@ def test_public_idem_of_rejects_malformed_epaths(g1, g3):
 
 
 # -- helpers -------------------------------------------------------------
-
-
-def _top_idem(g):
-    from sepgroid.graph import FreePrime
-
-    for p in g.primes:
-        if isinstance(p, FreePrime) and p.k > 0:
-            return sg.parse_word(g, f"v:{p.name}")
-    for p in g.primes:
-        if not isinstance(p, FreePrime):
-            return sg.parse_word(g, f"v:{sorted(p.vertices)[0]}")
-    return sg.parse_word(g, f"v:{g.primes[0].name}")
 
 
 def _is_point(g, mu):

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from sepgroid import lattice as lt, monoid as mn, semigroup as sg
@@ -14,7 +19,7 @@ from sepgroid.monoid import (
     format_monelem,
 )
 
-from conftest import alphabet, random_word
+from conftest import _top_idem, alphabet, random_word
 
 
 def w(g, text):
@@ -177,7 +182,7 @@ def test_typ_invariant_under_expansion(graphs, rng):
     for name in ("g1", "g2", "g3"):
         g = graphs[name]
         pres = mn.presentation(g)
-        from test_lattice import _top_idem, _is_point
+        from test_lattice import _is_point
 
         base = _top_idem(g)
         for _ in range(30):
@@ -270,3 +275,47 @@ def test_classify_prime_generator(g1, g2):
     assert kind == "regular" and consistent
     kind, consistent = mn.classify_prime_generator(g1, "p")
     assert kind == "free" and consistent
+
+
+def test_unknown_vertex_is_rejected_at_the_boundary(g1):
+    pres = mn.presentation(g1)
+    stray = mon_unit("nosuch")
+    with pytest.raises(MonoidError, match="nosuch"):
+        mn.mon_eq(pres, stray, stray)
+    with pytest.raises(MonoidError, match="nosuch"):
+        mn.mon_leq(pres, mon_unit("p"), stray)
+    with pytest.raises(MonoidError, match="nosuch"):
+        mn.refinement_witness(pres, stray, mn.ZERO_ELEM, stray, mn.ZERO_ELEM)
+
+
+_CERTIFICATE_SCRIPT = """
+import sys
+import conftest
+from sepgroid import cli, monoid as mn
+from sepgroid.graph import parse_graph
+
+g = parse_graph(conftest._load_perfbench_gen().mixed_graph("d-0").text())
+a = cli.parse_compact_open(g, sys.argv[1])
+b = cli.parse_compact_open(g, sys.argv[2])
+print(repr(mn.equidecompose(g, a, b, mn.Budget(max_states=300, max_weight=10))))
+"""
+
+
+def test_certificate_does_not_depend_on_the_hash_seed():
+    # Two common types of weight 4 tie here; the choice between them must
+    # not follow the order of a set of strings.
+    tests = pathlib.Path(__file__).resolve().parent
+    src = pathlib.Path(mn.__file__).resolve().parents[1]
+    certs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+        out = subprocess.run(
+            [sys.executable, "-c", _CERTIFICATE_SCRIPT,
+             "Z(e:rbe1 e:rbe1*) + Z(b:p3.1.1 a:p2.1 a:p2.1* b:p3.1.1*)",
+             "Z(v:rav1) + Z(a:p2.2 a:p2.2*)"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.startswith("EquidecompCertificate(")
+        certs.add(out)
+    assert len(certs) == 1

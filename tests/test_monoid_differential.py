@@ -1,0 +1,126 @@
+"""The integer-vector search of `sepgroid.monoid` against the searches it
+replaced, kept in `monoid_reference.py`, on the fixtures and on graphs from
+the benchmark's seeded generator."""
+
+import random
+
+import pytest
+
+from sepgroid import lattice as lt, monoid as mn
+from sepgroid.graph import parse_graph
+from sepgroid.monoid import Budget, MonoidError, Unknown, Yes, mon_add, mon_of
+
+import monoid_reference as ref
+from conftest import _random_cover
+
+BUDGETS = [Budget(3, 6), Budget(50, 8), Budget(300, 10)]
+GRAPHS = ["g0", "g1", "g2", "g3"] + [
+    f"{shape}/diff-{i}"
+    for shape in ("tower_graph", "regular_graph", "mixed_graph")
+    for i in (0, 1)
+]
+
+
+def _graph(name, graphs, gen_module):
+    if name in graphs:
+        return graphs[name]
+    shape, tag = name.split("/")
+    return parse_graph(getattr(gen_module, shape)(tag).text())
+
+
+def _random_elem(rng, verts, max_weight):
+    d = {}
+    for _ in range(rng.randint(1, max_weight)):
+        v = rng.choice(verts)
+        d[v] = d.get(v, 0) + 1
+    return mon_of(d)
+
+
+def _expanded(rng, pres, x, steps):
+    """x after up to `steps` random relations applied left to right."""
+    for _ in range(steps):
+        rels = [r for r in pres.relations if mn.mon_geq(x, mn.mon_unit(r.vertex))]
+        if not rels:
+            break
+        r = rng.choice(rels)
+        x = mon_add(mn.mon_sub(x, mn.mon_unit(r.vertex)), r.rhs)
+    return x
+
+
+def _both(fn_new, fn_ref, *args):
+    """Both results, with a MonoidError standing for its message."""
+    out = []
+    for fn in (fn_new, fn_ref):
+        try:
+            out.append(fn(*args))
+        except MonoidError as exc:
+            out.append(("MonoidError", str(exc)))
+    return out
+
+
+def _check_refinement(pres, quad, budget, new, old):
+    """The reference accepts a candidate when `mon_eq(d, x + z)` says Yes,
+    the new code when x + z lies in d's closure.  The two tests agree when
+    that closure is complete, d is within the weight cap and mon_eq cannot
+    reach its state cap (both of its sides together hold at most twice the
+    closure); then the witnesses are equal.  Otherwise both must find a
+    witness or neither, and the new one must be sound."""
+    if new == old:
+        return
+    a, b, c, d = quad
+    reach_d, complete, _ = ref.reachable_set(pres, d, budget)
+    assert not (
+        complete
+        and mn.mon_weight(d) <= budget.max_weight
+        and 2 * len(reach_d) <= budget.max_states
+    ), (quad, budget, new, old)
+    assert isinstance(new, tuple) and isinstance(old, tuple), (quad, budget, new, old)
+    w, x, y, z = new
+    for part, whole in ((mon_add(w, x), a), (mon_add(y, z), b), (mon_add(w, y), c), (mon_add(x, z), d)):
+        assert part in ref.reachable_set(pres, whole, budget)[0], (quad, budget, new)
+
+
+def _compact_opens(rng, g, pool):
+    base = rng.choice(pool)
+    yield lt.co_of(g, base), lt.co_of(g, *_random_cover(g, rng, base, rng.randint(1, 3)))
+    yield lt.co_of(g, rng.choice(pool)), lt.co_of(g, rng.choice(pool), rng.choice(pool))
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_one_search_matches_the_reference(graphs, gen_module, name):
+    g = _graph(name, graphs, gen_module)
+    rng = random.Random(name)
+    pres = mn.presentation(g)
+    verts = list(pres.vertices)
+    pool = list(lt.enumerate_idempotents(g, lt.Bounds(max_depth=1, max_exp=1, max_len=1)))
+    for budget in BUDGETS:
+        for _ in range(6):
+            x = _random_elem(rng, verts, 3)
+            for y in (_random_elem(rng, verts, 3), _expanded(rng, pres, x, 3)):
+                new, old = _both(mn.mon_eq, ref.mon_eq, pres, x, y, budget)
+                assert new == old, (x, y, budget)
+
+            z = _random_elem(rng, verts, 2)
+            y = _expanded(rng, pres, mon_add(x, z), 2)
+            new, old = _both(mn.mon_leq, ref.mon_leq, pres, x, y, budget)
+            if new != old:
+                # the reference's second search may hit its state cap
+                assert isinstance(old, Unknown) and isinstance(new, Yes), (x, y, budget)
+                parents, _, _ = ref.reachable_set(pres, y, budget)
+                assert mon_add(x, new.path[0]) in parents
+
+        # The reference spends minutes on some generated quadruples at the
+        # largest budget (one mon_eq per candidate), so those are left out.
+        for _ in range(2 if name in graphs or budget.max_states <= 50 else 0):
+            w, x, y, z = (_random_elem(rng, verts, 1) for _ in range(4))
+            quad = (mon_add(w, x), mon_add(y, z), mon_add(w, y), _expanded(rng, pres, mon_add(x, z), 2))
+            new, old = _both(mn.refinement_witness, ref.refinement_witness, pres, *quad, budget)
+            _check_refinement(pres, quad, budget, new, old)
+
+        for a, b in _compact_opens(rng, g, pool):
+            new, old = _both(mn.equidecompose, ref.equidecompose, g, a, b, budget)
+            if isinstance(new, Unknown) or isinstance(old, Unknown):
+                assert new == old == Unknown(), (a, b, budget)
+                continue
+            assert mn.verify_certificate(g, new, a, b) and mn.verify_certificate(g, old, a, b)
+            assert len(new.elements) == len(old.elements)
