@@ -90,13 +90,16 @@ def _co_tokens(text: str):
             out.append(c)
             i += 1
         elif text.startswith("Z(", i):
+            # Jump from `)` to `)`: the opening parentheses passed on the
+            # way raise the depth, each `)` lowers it by one.
             depth = 1
             j = i + 2
-            while j < len(text) and depth:
-                depth += {"(": 1, ")": -1}.get(text[j], 0)
-                j += 1
-            if depth:
-                raise UsageError("unbalanced Z(...)")
+            while depth:
+                close = text.find(")", j)
+                if close < 0:
+                    raise UsageError("unbalanced Z(...)")
+                depth += text.count("(", j, close) - 1
+                j = close + 1
             out.append(("Z", text[i + 2 : j - 1].strip()))
             i = j
         else:
@@ -205,9 +208,12 @@ def format_script(script: lt.Script) -> str:
 def _load(path: str) -> SeparatedGraph:
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_graph(fh.read())
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise GraphError(f"{path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise GraphError(f"cannot read {path}: {exc.strerror or exc}") from None
+    return parse_graph(text)
 
 
 def _budget(args) -> mn.Budget:
@@ -254,7 +260,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
     except (GraphError, sg.WordError, fl.FilterError, lt.LatticeError,
-            gp.GroupoidError, mn.MonoidError, FileNotFoundError) as exc:
+            gp.GroupoidError, mn.MonoidError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 65
     except Exception as exc:  # noqa: BLE001 - no exit code may claim a result

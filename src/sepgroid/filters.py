@@ -20,6 +20,7 @@ from .lattice import internal_paths, simple_expand
 from .semigroup import (
     CPath,
     Element,
+    FreeBody,
     FreeStep,
     RegularStep,
     cpath_is_prefix,
@@ -114,28 +115,40 @@ def is_infinite(mu: SemifinitePath) -> bool:
 
 
 def is_initial_segment(g: SeparatedGraph, mu_p: EPath, mu: SemifinitePath) -> bool:
-    if not cpath_is_prefix(mu_p.gamma, mu.gamma):
+    return cpath_is_prefix(mu_p.gamma, mu.gamma) and _tail_is_initial(
+        g, mu_p.gamma, mu_p.tail, mu
+    )
+
+
+def filter_contains(g: SeparatedGraph, mu: SemifinitePath, e: Element) -> bool:
+    """True iff the filter of mu contains the nonzero idempotent e.  The
+    E-path of e is read off its fields: the prefix is e.gamma and the tail
+    the body's loop exponents or internal path."""
+    if not is_idempotent(e):
+        raise FilterError("filter membership is defined for nonzero idempotents")
+    if not cpath_is_prefix(e.gamma, mu.gamma):
         return False
-    n = len(mu_p.gamma.steps)
+    b = e.m.body
+    return _tail_is_initial(g, e.gamma, b.k if isinstance(b, FreeBody) else b.gamma, mu)
+
+
+def _tail_is_initial(g: SeparatedGraph, gamma: CPath, tail, mu: SemifinitePath) -> bool:
+    """Whether the E-path (gamma, tail) is an initial segment of mu, given
+    that gamma is a prefix of mu.gamma."""
+    n = len(gamma.steps)
     if n < len(mu.gamma.steps):
         step = mu.gamma.steps[n]
         if isinstance(step, FreeStep):
-            return mu_p.tail[step.i - 1] <= step.m
-        return step.path[: len(mu_p.tail)] == tuple(mu_p.tail)
+            return tail[step.i - 1] <= step.m
+        return step.path[: len(tail)] == tuple(tail)
     if mu.p in g.free_k:
-        return all(a <= b for a, b in zip(mu_p.tail, mu.tail.k))
-    lam = tuple(mu_p.tail)
+        return all(a <= b for a, b in zip(tail, mu.tail.k))
+    lam = tuple(tail)
     if isinstance(mu.tail, RegTail):
         return mu.tail.path[: len(lam)] == lam
     reps = 1 + max(0, -(-(len(lam) - len(mu.tail.prefix)) // len(mu.tail.cycle)))
     unrolled = mu.tail.prefix + mu.tail.cycle * reps
     return unrolled[: len(lam)] == lam
-
-
-def filter_contains(g: SeparatedGraph, mu: SemifinitePath, e: Element) -> bool:
-    if not is_idempotent(e):
-        raise FilterError("filter membership is defined for nonzero idempotents")
-    return is_initial_segment(g, epath_of(g, e), mu)
 
 
 def reconstruct_path(g: SeparatedGraph, fam, bounds: Bounds | None = None):

@@ -256,9 +256,11 @@ def star(g: SeparatedGraph, e: Element) -> Element:
 
 
 def is_idempotent(e: Element) -> bool:
-    if is_zero(e):
+    # s*s shares one c-path object as gamma and eta, so the identity test
+    # usually decides before the structural comparison.
+    if is_zero(e) or e.m.tpart:
         return False
-    if e.gamma != e.eta or e.m.tpart:
+    if e.gamma is not e.eta and e.gamma != e.eta:
         return False
     b = e.m.body
     if isinstance(b, FreeBody):

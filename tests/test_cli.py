@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sepgroid import fixture_path
-from sepgroid.cli import main
+from sepgroid.cli import UsageError, _co_tokens, main
 
 
 def run(capsys, *argv):
@@ -66,6 +66,18 @@ def test_cylinders(capsys):
 def test_cylinders_bad_expression(capsys):
     code, _, err = run(capsys, "cylinders", G3, "Z(v:p) %")
     assert code == 64 and err
+
+
+def test_compact_open_tokens():
+    text = " (Z( a:p.1 (x (y)) )&\tZ(v:p))-  Z()\n"
+    assert _co_tokens(text) == [
+        "(", ("Z", "a:p.1 (x (y))"), "&", ("Z", "v:p"), ")", "-", ("Z", ""),
+    ]
+    for bad in ("Z(v:p", "Z(v:p (x)", "Z(a ((b) c)"):
+        with pytest.raises(UsageError, match=r"^unbalanced Z\(\.\.\.\)$"):
+            _co_tokens(bad)
+    with pytest.raises(UsageError, match="^bad character '%' in compact-open expression$"):
+        _co_tokens("Z(v:p) % Z(v:p)")
 
 
 def test_filter_and_ultrafilter(capsys):
@@ -198,6 +210,11 @@ def test_graph_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
     bad.write_bytes(b"graph caf\xe9\n")
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 65 and not out and "UTF-8" in err
+
+
+def test_graph_path_that_is_a_directory_is_a_parse_error(capsys, tmp_path):
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    assert code == 65 and not out and err.startswith("error: ")
 
 
 def test_internal_value_error_exits_70(capsys, monkeypatch):

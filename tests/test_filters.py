@@ -10,6 +10,7 @@ from sepgroid.filters import (
     SemifinitePath,
     canonical_periodic,
 )
+from sepgroid.graph import parse_graph
 from sepgroid.lattice import Bounds
 
 
@@ -65,6 +66,95 @@ def test_filter_contains_descended(g3):
     assert fl.filter_contains(g3, x, w(g3, "b:p.1.1 e:f1 e:f1* b:p.1.1*"))
     assert not fl.filter_contains(g3, x, w(g3, "a:p.1 a:p.1*"))
     assert not fl.filter_contains(g3, x, w(g3, "b:p.1.1 e:f2 e:f2* b:p.1.1*"))
+
+
+GENERATED = [
+    (shape, f"filt-{i}")
+    for shape in ("tower_graph", "regular_graph", "mixed_graph")
+    for i in (0, 1)
+]
+
+
+def _membership_pairs(g, path_bounds, idem_bounds, same_start):
+    """(path, idempotent) pairs: every semifinite path and idempotent within
+    the bounds, or only those pairs that start at the same vertex (any other
+    pair fails the prefix test at its start)."""
+    idems = list(lt.enumerate_idempotents(g, idem_bounds))
+    for v in sorted(g.vertex_prime):
+        for mu in fl.enumerate_semifinite(g, v, path_bounds):
+            for e in idems:
+                if not same_start or e.gamma.start == v:
+                    yield mu, e
+
+
+def _deep_idem(g, mu, depth):
+    """The idempotent of an initial segment of mu that runs at least `depth`
+    loops or edges into its tail (all of a finite one).  For idempotents
+    whose tails are shorter than `depth`, e lies in the filter of mu iff
+    this idempotent is below e."""
+    if isinstance(mu.tail, FreeTail):
+        tail = tuple(min(x, depth) for x in mu.tail.k)
+    elif isinstance(mu.tail, RegTail):
+        tail = mu.tail.path
+    else:
+        tail = mu.tail.prefix + mu.tail.cycle * depth
+    return lt.idem_of(g, lt.EPath(mu.gamma, mu.p, tail))
+
+
+def test_filter_contains_matches_initial_segment(graphs, gen_module):
+    # filter_contains reads the E-path off the idempotent; the first
+    # reference builds it with epath_of and asks is_initial_segment, the
+    # second asks the natural order of the semigroup, which shares no code
+    # with the tail rule.
+    cases = [(n, g, Bounds(1, 2, 2), Bounds(2, 2, 3), False) for n, g in graphs.items()]
+    cases += [
+        (f"{shape}/{tag}", parse_graph(getattr(gen_module, shape)(tag).text()),
+         Bounds(1, 0, 1), Bounds(2, 1, 1), True)
+        for shape, tag in GENERATED
+    ]
+    seen = set()
+    for name, g, path_bounds, idem_bounds, same_start in cases:
+        deep = {}
+        for mu, e in _membership_pairs(g, path_bounds, idem_bounds, same_start):
+            got = fl.filter_contains(g, mu, e)
+            assert got == fl.is_initial_segment(g, lt.epath_of(g, e), mu), (name, mu, e)
+            if mu not in deep:
+                deep[mu] = _deep_idem(g, mu, 1 + max(idem_bounds.max_exp, idem_bounds.max_len))
+            assert got == lt.nat_leq(g, deep[mu], e), (name, mu, e)
+            if isinstance(mu.tail, FreeTail):
+                seen.add("free-inf" if INF in mu.tail.k else "free")
+            else:
+                seen.add(type(mu.tail).__name__)
+            n = len(e.gamma.steps)
+            if sg.cpath_is_prefix(e.gamma, mu.gamma):
+                seen.add("equal" if n == len(mu.gamma.steps) else "shorter")
+                if n < len(mu.gamma.steps) and isinstance(mu.gamma.steps[n], sg.FreeStep):
+                    seen.add("free step")
+            elif sg.cpath_is_prefix(mu.gamma, e.gamma):
+                seen.add("longer")
+            seen.add(("out", "in")[got])
+    assert seen == {"free", "free-inf", "RegTail", "PerTail", "shorter", "equal",
+                    "longer", "free step", "out", "in"}
+
+
+def test_filter_contains_rejects_non_idempotents(g3):
+    mu = path(g3, "v:p", FreeTail((INF,)))
+    with pytest.raises(FilterError):
+        fl.filter_contains(g3, mu, sg.ZERO)
+    with pytest.raises(FilterError):
+        fl.filter_contains(g3, mu, w(g3, "a:p.1"))
+
+
+def test_is_idempotent_compares_paths_by_value(g3):
+    e = w(g3, "b:p.1.1 b:p.1.1*")
+    copy = sg.Triple(
+        sg.CPath(e.gamma.start, e.gamma.steps), e.m, sg.CPath(e.eta.start, e.eta.steps)
+    )
+    assert copy.gamma is not copy.eta
+    assert sg.is_idempotent(copy)
+    t = w(g3, "a:p.1 t:p.1 a:p.1*")
+    assert t.gamma == t.eta and t.m.tpart
+    assert not sg.is_idempotent(t)
 
 
 def test_filter_axioms(graphs, rng):
