@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import filters as fl
@@ -244,7 +243,6 @@ def main(argv=None) -> int:
     parser.add_argument("--max-weight", type=int, default=40)
     parser.add_argument("--max-depth", type=int, default=2)
     parser.add_argument("--max-exp", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=0)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -268,51 +266,43 @@ def main(argv=None) -> int:
         return 70
 
 
-def _need(args, n: int):
-    if len(args.args) != n:
-        raise UsageError(f"{args.command} expects {n} argument(s)")
-    return args.args
+def _need_rest(args, n: int, usage: str, at_least: bool = False):
+    """The loaded graph of the first argument and the n arguments after it
+    (n or more if at_least); a usage error with the command's usage line
+    if the count is wrong."""
+    rest = args.args[1:]
+    if not args.args or (len(rest) < n if at_least else len(rest) != n):
+        raise UsageError(usage)
+    return _load(args.args[0]), rest
 
 
 def _dispatch(args) -> int:
     cmd = args.command
     doc: dict = {"command": cmd, "inputs": args.args}
 
-    if cmd == "selftest":
-        return _selftest(args)
-
     if cmd == "validate":
-        (path,) = _need(args, 1)
-        g = _load(path)
+        g, _ = _need_rest(args, 0, "validate GRAPH")
         violations = validate_adaptable(g)
         doc["result"] = [str(v) for v in violations]
         _emit(args, doc, doc["result"] or ["ok"])
         return 0 if not violations else 1
 
-    graph_path = args.args[0] if args.args else None
-    if graph_path is None:
-        raise UsageError(f"{cmd} needs a graph file argument")
-    g = _load(graph_path)
-    rest = args.args[1:]
-
     if cmd == "normalize":
-        (word,) = _need_rest(rest, 1, "normalize GRAPH WORD")
+        g, (word,) = _need_rest(args, 1, "normalize GRAPH WORD")
         out = sg.element_to_word(g, sg.parse_word(g, word))
         doc["result"] = out
         _emit(args, doc, [out])
         return 0
 
     if cmd == "mul":
-        if len(rest) != 2:
-            raise UsageError("mul GRAPH WORD1 WORD2")
-        out = sg.element_to_word(
-            g, sg.mul(g, sg.parse_word(g, rest[0]), sg.parse_word(g, rest[1]))
-        )
+        g, (w1, w2) = _need_rest(args, 2, "mul GRAPH WORD1 WORD2")
+        out = sg.element_to_word(g, sg.mul(g, sg.parse_word(g, w1), sg.parse_word(g, w2)))
         doc["result"] = out
         _emit(args, doc, [out])
         return 0
 
     if cmd == "idempotents":
+        g, _ = _need_rest(args, 0, "idempotents GRAPH")
         words = [
             sg.element_to_word(g, e)
             for e in lt.enumerate_idempotents(g, _bounds(args))
@@ -322,18 +312,17 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "expand":
-        if len(rest) != 2:
-            raise UsageError("expand GRAPH WORD SCRIPT")
-        e = sg.parse_word(g, rest[0])
-        out = lt.expand(g, e, parse_script(rest[1]))
+        g, (word, script) = _need_rest(args, 2, "expand GRAPH WORD SCRIPT")
+        out = lt.expand(g, sg.parse_word(g, word), parse_script(script))
         words = [sg.element_to_word(g, x) for x in out]
         doc["result"] = words
         _emit(args, doc, words)
         return 0
 
     if cmd == "cover-check":
-        if len(rest) < 1:
-            raise UsageError("cover-check GRAPH WORD MEMBER...")
+        g, rest = _need_rest(
+            args, 1, "cover-check GRAPH WORD MEMBER...", at_least=True
+        )
         e = sg.parse_word(g, rest[0])
         members = [sg.parse_word(g, w) for w in rest[1:]]
         ok = lt.is_orthogonal_cover(g, e, members)
@@ -342,8 +331,9 @@ def _dispatch(args) -> int:
         return 0 if ok else 1
 
     if cmd == "cover-to-expansion":
-        if len(rest) < 1:
-            raise UsageError("cover-to-expansion GRAPH WORD MEMBER...")
+        g, rest = _need_rest(
+            args, 1, "cover-to-expansion GRAPH WORD MEMBER...", at_least=True
+        )
         e = sg.parse_word(g, rest[0])
         members = [sg.parse_word(g, w) for w in rest[1:]]
         script = lt.cover_to_expansion(g, e, members)
@@ -353,7 +343,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "cylinders":
-        (expr,) = _need_rest(rest, 1, "cylinders GRAPH EXPR")
+        g, (expr,) = _need_rest(args, 1, "cylinders GRAPH EXPR")
         a = parse_compact_open(g, expr)
         out = format_compact_open(g, a)
         doc["result"] = out
@@ -361,7 +351,7 @@ def _dispatch(args) -> int:
         return 0 if not lt.co_is_empty(a) else 1
 
     if cmd == "filter-contains":
-        path_lit, word = _need_rest(rest, 2, "filter-contains GRAPH PATH WORD")
+        g, (path_lit, word) = _need_rest(args, 2, "filter-contains GRAPH PATH WORD")
         mu = parse_path(g, path_lit)
         e = sg.parse_word(g, word)
         ok = fl.filter_contains(g, mu, e)
@@ -370,14 +360,14 @@ def _dispatch(args) -> int:
         return 0 if ok else 1
 
     if cmd == "ultrafilter":
-        (path_lit,) = _need_rest(rest, 1, "ultrafilter GRAPH PATH")
+        g, (path_lit,) = _need_rest(args, 1, "ultrafilter GRAPH PATH")
         ok = fl.is_ultrafilter(g, parse_path(g, path_lit))
         doc["result"] = ok
         _emit(args, doc, ["ultrafilter" if ok else "not an ultrafilter"])
         return 0 if ok else 1
 
     if cmd == "germ":
-        word, path_lit = _need_rest(rest, 2, "germ GRAPH WORD PATH")
+        g, (word, path_lit) = _need_rest(args, 2, "germ GRAPH WORD PATH")
         germ = gp.germ_of(g, sg.parse_word(g, word), parse_path(g, path_lit))
         out = format_germ(g, germ)
         doc["result"] = out
@@ -385,6 +375,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "bisection-check":
+        g, rest = _need_rest(args, 0, "bisection-check GRAPH WORD...", at_least=True)
         fam = [sg.parse_word(g, w) for w in rest]
         ok = gp.is_bisection_family(g, fam)
         doc["result"] = ok
@@ -392,7 +383,7 @@ def _dispatch(args) -> int:
         return 0 if ok else 1
 
     if cmd in ("monoid-eq", "monoid-leq"):
-        x_s, y_s = _need_rest(rest, 2, f"{cmd} GRAPH X Y")
+        g, (x_s, y_s) = _need_rest(args, 2, f"{cmd} GRAPH X Y")
         pres = mn.presentation(g)
         x, y = mn.parse_monelem(g, x_s), mn.parse_monelem(g, y_s)
         if cmd == "monoid-eq":
@@ -416,7 +407,7 @@ def _dispatch(args) -> int:
         return 2
 
     if cmd == "refine":
-        specs = _need_rest(rest, 4, "refine GRAPH A B C D")
+        g, specs = _need_rest(args, 4, "refine GRAPH A B C D")
         pres = mn.presentation(g)
         a, b, c, d = (mn.parse_monelem(g, s) for s in specs)
         res = mn.refinement_witness(pres, a, b, c, d, _budget(args))
@@ -429,14 +420,14 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "typ":
-        (expr,) = _need_rest(rest, 1, "typ GRAPH EXPR")
+        g, (expr,) = _need_rest(args, 1, "typ GRAPH EXPR")
         out = mn.format_monelem(mn.typ_of(g, parse_compact_open(g, expr)))
         doc["result"] = out
         _emit(args, doc, [out])
         return 0
 
     if cmd == "equidecompose":
-        a_s, b_s = _need_rest(rest, 2, "equidecompose GRAPH EXPR EXPR")
+        g, (a_s, b_s) = _need_rest(args, 2, "equidecompose GRAPH EXPR EXPR")
         a = parse_compact_open(g, a_s)
         b = parse_compact_open(g, b_s)
         pres = mn.presentation(g)
@@ -467,168 +458,6 @@ def _dispatch(args) -> int:
         return 0
 
     raise UsageError(f"unknown command {cmd!r}")
-
-
-def _need_rest(rest, n, usage):
-    if len(rest) != n:
-        raise UsageError(usage)
-    return rest
-
-
-# -- selftest ------------------------------------------------------------
-
-
-def _selftest(args) -> int:
-    from . import fixture_path
-
-    rng = random.Random(args.seed)
-    passed = failed = 0
-
-    def check(name, fn):
-        nonlocal passed, failed
-        try:
-            fn()
-            passed += 1
-            print(f"pass: {name}")
-        except Exception as exc:  # noqa: BLE001 - report and continue
-            failed += 1
-            print(f"FAIL: {name}: {exc}")
-
-    graphs = {n: _load(fixture_path(f"{n}.sg")) for n in ("g0", "g1", "g2", "g3")}
-
-    def laws():
-        for name, g in graphs.items():
-            toks = _fixture_alphabet(g)
-            for _ in range(200):
-                ws = [
-                    " ".join(rng.choice(toks) for _ in range(rng.randint(1, 5)))
-                    for _ in range(3)
-                ]
-                e1, e2, e3 = (sg.parse_word(g, w) for w in ws)
-                assert sg.mul(g, sg.mul(g, e1, e2), e3) == sg.mul(
-                    g, e1, sg.mul(g, e2, e3)
-                )
-                assert sg.mul(g, e1, sg.mul(g, sg.star(g, e1), e1)) == e1
-                assert sg.star(g, sg.mul(g, e1, e2)) == sg.mul(
-                    g, sg.star(g, e2), sg.star(g, e1)
-                )
-
-    def covers():
-        for name in ("g1", "g2", "g3"):
-            g = graphs[name]
-            base = sg.parse_word(g, f"v:{_top_vertex(g)}")
-            for _ in range(40):
-                pieces = [base]
-                for _ in range(rng.randint(0, 3)):
-                    cand = [
-                        i
-                        for i, x in enumerate(pieces)
-                        if not (
-                            g.is_free(lt.epath_of(g, x).p)
-                            and g.k(lt.epath_of(g, x).p) == 0
-                        )
-                    ]
-                    if not cand:
-                        break
-                    pos = rng.choice(cand)
-                    mu = lt.epath_of(g, pieces[pos])
-                    ch = rng.randint(1, g.k(mu.p)) if g.is_free(mu.p) else None
-                    pieces[pos : pos + 1] = lt.simple_expand(g, pieces[pos], ch)
-                assert lt.is_orthogonal_cover(g, base, pieces)
-                script = lt.cover_to_expansion(g, base, pieces)
-                assert sorted(map(repr, lt.expand(g, base, script))) == sorted(
-                    map(repr, pieces)
-                )
-
-    def filters_suite():
-        for name in ("g2", "g3"):
-            g = graphs[name]
-            v = _top_vertex(g)
-            idems = list(lt.enumerate_idempotents(g, lt.Bounds(2, 3, 4)))
-            for mu in fl.enumerate_semifinite(g, v, lt.Bounds(1, 2, 2)):
-                inside = [e for e in idems if fl.filter_contains(g, mu, e)]
-                for e in inside:
-                    for f in inside:
-                        m = sg.mul(g, e, f)
-                        assert not sg.is_zero(m)
-
-    def germs():
-        for name in ("g2", "g3"):
-            g = graphs[name]
-            toks = _fixture_alphabet(g)
-            paths = [
-                mu
-                for v in sorted(g.vertex_prime)
-                for mu in fl.enumerate_infinite(g, v, lt.Bounds(1, 2, 2))
-            ]
-            done = 0
-            while done < 60:
-                w = " ".join(rng.choice(toks) for _ in range(rng.randint(1, 5)))
-                s = sg.parse_word(g, w)
-                if sg.is_zero(s):
-                    continue
-                ss = sg.mul(g, sg.star(g, s), s)
-                xs = [x for x in paths if fl.filter_contains(g, x, ss)]
-                if not xs:
-                    continue
-                x = rng.choice(xs)
-                germ = gp.germ_of(g, s, x)
-                assert gp.in_bisection(g, germ, s)
-                assert gp.compose(g, germ, gp.inverse(germ)) == gp.unit(g, germ.x)
-                done += 1
-
-    def monoid_suite():
-        pres1 = mn.presentation(graphs["g1"])
-        assert isinstance(
-            mn.mon_eq(pres1, mn.mon_unit("p"), mn.mon_of({"p": 1, "q1": 1})), mn.Yes
-        )
-        assert isinstance(mn.mon_eq(pres1, mn.mon_unit("q1"), mn.mon_unit("q2")), mn.No)
-        pres2 = mn.presentation(graphs["g2"])
-        for n in range(1, 7):
-            assert isinstance(
-                mn.mon_eq(pres2, mn.mon_unit("w"), mn.mon_of({"w": n})), mn.Yes
-            )
-
-    check("semigroup laws", laws)
-    check("cover/expansion duality", covers)
-    check("filter axioms", filters_suite)
-    check("groupoid germs", germs)
-    check("monoid identities", monoid_suite)
-    print(f"{passed} passed, {failed} failed")
-    return 0 if failed == 0 else 1
-
-
-def _top_vertex(g: SeparatedGraph) -> str:
-    from .graph import FreePrime
-
-    for p in g.primes:
-        if isinstance(p, FreePrime) and p.k > 0:
-            return p.name
-    for p in g.primes:
-        if not isinstance(p, FreePrime):
-            return sorted(p.vertices)[0]
-    return g.primes[0].name
-
-
-def _fixture_alphabet(g: SeparatedGraph) -> list[str]:
-    from .graph import FreePrime
-
-    toks = []
-    for p in g.primes:
-        if isinstance(p, FreePrime):
-            toks.append(f"v:{p.name}")
-            for i in range(1, p.k + 1):
-                toks += [f"a:{p.name}.{i}", f"a:{p.name}.{i}*"]
-                for t in range(1, len(p.targets[i - 1]) + 1):
-                    toks += [f"b:{p.name}.{i}.{t}", f"b:{p.name}.{i}.{t}*"]
-            for i in range(1, max(p.k, 2) + 1):
-                toks += [f"t:{p.name}.{i}", f"t:{p.name}.{i}^-1"]
-        else:
-            for v in sorted(p.vertices):
-                toks.append(f"v:{v}")
-            for e in list(p.edges) + list(p.connectors):
-                toks += [f"e:{e.name}", f"e:{e.name}*"]
-    return toks
 
 
 if __name__ == "__main__":

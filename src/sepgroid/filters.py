@@ -22,7 +22,6 @@ from .semigroup import (
     Element,
     FreeBody,
     FreeStep,
-    RegularStep,
     cpath_is_prefix,
     cpath_range,
     is_idempotent,
@@ -93,16 +92,13 @@ def validate_path(g: SeparatedGraph, mu: SemifinitePath) -> None:
         else (mu.tail.prefix, mu.tail.cycle)
     )
     at = v
-    for piece in pieces:
-        for name in piece:
-            e = g.edge(name)
-            if g.prime_of_vertex(e.src) != mu.p or e.src != at:
-                raise FilterError(f"tail edge {name} does not continue at {at}")
-            at = e.rng
-        if isinstance(mu.tail, PerTail) and piece is mu.tail.cycle and at != g.path_end(
-            v, mu.tail.prefix
-        ):
+    for i, piece in enumerate(pieces):
+        end, n = g.internal_walk(at, piece)
+        if n < len(piece):
+            raise FilterError(f"tail edge {piece[n]} does not continue at {end}")
+        if i == 1 and end != at:  # the cycle of a PerTail
             raise FilterError("cycle does not return to its start")
+        at = end
 
 
 def is_infinite(mu: SemifinitePath) -> bool:

@@ -105,9 +105,6 @@ class SeparatedGraph:
 
     # -- basic accessors -------------------------------------------------
 
-    def vertices(self) -> list[str]:
-        return list(self.vertex_prime)
-
     def prime_of_vertex(self, v: str) -> str:
         try:
             return self.vertex_prime[v]
@@ -163,6 +160,19 @@ class SeparatedGraph:
     def path_end(self, v: str, path) -> str:
         """The vertex a valid internal path from v ends at (v if empty)."""
         return self.edge_rng[path[-1]] if path else v
+
+    def internal_walk(self, v: str, path) -> tuple[str, int]:
+        """Follow the internal edges named in path from v: the vertex reached
+        and the number of edges followed.  The walk stops at the first name
+        that is not an internal edge leaving the vertex reached, so path is
+        valid from v iff the count is len(path); an unknown name raises
+        GraphError."""
+        for n, name in enumerate(path):
+            e = self.edge(name)
+            if not isinstance(e, InternalEdge) or e.src != v:
+                return v, n
+            v = e.rng
+        return v, len(path)
 
     def sigma(self, prime_name: str, i: int) -> int:
         """The shift i -> i + k(p) - 1 applied when a t crosses a connector."""

@@ -15,22 +15,19 @@ from dataclasses import dataclass, field
 
 from .graph import SeparatedGraph
 from .filters import (
-    FilterError,
-    FreeTail,
     PerTail,
     SemifinitePath,
     canonical_periodic,
     filter_contains,
     is_infinite,
 )
-from .lattice import CompactOpen, EPath, co_of, trusted_idem
+from .lattice import CompactOpen, EPath, co_of, first_overlap, trusted_idem
 from .semigroup import (
     CPath,
     Element,
     FreeBody,
     cpath_edge_len,
     cpath_is_prefix,
-    cpath_range,
     is_zero,
     mono_range,
     mul,
@@ -133,14 +130,6 @@ def _n2_of(g: SeparatedGraph, gpart: EPath, npart: EPath) -> tuple[int, ...]:
 
 
 # -- groupoid structure --------------------------------------------------
-
-
-def source(germ: Germ) -> SemifinitePath:
-    return germ.y
-
-
-def range_(germ: Germ) -> SemifinitePath:
-    return germ.x
 
 
 def unit(g: SeparatedGraph, x: SemifinitePath) -> Germ:
@@ -263,9 +252,4 @@ def is_bisection_family(g: SeparatedGraph, fam) -> bool:
     fam = [s for s in fam if not is_zero(s)]
     srcs = [mul(g, star(g, s), s) for s in fam]
     rngs = [mul(g, s, star(g, s)) for s in fam]
-    for group in (srcs, rngs):
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if not is_zero(mul(g, group[i], group[j])):
-                    return False
-    return True
+    return first_overlap(g, srcs) is None and first_overlap(g, rngs) is None

@@ -296,16 +296,24 @@ def co_eq(g: SeparatedGraph, a: CompactOpen, b: CompactOpen) -> bool:
 # -- covers --------------------------------------------------------------
 
 
+def first_overlap(g: SeparatedGraph, elems) -> tuple[int, int] | None:
+    """The first pair i < j, in row order, whose product elems[i] elems[j]
+    is nonzero; None if the elements are pairwise orthogonal."""
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            if not is_zero(mul(g, elems[i], elems[j])):
+                return i, j
+    return None
+
+
 def is_orthogonal_cover(g: SeparatedGraph, e: Element, sigma) -> bool:
     _require_idem(e, "e")
     sigma = list(sigma)
     for f in sigma:
         if not is_idempotent(f) or not nat_leq(g, f, e):
             return False
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if not is_zero(mul(g, sigma[i], sigma[j])):
-                return False
+    if first_overlap(g, sigma) is not None:
+        return False
     covered = _normalize(g, [epath_of(g, f) for f in sigma])
     return co_is_empty(co_subtract(g, co_of(g, e), covered))
 
@@ -325,14 +333,7 @@ def orthogonalize_cover(g: SeparatedGraph, e: Element, sigma) -> list[Element]:
     if not co_eq(g, union, co_of(g, e)):
         raise LatticeError("input is not a cover of e")
     while True:
-        pair = None
-        for i in range(len(sigma)):
-            for j in range(i + 1, len(sigma)):
-                if not is_zero(mul(g, sigma[i], sigma[j])):
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+        pair = first_overlap(g, sigma)
         if pair is None:
             return sigma
         i, j = pair

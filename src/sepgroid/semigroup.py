@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import (
-    FreePrime,
-    GraphError,
-    InternalEdge,
-    RegularConnector,
-    SeparatedGraph,
-)
+from .graph import InternalEdge, RegularConnector, SeparatedGraph
 
 
 class WordError(Exception):
@@ -118,12 +112,9 @@ def validate_cpath(g: SeparatedGraph, c: CPath) -> None:
                 raise WordError(f"regular step starting at free vertex {at}")
             if p != s.p:
                 raise WordError(f"regular step at {s.p} does not start at {at}")
-            pos = at
-            for name in s.path:
-                e = g.edge(name)
-                if not isinstance(e, InternalEdge) or e.src != pos:
-                    raise WordError(f"bad internal path at {name}")
-                pos = e.rng
+            pos, n = g.internal_walk(at, s.path)
+            if n < len(s.path):
+                raise WordError(f"bad internal path at {s.path[n]}")
             conn = g.edge(s.connector)
             if not isinstance(conn, RegularConnector) or conn.src != pos:
                 raise WordError(f"bad connector {s.connector}")
@@ -266,13 +257,6 @@ def is_idempotent(e: Element) -> bool:
     if isinstance(b, FreeBody):
         return b.k == b.l
     return b.gamma == b.nu
-
-
-def endpoints(g: SeparatedGraph, e: Element) -> tuple[str, str]:
-    """(source vertex of e e*, source vertex of e* e)."""
-    if is_zero(e):
-        raise WordError("endpoints of Zero")
-    return (e.gamma.start, e.eta.start)
 
 
 # -- translation ---------------------------------------------------------
@@ -527,16 +511,13 @@ def validate_element(g: SeparatedGraph, e: Element) -> None:
     else:
         if g.is_free(e.m.p):
             raise WordError("regular body at free prime")
+        mids = []
         for path, src in ((b.gamma, b.src), (b.nu, b.rng)):
-            pos = src
-            for name in path:
-                edge = g.edge(name)
-                if not isinstance(edge, InternalEdge) or edge.src != pos:
-                    raise WordError(f"bad body path at {name}")
-                pos = edge.rng
-        mid1 = b.src if not b.gamma else g.edge(b.gamma[-1]).rng
-        mid2 = b.rng if not b.nu else g.edge(b.nu[-1]).rng
-        if mid1 != mid2:
+            mid, n = g.internal_walk(src, path)
+            if n < len(path):
+                raise WordError(f"bad body path at {path[n]}")
+            mids.append(mid)
+        if mids[0] != mids[1]:
             raise WordError("r(gamma_m) != r(nu_m)")
     for i, d in e.m.tpart:
         if i < 1 or d == 0:

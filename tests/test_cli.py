@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -161,10 +162,54 @@ def test_usage_errors(capsys):
     assert run(capsys, "normalize", "/nonexistent.sg", "v:p")[0] == 65
 
 
-def test_selftest(capsys):
-    code, out, _ = run(capsys, "selftest", "--seed", "1")
-    assert code == 0
-    assert "0 failed" in out
+def test_selftest_and_seed_are_gone(capsys):
+    code, out, err = run(capsys, "selftest")
+    assert (code, out, err) == (64, "", "usage error: unknown command 'selftest'")
+    code, out, err = run(capsys, "validate", G1, "--seed", "1")
+    assert code == 64 and not out and "--seed" in err
+
+
+def _readme_subcommands():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    listed = text.split("Subcommands: `", 1)[1].split("`", 1)[0]
+    return listed.split()
+
+
+def test_readme_subcommands_reach_dispatch(capsys):
+    commands = _readme_subcommands()
+    assert len(commands) == 17 and "selftest" not in commands
+    for cmd in commands:
+        code, out, err = run(capsys, cmd)
+        assert code == 64 and not out, cmd
+        assert err.startswith(f"usage error: {cmd} GRAPH"), err
+        assert "unknown command" not in err
+    assert run(capsys, "nonsense") == (64, "", "usage error: unknown command 'nonsense'")
+
+
+def test_argument_counts_are_checked_before_the_graph_is_read(capsys):
+    for argv in (("mul", G3, "v:p"), ("expand", G3, "v:p"), ("idempotents", G1, "v:p"),
+                 ("cover-check", "/nonexistent.sg"), ("validate", G1, G1)):
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and not out and err.startswith(f"usage error: {argv[0]} GRAPH")
+
+
+CONNECTOR_BELOW_LOOPS = (
+    "graph cb\nfree s k=0\nregular r\nvertex w\n"
+    "edge f1: w -> w\nedge f2: w -> w\nconnector c: w -> s\n"
+)
+
+
+def test_connector_in_a_regular_tail_is_a_parse_error(capsys, tmp_path):
+    graph = tmp_path / "cb.sg"
+    graph.write_text(CONNECTOR_BELOW_LOOPS)
+    assert run(capsys, "validate", str(graph)) == (0, "ok", "")
+    for literal in ("[v:w] ; reg(c ; )", "[v:w] ; reg(f1 ; c)", "[v:w] ; reg(c ; f1)"):
+        code, out, err = run(capsys, "filter-contains", str(graph), literal, "e:c e:c*")
+        assert (code, out) == (65, ""), literal
+        assert err == "error: tail edge c does not continue at w"
+    code, out, _ = run(capsys, "filter-contains", str(graph), "[e:c] ; free()", "e:c e:c*")
+    assert (code, out) == (0, "yes")
 
 
 def test_missing_cover_word_is_a_usage_error(capsys):

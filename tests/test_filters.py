@@ -40,6 +40,18 @@ def test_validate_paths(g2, g3):
         fl.validate_path(g2, path(g2, "v:w", RegTail(("nope",))))
 
 
+def test_validate_path_rejects_a_connector_in_a_regular_tail():
+    g = parse_graph(
+        "graph cb\nfree s k=0\nregular r\nvertex w\n"
+        "edge f1: w -> w\nedge f2: w -> w\nconnector c: w -> s\n"
+    )
+    fl.validate_path(g, path(g, "v:w", PerTail(("f2",), ("f1", "f2"))))
+    for tail in (RegTail(("c",)), RegTail(("f1", "c")), PerTail(("f1",), ("c",)),
+                 PerTail(("c",), ("f1",))):
+        with pytest.raises(FilterError, match="^tail edge c does not continue at w$"):
+            fl.validate_path(g, path(g, "v:w", tail))
+
+
 def test_is_infinite(g0, g2, g3):
     assert fl.is_infinite(path(g3, "v:p", FreeTail((INF,))))
     assert not fl.is_infinite(path(g3, "v:p", FreeTail((3,))))

@@ -81,8 +81,13 @@ def test_compiled_tables_and_unknown_names():
     assert [c.name for c in g.out_connectors("v")] == ["c1"]
     assert g.out_edges("z") == () and g.out_connectors("u") == ()
     assert g.path_end("u", ("e1", "e3", "e1")) == "v" and g.path_end("u", ()) == "u"
+    assert g.internal_walk("u", ("e1", "e3", "e1")) == ("v", 3)
+    assert g.internal_walk("u", ()) == ("u", 0)
+    assert g.internal_walk("u", ("e1", "c1", "e4")) == ("v", 1)  # a connector stops it
+    assert g.internal_walk("u", ("e2", "e3")) == ("u", 1)  # e3 leaves v, not u
     assert g.is_free("z") and not g.is_free("r") and g.k("z") == 0
     for bad in (lambda: g.out_edges("x"), lambda: g.out_connectors("x"),
-                lambda: g.is_free("x"), lambda: g.k("x"), lambda: g.k("r")):
+                lambda: g.is_free("x"), lambda: g.k("x"), lambda: g.k("r"),
+                lambda: g.internal_walk("u", ("e1", "x"))):
         with pytest.raises(GraphError):
             bad()
