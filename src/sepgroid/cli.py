@@ -1,8 +1,10 @@
 """Command-line interface: graph validation, word normalization, cylinder
 algebra, filters, germs, and monoid computations.
 
-Exit codes: 0 success/Yes/true, 1 No/false, 2 Unknown, 64 usage error,
-65 parse/validation error, 70 internal error (an unexpected exception).
+Exit codes: 0 success/Yes/true, 1 No/false, 2 Unknown, 64 usage error (the
+command line's shape: argument count, unknown command or option, negative
+bound), 65 anything wrong inside an argument (an unreadable or non-adaptable
+graph, a malformed word or literal), 70 internal error (an unexpected exception).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def parse_compact_open(g: SeparatedGraph, text: str) -> lt.CompactOpen:
     def eat(tok=None):
         t = peek()
         if t is None or (tok is not None and t != tok):
-            raise UsageError(f"compact-open syntax error near token {t!r}")
+            raise lt.LatticeError(f"compact-open syntax error near token {t!r}")
         pos[0] += 1
         return t
 
@@ -55,7 +57,7 @@ def parse_compact_open(g: SeparatedGraph, text: str) -> lt.CompactOpen:
             if sg.is_zero(e):
                 return lt.CompactOpen(())
             return lt.CompactOpen((lt.epath_of(g, e),))
-        raise UsageError(f"expected Z(...) or parenthesis, got {t!r}")
+        raise lt.LatticeError(f"expected Z(...) or parenthesis, got {t!r}")
 
     def factor():
         out = atom()
@@ -74,7 +76,7 @@ def parse_compact_open(g: SeparatedGraph, text: str) -> lt.CompactOpen:
 
     out = expr()
     if pos[0] != len(tokens):
-        raise UsageError(f"trailing tokens in compact-open expression {text!r}")
+        raise lt.LatticeError(f"trailing tokens in compact-open expression {text!r}")
     return out
 
 
@@ -96,13 +98,13 @@ def _co_tokens(text: str):
             while depth:
                 close = text.find(")", j)
                 if close < 0:
-                    raise UsageError("unbalanced Z(...)")
+                    raise lt.LatticeError("unbalanced Z(...)")
                 depth += text.count("(", j, close) - 1
                 j = close + 1
             out.append(("Z", text[i + 2 : j - 1].strip()))
             i = j
         else:
-            raise UsageError(f"bad character {c!r} in compact-open expression")
+            raise lt.LatticeError(f"bad character {c!r} in compact-open expression")
     return out
 
 
@@ -118,18 +120,18 @@ def parse_path(g: SeparatedGraph, text: str) -> fl.SemifinitePath:
     """`[<word>] ; free(k1,...|inf entries)` or `[<word>] ; reg(rho ; c)`."""
     text = text.strip()
     if not text.startswith("["):
-        raise UsageError("path literal must start with [<word>]")
+        raise fl.FilterError("path literal must start with [<word>]")
     close = text.find("]")
     if close < 0:
         raise fl.FilterError("path literal has no closing ]")
     word = text[1:close].strip()
     rest = text[close + 1 :].strip()
     if not rest.startswith(";"):
-        raise UsageError("path literal needs `; <tail>`")
+        raise fl.FilterError("path literal needs `; <tail>`")
     tail_spec = rest[1:].strip()
     e = sg.parse_word(g, word)
-    if sg.is_zero(e) or e.eta.steps or e.m.tpart or not _body_trivial(e.m.body):
-        raise UsageError("path prefix word must denote a descending path")
+    if sg.is_zero(e) or e.eta.steps or e.m.tpart or not sg.is_pure_body(e.m.body):
+        raise fl.FilterError("path prefix word must denote a descending path")
     gamma = e.gamma
     v = sg.cpath_range(g, gamma)
     p = g.prime_of_vertex(v)
@@ -151,7 +153,7 @@ def parse_path(g: SeparatedGraph, text: str) -> fl.SemifinitePath:
         cyc = tuple(x.strip() for x in cyc_s.split(",") if x.strip())
         tail = fl.PerTail(rho, cyc) if cyc else fl.RegTail(rho)
     else:
-        raise UsageError("path tail must be free(...) or reg(...)")
+        raise fl.FilterError("path tail must be free(...) or reg(...)")
     mu = fl.SemifinitePath(gamma, p, tail)
     fl.validate_path(g, mu)
     return mu
@@ -166,12 +168,6 @@ def format_path(g: SeparatedGraph, mu: fl.SemifinitePath) -> str:
     if isinstance(mu.tail, fl.RegTail):
         return f"[{prefix}] ; reg({','.join(mu.tail.path)} ; )"
     return f"[{prefix}] ; reg({','.join(mu.tail.prefix)} ; {','.join(mu.tail.cycle)})"
-
-
-def _body_trivial(body) -> bool:
-    if isinstance(body, sg.FreeBody):
-        return not any(body.k) and not any(body.l)
-    return not body.gamma and not body.nu
 
 
 def format_germ(g: SeparatedGraph, germ: gp.Germ) -> str:
@@ -269,11 +265,18 @@ def main(argv=None) -> int:
 def _need_rest(args, n: int, usage: str, at_least: bool = False):
     """The loaded graph of the first argument and the n arguments after it
     (n or more if at_least); a usage error with the command's usage line
-    if the count is wrong."""
+    if the count is wrong.  Every command but `validate` computes under the
+    adaptability axioms, so for those a graph that fails them is an input
+    error."""
     rest = args.args[1:]
     if not args.args or (len(rest) < n if at_least else len(rest) != n):
         raise UsageError(usage)
-    return _load(args.args[0]), rest
+    g = _load(args.args[0])
+    violations = [] if args.command == "validate" else validate_adaptable(g)
+    if violations:
+        bad = "; ".join(str(v) for v in violations)
+        raise GraphError(f"{args.args[0]} is not adaptable: {bad}")
+    return g, rest
 
 
 def _dispatch(args) -> int:

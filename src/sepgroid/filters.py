@@ -7,6 +7,9 @@ idempotents correspond to semifinite paths via initial segments;
 ultrafilters (equivalently tight filters) correspond to the infinite ones.
 Infinite regular tails are restricted to eventually-periodic paths so that
 membership stays decidable.
+
+Precondition: the graph is adaptable (graph.validate_adaptable), as the
+correspondences above assume; nothing here checks it.
 """
 
 from __future__ import annotations
@@ -56,7 +59,9 @@ class RegTail:
 
 @dataclass(frozen=True)
 class PerTail:
-    """prefix . cycle . cycle . ... with s(cycle) = r(cycle) = r(prefix)."""
+    """prefix . cycle . cycle . ... with s(cycle) = r(cycle) = r(prefix),
+    stored in canonical_periodic form, so that two spellings of one
+    infinite path give equal tails."""
 
     prefix: tuple[str, ...]
     cycle: tuple[str, ...]
@@ -64,6 +69,15 @@ class PerTail:
     def __post_init__(self):
         if not self.cycle:
             raise FilterError("periodic tail needs a nonempty cycle")
+        prefix, cycle = canonical_periodic(self.prefix, self.cycle)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "cycle", cycle)
+
+    def unrolled(self, n: int) -> tuple[str, ...]:
+        """The prefix followed by just enough copies of the cycle to have at
+        least n edges."""
+        reps = max(0, -(-(n - len(self.prefix)) // len(self.cycle)))
+        return self.prefix + self.cycle * reps
 
 
 Tail = FreeTail | RegTail | PerTail
@@ -142,9 +156,7 @@ def _tail_is_initial(g: SeparatedGraph, gamma: CPath, tail, mu: SemifinitePath) 
     lam = tuple(tail)
     if isinstance(mu.tail, RegTail):
         return mu.tail.path[: len(lam)] == lam
-    reps = 1 + max(0, -(-(len(lam) - len(mu.tail.prefix)) // len(mu.tail.cycle)))
-    unrolled = mu.tail.prefix + mu.tail.cycle * reps
-    return unrolled[: len(lam)] == lam
+    return mu.tail.unrolled(len(lam))[: len(lam)] == lam
 
 
 def reconstruct_path(g: SeparatedGraph, fam, bounds: Bounds | None = None):
@@ -202,9 +214,7 @@ def extend_to_infinite(g: SeparatedGraph, mu: SemifinitePath) -> SemifinitePath:
     if isinstance(mu.tail, FreeTail):
         return SemifinitePath(mu.gamma, mu.p, FreeTail((INF,) * g.k(mu.p)))
     v = g.path_end(cpath_range(g, mu.gamma), mu.tail.path)
-    cycle = _cycle_at(g, v)
-    prefix, cycle = canonical_periodic(tuple(mu.tail.path), cycle)
-    return SemifinitePath(mu.gamma, mu.p, PerTail(prefix, cycle))
+    return SemifinitePath(mu.gamma, mu.p, PerTail(tuple(mu.tail.path), _cycle_at(g, v)))
 
 
 def _cycle_at(g: SeparatedGraph, v: str) -> tuple[str, ...]:

@@ -174,16 +174,6 @@ class SeparatedGraph:
             v = e.rng
         return v, len(path)
 
-    def sigma(self, prime_name: str, i: int) -> int:
-        """The shift i -> i + k(p) - 1 applied when a t crosses a connector."""
-        return i + self.k(prime_name) - 1
-
-    def sigma_drop(self, prime_name: str, dropped: int, j: int) -> int:
-        """The order-preserving bijection {1..k}\\{dropped} -> {1..k-1}."""
-        if j == dropped:
-            raise GraphError("sigma_drop applied to the dropped index")
-        return j if j < dropped else j - 1
-
     # -- reachability ----------------------------------------------------
 
     def _component_successors(self, prime_name: str) -> set[str]:
@@ -364,22 +354,14 @@ def validate_adaptable(g: SeparatedGraph) -> list[Violation]:
                     )
 
     # Reachability must induce a partial order with the declared components
-    # as classes: no connector cycle back into a component, and the SCCs of
-    # the full graph must be exactly the declared components.
+    # as classes.  Internal edges stay inside a component and each regular
+    # component is strongly connected, so a cycle through two components is
+    # a connector cycle between them: antisymmetry is all there is to check.
     for p in g.primes:
         down = g.downset(p.name)
         for q in down - {p.name}:
             if p.name in g.downset(q):
                 out.append(Violation("(I, <=) antisymmetric", f"{p.name} ~ {q}"))
-    sccs = {frozenset(c) for c in _full_graph_sccs(g)}
-    declared = set()
-    for p in g.primes:
-        if isinstance(p, FreePrime):
-            declared.add(frozenset([p.name]))
-        else:
-            declared.add(frozenset(p.vertices))
-    if sccs != declared:
-        out.append(Violation("SCCs equal declared components", g.name))
 
     # Minimality clause: a free prime has k=0 iff it is minimal in (I, <=).
     for p in g.primes:
@@ -411,71 +393,6 @@ def _strongly_connected(p: RegularPrime) -> bool:
 
     v0 = p.vertices[0]
     return len(reach(v0, adj)) == len(p.vertices) == len(reach(v0, radj))
-
-
-def _full_graph_sccs(g: SeparatedGraph) -> list[set[str]]:
-    """SCCs of the full vertex/edge graph (loops, connectors, internal edges)."""
-    adj: dict[str, set[str]] = {v: set() for v in g.vertex_prime}
-    for p in g.primes:
-        if isinstance(p, FreePrime):
-            if p.k > 0:
-                adj[p.name].add(p.name)
-            for targets in p.targets:
-                for v in targets:
-                    adj[p.name].add(v)
-        else:
-            for e in p.edges:
-                adj[e.src].add(e.rng)
-            for c in p.connectors:
-                adj[c.src].add(c.rng)
-    # Iterative Tarjan.
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on: set[str] = set()
-    stack: list[str] = []
-    out: list[set[str]] = []
-    counter = [0]
-
-    def strongconnect(root):
-        work = [(root, iter(sorted(adj[root])))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on.add(w)
-                    work.append((w, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-                elif w in on:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                out.append(comp)
-
-    for v in sorted(adj):
-        if v not in index:
-            strongconnect(v)
-    return out
 
 
 # -- derived structure ---------------------------------------------------

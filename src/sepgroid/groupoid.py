@@ -7,20 +7,18 @@ decomposition x = gamma.lam, y = nu.lam.  germ_of reduces a pair (s, x) to
 this form by absorbing the c-path part of x into s; in_bisection checks
 membership in the basic open set Z(s) structurally, by stripping prefixes
 and transporting the t-part, independently of germ_of's reduction.
+
+Precondition: the graph is adaptable (graph.validate_adaptable); nothing
+here checks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .graph import SeparatedGraph
-from .filters import (
-    PerTail,
-    SemifinitePath,
-    canonical_periodic,
-    filter_contains,
-    is_infinite,
-)
+from .filters import PerTail, SemifinitePath, filter_contains, is_infinite
 from .lattice import CompactOpen, EPath, co_of, first_overlap, trusted_idem
 from .semigroup import (
     CPath,
@@ -52,8 +50,10 @@ class GermWeight:
 ZERO_WEIGHT = GermWeight()
 
 
-def _trim(seq) -> tuple[int, ...]:
-    out = list(seq)
+def _padded_sum(a, b, sign: int = 1) -> tuple[int, ...]:
+    """a + sign * b on integer vectors padded with zeros to one length,
+    trailing zeros dropped: the n2 arithmetic."""
+    out = [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -63,10 +63,7 @@ def weight_add(a: GermWeight, b: GermWeight) -> GermWeight:
     n1 = dict(a.n1)
     for i, d in b.n1:
         n1[i] = n1.get(i, 0) + d
-    la, lb = list(a.n2), list(b.n2)
-    la += [0] * (len(lb) - len(la))
-    lb += [0] * (len(la) - len(lb))
-    return GermWeight(ttuple(n1), _trim(x + y for x, y in zip(la, lb)))
+    return GermWeight(ttuple(n1), _padded_sum(a.n2, b.n2))
 
 
 def weight_neg(a: GermWeight) -> GermWeight:
@@ -81,25 +78,13 @@ class Germ:
     witness: tuple[EPath, EPath] | None = field(default=None, compare=False)
 
 
-# -- infinite-path canonical form ----------------------------------------
-
-
-def canonical_path(g: SeparatedGraph, mu: SemifinitePath) -> SemifinitePath:
-    if isinstance(mu.tail, PerTail):
-        prefix, cycle = canonical_periodic(mu.tail.prefix, mu.tail.cycle)
-        return SemifinitePath(mu.gamma, mu.p, PerTail(prefix, cycle))
-    return mu
-
-
-def _unroll(tail: PerTail, n: int) -> tuple[str, ...]:
-    reps = max(1, -(-max(0, n - len(tail.prefix)) // len(tail.cycle)))
-    return tail.prefix + tail.cycle * reps
+# -- periodic tails (PerTail keeps them canonical) ------------------------
 
 
 def _strip_tail(tail: PerTail, lam) -> PerTail | None:
     """The remainder of the tail after an initial finite path, or None."""
     lam = tuple(lam)
-    u = _unroll(tail, len(lam))
+    u = tail.unrolled(len(lam))
     if u[: len(lam)] != lam:
         return None
     return PerTail(u[len(lam) :], tail.cycle)
@@ -122,18 +107,13 @@ def norm_length(g: SeparatedGraph, mu: EPath) -> tuple[int, ...]:
 
 
 def _n2_of(g: SeparatedGraph, gpart: EPath, npart: EPath) -> tuple[int, ...]:
-    a = list(norm_length(g, gpart))
-    b = list(norm_length(g, npart))
-    a += [0] * (len(b) - len(a))
-    b += [0] * (len(a) - len(b))
-    return _trim(x - y for x, y in zip(a, b))
+    return _padded_sum(norm_length(g, gpart), norm_length(g, npart), -1)
 
 
 # -- groupoid structure --------------------------------------------------
 
 
 def unit(g: SeparatedGraph, x: SemifinitePath) -> Germ:
-    x = canonical_path(g, x)
     return Germ(x, ZERO_WEIGHT, x, None)
 
 
@@ -157,7 +137,6 @@ def germ_of(g: SeparatedGraph, s: Element, x: SemifinitePath) -> Germ:
     """The germ of s at the infinite path x in its source cylinder."""
     if is_zero(s):
         raise GroupoidError("Zero acts nowhere")
-    x = canonical_path(g, x)
     if not is_infinite(x):
         raise GroupoidError("germs live over infinite paths")
     if not filter_contains(g, x, mul(g, star(g, s), s)):
@@ -180,7 +159,7 @@ def germ_of(g: SeparatedGraph, s: Element, x: SemifinitePath) -> Germ:
         npart = EPath(x.gamma, m.p, m.body.nu)
         rx = SemifinitePath(sp.gamma, m.p, _prepend_tail(m.body.gamma, x0))
     weight = GermWeight(n1, _n2_of(g, gpart, npart))
-    return Germ(canonical_path(g, rx), weight, x, (gpart, npart))
+    return Germ(rx, weight, x, (gpart, npart))
 
 
 def _trivial_epath(g: SeparatedGraph, x: SemifinitePath) -> EPath:
@@ -197,8 +176,7 @@ def in_bisection(g: SeparatedGraph, germ: Germ, s: Element) -> bool:
     description of Z(s) (prefix stripping plus t-part transport)."""
     if is_zero(s):
         return False
-    x = canonical_path(g, germ.x)
-    y = canonical_path(g, germ.y)
+    x, y = germ.x, germ.y
     if not cpath_is_prefix(s.gamma, x.gamma) or not cpath_is_prefix(s.eta, y.gamma):
         return False
     xs = x.gamma.steps[len(s.gamma.steps) :]
@@ -214,9 +192,7 @@ def in_bisection(g: SeparatedGraph, germ: Germ, s: Element) -> bool:
             x0 = _strip_tail(y.tail, m.body.nu)
             if x0 is None:
                 return False
-            expected = canonical_path(
-                g, SemifinitePath(x.gamma, m.p, _prepend_tail(m.body.gamma, x0))
-            )
+            expected = SemifinitePath(x.gamma, m.p, _prepend_tail(m.body.gamma, x0))
             if x != expected:
                 return False
             gpart = EPath(x.gamma, m.p, m.body.gamma)

@@ -6,6 +6,9 @@ of the path space are finite disjoint unions of cylinders Z(mu), kept in a
 canonical sorted form so that equality is decidable.  Subtraction descends
 by simple expansions directed at the subtrahend, which reproduces the
 explicit cylinder decompositions.
+
+Precondition: the graph is adaptable (graph.validate_adaptable); nothing
+here checks it.
 """
 
 from __future__ import annotations
@@ -312,8 +315,11 @@ def is_orthogonal_cover(g: SeparatedGraph, e: Element, sigma) -> bool:
     for f in sigma:
         if not is_idempotent(f) or not nat_leq(g, f, e):
             return False
-    if first_overlap(g, sigma) is not None:
-        return False
+    return first_overlap(g, sigma) is None and _covers(g, e, sigma)
+
+
+def _covers(g: SeparatedGraph, e: Element, sigma) -> bool:
+    """Whether the cylinders of sigma, idempotents below e, cover Z(e)."""
     covered = _normalize(g, [epath_of(g, f) for f in sigma])
     return co_is_empty(co_subtract(g, co_of(g, e), covered))
 
@@ -327,10 +333,7 @@ def orthogonalize_cover(g: SeparatedGraph, e: Element, sigma) -> list[Element]:
         _require_idem(f, "cover member")
         if not nat_leq(g, f, e):
             raise LatticeError("cover member not below e")
-    union = _normalize(g, ())
-    for f in sigma:
-        union = co_union(g, union, co_of(g, f))
-    if not co_eq(g, union, co_of(g, e)):
+    if not _covers(g, e, sigma):
         raise LatticeError("input is not a cover of e")
     while True:
         pair = first_overlap(g, sigma)

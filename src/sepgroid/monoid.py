@@ -13,6 +13,9 @@ run to the state cap.  Equidecomposition closes both types under
 expansions only and replays the relation path to the lightest common type
 as simple expansions of cylinders; matching cylinders with equal type
 vertex are connected by explicit semigroup elements.
+
+Precondition: the graph is adaptable (graph.validate_adaptable); nothing
+here checks it.
 """
 
 from __future__ import annotations
@@ -129,7 +132,6 @@ def format_monelem(x: MonElem) -> str:
 class Relation:
     vertex: str
     rhs: MonElem
-    kind: str  # "free" or "regular"
     index: int | None  # loop index for free relations
 
 
@@ -167,13 +169,13 @@ def presentation(g: SeparatedGraph) -> Presentation:
                 d = {p.name: 1}
                 for u in p.targets[i - 1]:
                     d[u] = d.get(u, 0) + 1
-                rels.append(Relation(p.name, mon_of(d), "free", i))
+                rels.append(Relation(p.name, mon_of(d), i))
         else:
             for v in sorted(p.vertices):
                 d: dict[str, int] = {}
                 for e in list(g.out_edges(v)) + list(g.out_connectors(v)):
                     d[e.rng] = d.get(e.rng, 0) + 1
-                rels.append(Relation(v, mon_of(d), "regular", None))
+                rels.append(Relation(v, mon_of(d), None))
     return Presentation(tuple(rels), tuple(sorted(g.vertex_prime)))
 
 
@@ -456,17 +458,3 @@ def equidecompose(
         raise MonoidError("constructed certificate failed verification")
     return cert
 
-
-def classify_prime_generator(
-    g: SeparatedGraph, v: str, budget: Budget = Budget()
-) -> tuple[str, bool]:
-    """('free'|'regular', consistency flag): regular generators satisfy
-    2a_v <= a_v; free ones must not, within the budget."""
-    pres = presentation(g)
-    kind = "free" if g.is_free(g.prime_of_vertex(v)) else "regular"
-    av = mon_unit(v)
-    wit = mon_leq(pres, mon_add(av, av), av, budget)
-    consistent = isinstance(wit, Yes) if kind == "regular" else isinstance(
-        wit, Unknown
-    )
-    return kind, consistent

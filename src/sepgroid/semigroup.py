@@ -6,6 +6,9 @@ c-paths descending into the component of the monomial m.  Multiplication is
 implemented through the translation operation m * eta = eta-tilde * phi,
 which pushes a monomial through a c-path and leaves behind a pure-t
 monomial phi.
+
+Precondition: the graph is adaptable (graph.validate_adaptable); nothing
+here checks it.
 """
 
 from __future__ import annotations
@@ -138,15 +141,18 @@ class RegBody:
     rng: str  # s(nu)
 
 
+def is_pure_body(b: FreeBody | RegBody) -> bool:
+    """Whether the body is trivial, so that its monomial is a pure t-monomial."""
+    if isinstance(b, FreeBody):
+        return not any(b.k) and not any(b.l)
+    return not b.gamma and not b.nu
+
+
 @dataclass(frozen=True)
 class Monomial:
     p: str
     tpart: tuple[tuple[int, int], ...]  # sorted (index, nonzero exponent)
     body: FreeBody | RegBody
-
-
-def tdict(tpart) -> dict[int, int]:
-    return dict(tpart)
 
 
 def ttuple(d: dict[int, int]) -> tuple[tuple[int, int], ...]:
@@ -193,7 +199,7 @@ def mul_monomials(g: SeparatedGraph, m1: Monomial, m2: Monomial):
     elif not m1.tpart:
         tp = m2.tpart
     else:
-        t = tdict(m1.tpart)
+        t = dict(m1.tpart)
         for i, d in m2.tpart:
             t[i] = t.get(i, 0) + d
         tp = ttuple(t)
@@ -274,13 +280,9 @@ def translate(g: SeparatedGraph, m: Monomial, eta: CPath):
     if eta.start != mono_range(g, m):
         raise WordError("translate: eta does not start at range(m)")
     if not eta.steps:
-        b = m.body
-        pure = b.k == b.l == (0,) * len(b.k) if isinstance(b, FreeBody) else (
-            b.gamma == b.nu == ()
-        )
-        if not pure:
+        if not is_pure_body(m.body):
             raise WordError("translate with trivial path needs a pure-t monomial")
-        return eta, tdict(m.tpart)
+        return eta, dict(m.tpart)
     first = eta.steps[0]
     if isinstance(m.body, FreeBody):
         assert isinstance(first, FreeStep) and first.p == m.p
@@ -297,7 +299,7 @@ def translate(g: SeparatedGraph, m: Monomial, eta: CPath):
                 continue
             diff = k[j - 1] - l[j - 1]
             if diff:
-                idx = j if j < i else j - 1  # graph.sigma_drop(i, j)
+                idx = j if j < i else j - 1  # {1..k} minus i, renumbered
                 phi[idx] = phi.get(idx, 0) + diff
         shift = _shift_of_steps(g, eta.steps[1:])
         phi = {idx + shift: d for idx, d in phi.items() if d != 0}

@@ -4,7 +4,8 @@ import pathlib
 import pytest
 
 from sepgroid import fixture_path
-from sepgroid.cli import UsageError, _co_tokens, main
+from sepgroid.cli import _co_tokens, main
+from sepgroid.lattice import LatticeError
 
 
 def run(capsys, *argv):
@@ -66,7 +67,7 @@ def test_cylinders(capsys):
 
 def test_cylinders_bad_expression(capsys):
     code, _, err = run(capsys, "cylinders", G3, "Z(v:p) %")
-    assert code == 64 and err
+    assert code == 65 and err
 
 
 def test_compact_open_tokens():
@@ -75,9 +76,9 @@ def test_compact_open_tokens():
         "(", ("Z", "a:p.1 (x (y))"), "&", ("Z", "v:p"), ")", "-", ("Z", ""),
     ]
     for bad in ("Z(v:p", "Z(v:p (x)", "Z(a ((b) c)"):
-        with pytest.raises(UsageError, match=r"^unbalanced Z\(\.\.\.\)$"):
+        with pytest.raises(LatticeError, match=r"^unbalanced Z\(\.\.\.\)$"):
             _co_tokens(bad)
-    with pytest.raises(UsageError, match="^bad character '%' in compact-open expression$"):
+    with pytest.raises(LatticeError, match="^bad character '%' in compact-open expression$"):
         _co_tokens("Z(v:p) % Z(v:p)")
 
 
@@ -244,10 +245,34 @@ def test_unexpected_exception_exits_70(capsys, monkeypatch):
     ("filter-contains", G3, "[v:p ; free(0)", "v:p"),
     ("filter-contains", G3, "[v:p] ; free(x)", "v:p"),
     ("monoid-eq", G1, "x*a:p", "a:p"),
+    ("filter-contains", G3, "v:p ; free(0)", "v:p"),
+    ("filter-contains", G3, "[v:p]", "v:p"),
+    ("filter-contains", G3, "[v:p] ; loops(0)", "v:p"),
+    ("filter-contains", G3, "[a:p.1*] ; free(0)", "v:p"),
+    ("ultrafilter", G2, "[v:w] reg(f1 ; )"),
+    ("cylinders", G3, "Z(v:p) Z(v:p)"),
+    ("cylinders", G3, "Z(v:p"),
+    ("typ", G3, "Z(v:p) & )"),
+    ("equidecompose", G3, "Z(v:p)", "(Z(v:p)"),
 ])
 def test_malformed_literals_are_parse_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 65 and not out and err.startswith("error: ")
+
+
+NOT_ADAPTABLE = "graph x\nregular r\nvertex w\nedge f1: w -> w\n"
+
+
+def test_a_graph_that_is_not_adaptable_is_an_input_error(capsys, tmp_path):
+    graph = tmp_path / "x.sg"
+    graph.write_text(NOT_ADAPTABLE)
+    code, out, _ = run(capsys, "validate", str(graph))
+    assert (code, out) == (1, "|s_Ep^-1(w)| >= 2: r:w")
+    for argv in (("ultrafilter", "[v:w] ; reg( ; f1)"), ("monoid-eq", "a:w", "2*a:w"),
+                 ("normalize", "v:w"), ("idempotents",)):
+        code, out, err = run(capsys, argv[0], str(graph), *argv[1:])
+        assert (code, out) == (65, ""), argv
+        assert err == f"error: {graph} is not adaptable: |s_Ep^-1(w)| >= 2: r:w"
 
 
 def test_graph_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from sepgroid import filters as fl, lattice as lt, semigroup as sg
+from sepgroid import cli, filters as fl, groupoid as gp, lattice as lt, semigroup as sg
 from sepgroid.filters import (
     INF,
     FilterError,
@@ -288,6 +288,20 @@ def test_canonical_periodic():
     assert canonical_periodic(("f1",), ("f2", "f1")) == ((), ("f1", "f2"))
     assert canonical_periodic(("f1", "f1"), ("f1",)) == ((), ("f1",))
     assert canonical_periodic(("f2",), ("f1",)) == (("f2",), ("f1",))
+
+
+def test_periodic_tails_are_canonical_by_construction(g2):
+    assert PerTail(("f2",), ("f1", "f2")) == PerTail((), ("f2", "f1"))
+    assert PerTail(("f1", "f1"), ("f1", "f1")) == PerTail((), ("f1",))
+    assert path(g2, "v:w", PerTail(("f2",), ("f1", "f2"))) == path(
+        g2, "v:w", PerTail((), ("f2", "f1"))
+    )
+    long_form = cli.parse_path(g2, "[v:w] ; reg(f2 ; f1,f2)")
+    assert cli.format_path(g2, long_form) == "[v:w] ; reg( ; f2,f1)"
+    short_form = cli.parse_path(g2, "[v:w] ; reg( ; f2,f1)")
+    germ = gp.germ_of(g2, w(g2, "e:f1"), short_form)
+    hand_made_unit = gp.Germ(long_form, gp.ZERO_WEIGHT, long_form)
+    assert gp.compose(g2, germ, hand_made_unit) == germ
 
 
 def test_enumerate_canonical_only(g2):

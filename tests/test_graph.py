@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sepgroid.graph import (
@@ -31,15 +33,95 @@ def test_validate_fixtures(graphs):
         assert validate_adaptable(g) == []
 
 
-def test_sigma_shift(g1):
-    # crossing a connector shifts a t-index by k(p) - 1
-    assert g1.sigma("p", 1) == 2
-    assert g1.sigma("p", 2) == 3
+@pytest.mark.parametrize("shape", ["tower_graph", "regular_graph", "mixed_graph"])
+def test_validate_generated_families(gen_module, shape):
+    for seed in (1, 2, 3):
+        for k in range(16):
+            text = getattr(gen_module, shape)(f"{seed}-{k}").text()
+            assert validate_adaptable(parse_graph(text)) == [], (shape, seed, k)
 
 
-def test_sigma_drop(g1):
-    assert g1.sigma_drop("p", 1, 2) == 1
-    assert g1.sigma_drop("p", 2, 1) == 1
+def _random_graph_text(rng: random.Random) -> str:
+    """A small graph over primes p0, p1, ... meant to lie below one another
+    in that order, with faults mixed in: connectors into the same or a
+    higher component (connector cycles), empty regular primes, vertices of
+    out-degree 1, regular components that are not strongly connected, and
+    free primes whose k does not match their minimality."""
+    names = [f"p{i}" for i in range(rng.randint(1, 4))]
+    verts = {}
+    for p in names:
+        free = rng.random() < 0.5
+        verts[p] = [p] if free else [f"{p}v{j}" for j in range(rng.choice((0, 1, 1, 2, 3)))]
+
+    def target(i):
+        r = rng.random()
+        if r < 0.8:
+            pool = [v for q in names[:i] for v in verts[q]]
+        elif r < 0.9:
+            pool = verts[names[i]]
+        else:
+            pool = []
+        return rng.choice(pool or [v for q in names for v in verts[q]])
+
+    lines = ["graph t"]
+    for i, p in enumerate(names):
+        if verts[p] == [p]:
+            k = rng.choice((0, 1, 2)) if i or rng.random() < 0.1 else 0
+            lines.append(f"free {p} k={k}")
+            for c in range(1, k + 1):
+                lines.append(f"X {c} -> " + " ".join(target(i) for _ in range(rng.randint(1, 2))))
+            continue
+        vs = verts[p]
+        lines += [f"regular {p}", "vertex " + " ".join(vs)] if vs else [f"regular {p}"]
+        n = 0
+        for j, v in enumerate(vs):
+            heads = [vs[(j + 1) % len(vs)]] if rng.random() < 0.9 else []
+            heads += [rng.choice(vs) for _ in range(rng.choice((0, 1, 1, 2)))]
+            for h in heads:
+                n += 1
+                lines.append(f"edge {p}e{n}: {v} -> {h}")
+        for c in range(rng.choice((0, 1, 1, 2)) if vs else 0):
+            lines.append(f"connector {p}c{c}: {rng.choice(vs)} -> {target(i)}")
+    return "\n".join(lines) + "\n"
+
+
+def _vertex_graph_sccs(g):
+    """Strongly connected components of the whole vertex graph, by a plain
+    reachability closure from every vertex."""
+    succ = {v: set() for v in g.vertex_prime}
+    for p in g.primes:
+        if isinstance(p, FreePrime):
+            succ[p.name].update(v for targets in p.targets for v in targets)
+        else:
+            for e in p.edges + p.connectors:
+                succ[e.src].add(e.rng)
+    reach = {}
+    for v in succ:
+        seen, stack = {v}, [v]
+        while stack:
+            for u in succ[stack.pop()] - seen:
+                seen.add(u)
+                stack.append(u)
+        reach[v] = seen
+    return {frozenset(u for u in reach[v] if v in reach[u]) for v in succ}
+
+
+def test_adaptable_graphs_have_their_components_as_sccs():
+    rng = random.Random(6)
+    adaptable = flagged_mismatch = 0
+    for _ in range(3000):
+        g = parse_graph(_random_graph_text(rng))
+        declared = {
+            frozenset([p.name] if isinstance(p, FreePrime) else p.vertices) for p in g.primes
+        }
+        same = _vertex_graph_sccs(g) == declared
+        if validate_adaptable(g) == []:
+            adaptable += 1
+            assert same, [str(p) for p in g.primes]
+        elif not same:
+            flagged_mismatch += 1
+    # Both sides of the implication are exercised.
+    assert adaptable >= 300 and flagged_mismatch >= 300, (adaptable, flagged_mismatch)
 
 
 def test_component_order(g3):

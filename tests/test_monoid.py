@@ -270,13 +270,6 @@ def test_equidecompose_iff_mon_eq_sample(graphs, rng):
                 assert isinstance(cert, Unknown)
 
 
-def test_classify_prime_generator(g1, g2):
-    kind, consistent = mn.classify_prime_generator(g2, "w")
-    assert kind == "regular" and consistent
-    kind, consistent = mn.classify_prime_generator(g1, "p")
-    assert kind == "free" and consistent
-
-
 def test_unknown_vertex_is_rejected_at_the_boundary(g1):
     pres = mn.presentation(g1)
     stray = mon_unit("nosuch")
