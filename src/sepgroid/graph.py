@@ -69,11 +69,13 @@ class SeparatedGraph:
     edge_by_name: dict = field(default_factory=dict, repr=False)
     # Compiled tables, read directly by hot paths that only see checked names:
     # free prime -> k, edge or connector -> its range, vertex -> its internal
-    # out-edges / out-connectors (both empty at a free vertex).
+    # out-edges / out-connectors (both empty at a free vertex), and the monoid
+    # presentation, which monoid.presentation builds on first use.
     free_k: dict = field(default_factory=dict, repr=False)
     edge_rng: dict = field(default_factory=dict, repr=False)
     out_edges_of: dict = field(default_factory=dict, repr=False)
     out_connectors_of: dict = field(default_factory=dict, repr=False)
+    monoid_presentation: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for p in self.primes:

@@ -98,8 +98,8 @@ def _prepend_tail(lam, tail: PerTail) -> PerTail:
 
 
 def norm_length(g: SeparatedGraph, mu: EPath) -> tuple[int, ...]:
-    """|mu|_infinity: per-loop lengths at a free terminal prime, total
-    length at a regular one (trailing zeros dropped)."""
+    """|mu|_infinity: one length per loop at a free terminal prime, trailing
+    zeros kept (only `_padded_sum` trims), the total length at a regular one."""
     base = cpath_edge_len(mu.gamma)
     if mu.p in g.free_k:
         return tuple(base + t for t in mu.tail)

@@ -6,13 +6,13 @@ sum of its class-i connector targets (one relation per loop index i), and
 a regular vertex v contributes a_v = sum over edges leaving v.
 
 One bounded breadth-first search, `_Search`, runs over integer vectors in
-the sorted vertex order of the presentation.  `mon_eq` runs it from both
-sides; No is only returned when a full congruence class was enumerated
-below the weight cap.  `mon_leq` and `refinement_witness` read closures
-run to the state cap.  Equidecomposition closes both types under
-expansions only and replays the relation path to the lightest common type
-as simple expansions of cylinders; matching cylinders with equal type
-vertex are connected by explicit semigroup elements.
+the sorted vertex order of the presentation, built once per graph.
+`mon_eq` runs it from both sides; No only after a full congruence class
+was enumerated below the weight cap.  `mon_leq` and `refinement_witness`
+read closures run to the state cap.  Equidecomposition runs no `mon_eq`:
+a common type of the two expansion-only closures proves the types equal,
+and the relation path to the lightest one is replayed as simple expansions
+of cylinders, matched by type vertex through explicit semigroup elements.
 
 Precondition: the graph is adaptable (graph.validate_adaptable); nothing
 here checks it.
@@ -162,6 +162,9 @@ class Presentation:
 
 
 def presentation(g: SeparatedGraph) -> Presentation:
+    """The relations of M(E,C), built once per graph and kept on it."""
+    if g.monoid_presentation is not None:
+        return g.monoid_presentation
     rels = []
     for p in g.primes:
         if isinstance(p, FreePrime):
@@ -176,7 +179,8 @@ def presentation(g: SeparatedGraph) -> Presentation:
                 for e in list(g.out_edges(v)) + list(g.out_connectors(v)):
                     d[e.rng] = d.get(e.rng, 0) + 1
                 rels.append(Relation(v, mon_of(d), None))
-    return Presentation(tuple(rels), tuple(sorted(g.vertex_prime)))
+    g.monoid_presentation = Presentation(tuple(rels), tuple(sorted(g.vertex_prime)))
+    return g.monoid_presentation
 
 
 def _vector(pres: Presentation, x: MonElem) -> tuple[int, ...]:
@@ -431,12 +435,11 @@ def _replay(g: SeparatedGraph, a: CompactOpen, search: _Search, t) -> list[Eleme
 def equidecompose(
     g: SeparatedGraph, a: CompactOpen, b: CompactOpen, budget: Budget = Budget()
 ):
-    """A certificate that A and B are equidecomposable, or Unknown.  Of the
-    lightest common types, the first in A's breadth-first order is used."""
+    """A certificate that A and B are equidecomposable, or Unknown if no
+    common type is found within the budget.  Of the lightest common types,
+    the first in A's breadth-first order is used."""
     pres = presentation(g)
     ta, tb = typ_of(g, a), typ_of(g, b)
-    if not isinstance(mon_eq(pres, ta, tb, budget), Yes):
-        return Unknown()
     reach_a, reach_b = (_closure(pres, _vector(pres, t), budget, True) for t in (ta, tb))
     common = [t for t in reach_a.parents if t in reach_b.parents]
     if not common:

@@ -143,6 +143,17 @@ def test_equidecompose_example(capsys):
     assert (code, out) == (1, "No")
 
 
+def test_equidecompose_answers_from_its_own_search(capsys):
+    # One state is too few for monoid-eq, but enough for the expansion-only
+    # closures to meet.
+    a, b = "Z(v:p)", "Z(a:p.2 a:p.2*) + Z(b:p.2.1 b:p.2.1*)"
+    code, out, _ = run(capsys, "monoid-eq", G1, "a:p", "a:p + a:q2", "--max-steps", "1")
+    assert (code, out) == (2, "Unknown")
+    code, out, _ = run(capsys, "equidecompose", G1, a, b, "--max-steps", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "Yes"
+
+
 def test_json_output(capsys):
     code, out, _ = run(capsys, "normalize", G3, "a:p.1* a:p.1", "--json")
     assert code == 0

@@ -44,11 +44,14 @@ def random_germs(g, rng, count):
 # -- weights and norms ---------------------------------------------------
 
 
-def test_norm_length(g2, g3):
+def test_norm_length(g1, g2, g3):
     mu = lt.epath_of(g3, w(g3, "a:p.1 a:p.1 a:p.1* a:p.1*"))
     assert gp.norm_length(g3, mu) == (2,)
     nu = lt.epath_of(g2, w(g2, "e:f1 e:f2 e:f2* e:f1*"))
     assert gp.norm_length(g2, nu) == (2,)
+    # one entry per loop of p (k = 2), the trailing zero kept
+    tau = lt.epath_of(g1, w(g1, "a:p.1 a:p.1*"))
+    assert gp.norm_length(g1, tau) == (1, 0)
 
 
 def test_weight_group_laws():

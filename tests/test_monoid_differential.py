@@ -119,6 +119,15 @@ def test_one_search_matches_the_reference(graphs, gen_module, name):
 
         for a, b in _compact_opens(rng, g, pool):
             new, old = _both(mn.equidecompose, ref.equidecompose, g, a, b, budget)
+            gate = ref.mon_eq(pres, mn.typ_of(g, a), mn.typ_of(g, b), budget)
+            if not isinstance(new, Unknown):
+                assert not isinstance(gate, mn.No), (a, b, budget)
+            # The reference still runs its mon_eq gate first; the new code
+            # answers from its expansion-only closures alone, so it may find
+            # a certificate where that gate gives up.
+            if isinstance(old, Unknown) and not isinstance(new, Unknown) and not isinstance(gate, Yes):
+                assert mn.verify_certificate(g, new, a, b), (a, b, budget)
+                continue
             if isinstance(new, Unknown) or isinstance(old, Unknown):
                 assert new == old == Unknown(), (a, b, budget)
                 continue
