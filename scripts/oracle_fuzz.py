@@ -9,7 +9,6 @@ Zero outcomes.  Exits nonzero on the first mismatch.
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -19,23 +18,15 @@ from oracle import ZERO, oracle_nf  # noqa: E402
 from sepgroid import load_fixture, semigroup as sg  # noqa: E402
 
 
-@dataclass
-class Config:
-    fixtures: tuple[str, ...] = ("g1", "g2", "g3")
-    words: int = 20_000
-    max_len: int = 8
-    seed: int = 0
-
-
-def fuzz(cfg: Config) -> int:
+def fuzz(args: argparse.Namespace) -> int:
     mismatches = 0
-    for name in cfg.fixtures:
+    for name in args.fixtures:
         g = load_fixture(f"{name}.sg")
         toks = alphabet(g)
-        rng = random.Random(cfg.seed)
+        rng = random.Random(args.seed)
         zeros = 0
-        for i in range(cfg.words):
-            w = random_word(rng, toks, cfg.max_len)
+        for i in range(args.words):
+            w = random_word(rng, toks, args.max_len)
             e = sg.parse_word(g, w)
             nf = oracle_nf(g, w)
             if sg.is_zero(e):
@@ -49,8 +40,8 @@ def fuzz(cfg: Config) -> int:
                 print(f"  library: {sg.element_to_word(g, e)!r}")
                 print(f"  oracle:  {nf!r}")
         print(
-            f"{name}: {cfg.words} words, {zeros} zero "
-            f"({100 * zeros / cfg.words:.1f}%), {mismatches} mismatches"
+            f"{name}: {args.words} words, {zeros} zero "
+            f"({100 * zeros / args.words:.1f}%), {mismatches} mismatches"
         )
     return mismatches
 
@@ -61,14 +52,7 @@ def main() -> int:
     ap.add_argument("--max-len", type=int, default=8)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--fixtures", nargs="*", default=["g1", "g2", "g3"])
-    args = ap.parse_args()
-    cfg = Config(
-        fixtures=tuple(args.fixtures),
-        words=args.words,
-        max_len=args.max_len,
-        seed=args.seed,
-    )
-    return 1 if fuzz(cfg) else 0
+    return 1 if fuzz(ap.parse_args()) else 0
 
 
 if __name__ == "__main__":

@@ -8,22 +8,11 @@ round trip.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from sepgroid import filters as fl, lattice as lt, semigroup as sg
 from sepgroid import load_fixture
 from sepgroid.filters import INF, FreeTail, PerTail, RegTail
 from sepgroid.lattice import Bounds
-
-
-@dataclass
-class Config:
-    fixture: str = "g3"
-    max_depth: int = 2
-    max_exp: int = 3
-    max_len: int = 4
-    path_exp: int = 2
-    path_len: int = 2
 
 
 def describe(mu) -> str:
@@ -37,21 +26,18 @@ def describe(mu) -> str:
     return f"[{len(mu.gamma.steps)} steps -> {mu.p}] {tail}"
 
 
-def census(cfg: Config) -> None:
-    g = load_fixture(f"{cfg.fixture}.sg")
+def census(args: argparse.Namespace) -> None:
+    g = load_fixture(f"{args.fixture}.sg")
     idems = list(
-        lt.enumerate_idempotents(g, Bounds(cfg.max_depth, cfg.max_exp, cfg.max_len))
+        lt.enumerate_idempotents(g, Bounds(args.max_depth, args.max_exp, args.max_len))
     )
+    path_bounds = Bounds(args.max_depth, max_exp=2, max_len=2)
     paths = []
     for v in sorted(g.vertex_prime):
-        paths.extend(
-            fl.enumerate_semifinite(
-                g, v, Bounds(cfg.max_depth, cfg.path_exp, cfg.path_len)
-            )
-        )
+        paths.extend(fl.enumerate_semifinite(g, v, path_bounds))
     ultra = [mu for mu in paths if fl.is_ultrafilter(g, mu)]
-    print(f"{cfg.fixture}: {len(idems)} idempotents within bounds")
-    print(f"{cfg.fixture}: {len(paths)} semifinite paths, {len(ultra)} ultrafilters")
+    print(f"{args.fixture}: {len(idems)} idempotents within bounds")
+    print(f"{args.fixture}: {len(paths)} semifinite paths, {len(ultra)} ultrafilters")
 
     traces = {}
     collisions = 0
@@ -90,15 +76,7 @@ def main() -> int:
     ap.add_argument("--max-depth", type=int, default=2)
     ap.add_argument("--max-exp", type=int, default=3)
     ap.add_argument("--max-len", type=int, default=4)
-    args = ap.parse_args()
-    census(
-        Config(
-            fixture=args.fixture,
-            max_depth=args.max_depth,
-            max_exp=args.max_exp,
-            max_len=args.max_len,
-        )
-    )
+    census(ap.parse_args())
     return 0
 
 

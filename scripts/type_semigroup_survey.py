@@ -9,7 +9,6 @@ partial-isomorphism certificate.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from sepgroid import lattice as lt, monoid as mn, semigroup as sg
 from sepgroid import load_fixture
@@ -17,24 +16,15 @@ from sepgroid.lattice import Bounds
 from sepgroid.monoid import No, Unknown, Yes
 
 
-@dataclass
-class Config:
-    fixture: str = "g3"
-    max_depth: int = 2
-    max_exp: int = 2
-    max_len: int = 2
-    show: int = 5
-
-
-def survey(cfg: Config) -> int:
+def survey(args: argparse.Namespace) -> int:
     """Print the survey; returns the number of certificates that failed
     verification."""
-    g = load_fixture(f"{cfg.fixture}.sg")
+    g = load_fixture(f"{args.fixture}.sg")
     pres = mn.presentation(g)
     cyls = list(
-        lt.enumerate_idempotents(g, Bounds(cfg.max_depth, cfg.max_exp, cfg.max_len))
+        lt.enumerate_idempotents(g, Bounds(args.max_depth, args.max_exp, args.max_len))
     )
-    print(f"{cfg.fixture}: {len(cyls)} cylinders within bounds")
+    print(f"{args.fixture}: {len(cyls)} cylinders within bounds")
 
     # partition cylinders into monoid-equality classes of their types
     classes: list[list] = []
@@ -66,7 +56,7 @@ def survey(cfg: Config) -> int:
                     failed += 1
                     continue
                 verified += 1
-                if shown < cfg.show:
+                if shown < args.show:
                     shown += 1
                     lhs = sg.element_to_word(g, cls[i][0])
                     rhs = sg.element_to_word(g, cls[j][0])
@@ -83,17 +73,7 @@ def main() -> int:
     ap.add_argument("--max-exp", type=int, default=2)
     ap.add_argument("--max-len", type=int, default=2)
     ap.add_argument("--show", type=int, default=5)
-    args = ap.parse_args()
-    failed = survey(
-        Config(
-            fixture=args.fixture,
-            max_depth=args.max_depth,
-            max_exp=args.max_exp,
-            max_len=args.max_len,
-            show=args.show,
-        )
-    )
-    return 1 if failed else 0
+    return 1 if survey(ap.parse_args()) else 0
 
 
 if __name__ == "__main__":

@@ -5,6 +5,8 @@ Exit codes: 0 success/Yes/true, 1 No/false, 2 Unknown, 64 usage error (the
 command line's shape: argument count, unknown command or option, negative
 bound), 65 anything wrong inside an argument (an unreadable or non-adaptable
 graph, a malformed word or literal), 70 internal error (an unexpected exception).
+
+Each subcommand is one entry of `COMMANDS`: its usage line and its handler.
 """
 
 from __future__ import annotations
@@ -215,10 +217,6 @@ def _budget(args) -> mn.Budget:
     return mn.Budget(max_states=args.max_steps, max_weight=args.max_weight)
 
 
-def _bounds(args) -> lt.Bounds:
-    return lt.Bounds(max_depth=args.max_depth, max_exp=args.max_exp)
-
-
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(doc, indent=2, default=str))
@@ -262,15 +260,17 @@ def main(argv=None) -> int:
         return 70
 
 
-def _need_rest(args, n: int, usage: str, at_least: bool = False):
-    """The loaded graph of the first argument and the n arguments after it
-    (n or more if at_least); a usage error with the command's usage line
-    if the count is wrong.  Every command but `validate` computes under the
-    adaptability axioms, so for those a graph that fails them is an input
-    error."""
+def _need_rest(args, usage: str):
+    """The loaded graph of the first argument and the arguments after it.
+    Their count must match the names after GRAPH in `usage` (a last name
+    ending in `...` takes any number), or a usage error shows the usage
+    line.  Every command but `validate` computes under the adaptability
+    axioms, so for those a graph that fails them is an input error."""
     rest = args.args[1:]
-    if not args.args or (len(rest) < n if at_least else len(rest) != n):
-        raise UsageError(usage)
+    n = len(usage.split()) - 1
+    fits = len(rest) >= n - 1 if usage.endswith("...") else len(rest) == n
+    if not args.args or not fits:
+        raise UsageError(f"{args.command} {usage}")
     g = _load(args.args[0])
     violations = [] if args.command == "validate" else validate_adaptable(g)
     if violations:
@@ -280,182 +280,169 @@ def _need_rest(args, n: int, usage: str, at_least: bool = False):
 
 
 def _dispatch(args) -> int:
-    cmd = args.command
-    doc: dict = {"command": cmd, "inputs": args.args}
+    if args.command not in COMMANDS:
+        raise UsageError(f"unknown command {args.command!r}")
+    usage, handler = COMMANDS[args.command]
+    g, rest = _need_rest(args, usage)
+    result, lines, code = handler(args, g, *rest)
+    _emit(args, {"command": args.command, "inputs": args.args, "result": result}, lines)
+    return code
 
-    if cmd == "validate":
-        g, _ = _need_rest(args, 0, "validate GRAPH")
-        violations = validate_adaptable(g)
-        doc["result"] = [str(v) for v in violations]
-        _emit(args, doc, doc["result"] or ["ok"])
-        return 0 if not violations else 1
 
-    if cmd == "normalize":
-        g, (word,) = _need_rest(args, 1, "normalize GRAPH WORD")
-        out = sg.element_to_word(g, sg.parse_word(g, word))
-        doc["result"] = out
-        _emit(args, doc, [out])
-        return 0
+# -- commands ------------------------------------------------------------
+# Each handler takes the parsed options, the graph and the command's other
+# arguments, and returns (the JSON result, the text lines, the exit code).
 
-    if cmd == "mul":
-        g, (w1, w2) = _need_rest(args, 2, "mul GRAPH WORD1 WORD2")
-        out = sg.element_to_word(g, sg.mul(g, sg.parse_word(g, w1), sg.parse_word(g, w2)))
-        doc["result"] = out
-        _emit(args, doc, [out])
-        return 0
 
-    if cmd == "idempotents":
-        g, _ = _need_rest(args, 0, "idempotents GRAPH")
-        words = [
-            sg.element_to_word(g, e)
-            for e in lt.enumerate_idempotents(g, _bounds(args))
-        ]
-        doc["result"] = words
-        _emit(args, doc, words)
-        return 0
+def _flag(ok: bool, yes_text: str, no_text: str):
+    return ok, [yes_text if ok else no_text], 0 if ok else 1
 
-    if cmd == "expand":
-        g, (word, script) = _need_rest(args, 2, "expand GRAPH WORD SCRIPT")
-        out = lt.expand(g, sg.parse_word(g, word), parse_script(script))
-        words = [sg.element_to_word(g, x) for x in out]
-        doc["result"] = words
-        _emit(args, doc, words)
-        return 0
 
-    if cmd == "cover-check":
-        g, rest = _need_rest(
-            args, 1, "cover-check GRAPH WORD MEMBER...", at_least=True
-        )
-        e = sg.parse_word(g, rest[0])
-        members = [sg.parse_word(g, w) for w in rest[1:]]
-        ok = lt.is_orthogonal_cover(g, e, members)
-        doc["result"] = ok
-        _emit(args, doc, ["orthogonal cover" if ok else "not an orthogonal cover"])
-        return 0 if ok else 1
+def _answer(res, lines=(), **payload):
+    """A monoid answer: No exits 1 and Unknown exits 2, each with its status
+    alone; anything else is a Yes that exits 0, with `lines` after "Yes" in
+    the text and `payload` beside the status in JSON."""
+    if isinstance(res, (mn.No, mn.Unknown)):
+        status = type(res).__name__
+        return {"status": status}, [status], 1 if isinstance(res, mn.No) else 2
+    return {"status": "Yes", **payload}, ["Yes", *lines], 0
 
-    if cmd == "cover-to-expansion":
-        g, rest = _need_rest(
-            args, 1, "cover-to-expansion GRAPH WORD MEMBER...", at_least=True
-        )
-        e = sg.parse_word(g, rest[0])
-        members = [sg.parse_word(g, w) for w in rest[1:]]
-        script = lt.cover_to_expansion(g, e, members)
-        out = format_script(script)
-        doc["result"] = out
-        _emit(args, doc, [out if out else "(empty script)"])
-        return 0
 
-    if cmd == "cylinders":
-        g, (expr,) = _need_rest(args, 1, "cylinders GRAPH EXPR")
-        a = parse_compact_open(g, expr)
-        out = format_compact_open(g, a)
-        doc["result"] = out
-        _emit(args, doc, [out])
-        return 0 if not lt.co_is_empty(a) else 1
+def _validate(args, g):
+    violations = [str(v) for v in validate_adaptable(g)]
+    return violations, violations or ["ok"], 1 if violations else 0
 
-    if cmd == "filter-contains":
-        g, (path_lit, word) = _need_rest(args, 2, "filter-contains GRAPH PATH WORD")
-        mu = parse_path(g, path_lit)
-        e = sg.parse_word(g, word)
-        ok = fl.filter_contains(g, mu, e)
-        doc["result"] = ok
-        _emit(args, doc, ["yes" if ok else "no"])
-        return 0 if ok else 1
 
-    if cmd == "ultrafilter":
-        g, (path_lit,) = _need_rest(args, 1, "ultrafilter GRAPH PATH")
-        ok = fl.is_ultrafilter(g, parse_path(g, path_lit))
-        doc["result"] = ok
-        _emit(args, doc, ["ultrafilter" if ok else "not an ultrafilter"])
-        return 0 if ok else 1
+def _normalize(args, g, word):
+    out = sg.element_to_word(g, sg.parse_word(g, word))
+    return out, [out], 0
 
-    if cmd == "germ":
-        g, (word, path_lit) = _need_rest(args, 2, "germ GRAPH WORD PATH")
-        germ = gp.germ_of(g, sg.parse_word(g, word), parse_path(g, path_lit))
-        out = format_germ(g, germ)
-        doc["result"] = out
-        _emit(args, doc, [out])
-        return 0
 
-    if cmd == "bisection-check":
-        g, rest = _need_rest(args, 0, "bisection-check GRAPH WORD...", at_least=True)
-        fam = [sg.parse_word(g, w) for w in rest]
-        ok = gp.is_bisection_family(g, fam)
-        doc["result"] = ok
-        _emit(args, doc, ["bisection family" if ok else "not a bisection family"])
-        return 0 if ok else 1
+def _mul(args, g, w1, w2):
+    out = sg.element_to_word(g, sg.mul(g, sg.parse_word(g, w1), sg.parse_word(g, w2)))
+    return out, [out], 0
 
-    if cmd in ("monoid-eq", "monoid-leq"):
-        g, (x_s, y_s) = _need_rest(args, 2, f"{cmd} GRAPH X Y")
-        pres = mn.presentation(g)
-        x, y = mn.parse_monelem(g, x_s), mn.parse_monelem(g, y_s)
-        if cmd == "monoid-eq":
-            res = mn.mon_eq(pres, x, y, _budget(args))
-            if isinstance(res, mn.Yes):
-                lines = ["Yes"] + [mn.format_monelem(m) for m in res.path]
-                doc["result"] = {"status": "Yes", "path": lines[1:]}
-                _emit(args, doc, lines)
-                return 0
-            status = "No" if isinstance(res, mn.No) else "Unknown"
-            doc["result"] = {"status": status}
-            _emit(args, doc, [status])
-            return 1 if status == "No" else 2
-        res = mn.mon_leq(pres, x, y, _budget(args))
-        if isinstance(res, mn.Yes):
-            doc["result"] = {"status": "Yes", "z": mn.format_monelem(res.path[0])}
-            _emit(args, doc, ["Yes", mn.format_monelem(res.path[0])])
-            return 0
-        doc["result"] = {"status": "Unknown"}
-        _emit(args, doc, ["Unknown"])
-        return 2
 
-    if cmd == "refine":
-        g, specs = _need_rest(args, 4, "refine GRAPH A B C D")
-        pres = mn.presentation(g)
-        a, b, c, d = (mn.parse_monelem(g, s) for s in specs)
-        res = mn.refinement_witness(pres, a, b, c, d, _budget(args))
-        if isinstance(res, mn.Unknown):
-            doc["result"] = {"status": "Unknown"}
-            _emit(args, doc, ["Unknown"])
-            return 2
-        doc["result"] = {"status": "Yes", "witness": [mn.format_monelem(m) for m in res]}
-        _emit(args, doc, ["Yes"] + [mn.format_monelem(m) for m in res])
-        return 0
+def _idempotents(args, g):
+    bounds = lt.Bounds(max_depth=args.max_depth, max_exp=args.max_exp)
+    words = [sg.element_to_word(g, e) for e in lt.enumerate_idempotents(g, bounds)]
+    return words, words, 0
 
-    if cmd == "typ":
-        g, (expr,) = _need_rest(args, 1, "typ GRAPH EXPR")
-        out = mn.format_monelem(mn.typ_of(g, parse_compact_open(g, expr)))
-        doc["result"] = out
-        _emit(args, doc, [out])
-        return 0
 
-    if cmd == "equidecompose":
-        g, (a_s, b_s) = _need_rest(args, 2, "equidecompose GRAPH EXPR EXPR")
-        a, b = parse_compact_open(g, a_s), parse_compact_open(g, b_s)
-        budget = _budget(args)
-        cert = mn.equidecompose(g, a, b, budget)
-        if isinstance(cert, mn.Unknown):
-            # only a proof of unequal types turns Unknown into No
-            eq = mn.mon_eq(mn.presentation(g), mn.typ_of(g, a), mn.typ_of(g, b), budget)
-            status = "No" if isinstance(eq, mn.No) else "Unknown"
-            doc["result"] = {"status": status}
-            _emit(args, doc, [status])
-            return 1 if status == "No" else 2
-        lines = ["Yes"]
-        payload = []
-        for s, src, rng in zip(cert.elements, cert.sources, cert.ranges):
-            entry = {
-                "element": sg.element_to_word(g, s),
-                "source": sg.element_to_word(g, src),
-                "range": sg.element_to_word(g, rng),
-            }
-            payload.append(entry)
-            lines.append(f"{entry['element']}  [{entry['source']} -> {entry['range']}]")
-        doc["result"] = {"status": "Yes", "certificate": payload}
-        _emit(args, doc, lines)
-        return 0
+def _expand(args, g, word, script):
+    out = lt.expand(g, sg.parse_word(g, word), parse_script(script))
+    words = [sg.element_to_word(g, x) for x in out]
+    return words, words, 0
 
-    raise UsageError(f"unknown command {cmd!r}")
+
+def _cover_check(args, g, word, *members):
+    e = sg.parse_word(g, word)
+    ok = lt.is_orthogonal_cover(g, e, [sg.parse_word(g, w) for w in members])
+    return _flag(ok, "orthogonal cover", "not an orthogonal cover")
+
+
+def _cover_to_expansion(args, g, word, *members):
+    e = sg.parse_word(g, word)
+    out = format_script(lt.cover_to_expansion(g, e, [sg.parse_word(g, w) for w in members]))
+    return out, [out if out else "(empty script)"], 0
+
+
+def _cylinders(args, g, expr):
+    a = parse_compact_open(g, expr)
+    out = format_compact_open(g, a)
+    return out, [out], 1 if lt.co_is_empty(a) else 0
+
+
+def _filter_contains(args, g, path_lit, word):
+    ok = fl.filter_contains(g, parse_path(g, path_lit), sg.parse_word(g, word))
+    return _flag(ok, "yes", "no")
+
+
+def _ultrafilter(args, g, path_lit):
+    ok = fl.is_ultrafilter(g, parse_path(g, path_lit))
+    return _flag(ok, "ultrafilter", "not an ultrafilter")
+
+
+def _germ(args, g, word, path_lit):
+    germ = gp.germ_of(g, sg.parse_word(g, word), parse_path(g, path_lit))
+    out = format_germ(g, germ)
+    return out, [out], 0
+
+
+def _bisection_check(args, g, *words):
+    ok = gp.is_bisection_family(g, [sg.parse_word(g, w) for w in words])
+    return _flag(ok, "bisection family", "not a bisection family")
+
+
+def _monoid_eq(args, g, *specs):
+    x, y = (mn.parse_monelem(g, s) for s in specs)
+    res = mn.mon_eq(mn.presentation(g), x, y, _budget(args))
+    if not isinstance(res, mn.Yes):
+        return _answer(res)
+    path = [mn.format_monelem(m) for m in res.path]
+    return _answer(res, path, path=path)
+
+
+def _monoid_leq(args, g, *specs):
+    x, y = (mn.parse_monelem(g, s) for s in specs)
+    res = mn.mon_leq(mn.presentation(g), x, y, _budget(args))
+    if not isinstance(res, mn.Yes):
+        return _answer(res)
+    z = mn.format_monelem(res.path[0])
+    return _answer(res, [z], z=z)
+
+
+def _refine(args, g, *specs):
+    a, b, c, d = (mn.parse_monelem(g, s) for s in specs)
+    res = mn.refinement_witness(mn.presentation(g), a, b, c, d, _budget(args))
+    if isinstance(res, mn.Unknown):
+        return _answer(res)
+    witness = [mn.format_monelem(m) for m in res]
+    return _answer(res, witness, witness=witness)
+
+
+def _typ(args, g, expr):
+    out = mn.format_monelem(mn.typ_of(g, parse_compact_open(g, expr)))
+    return out, [out], 0
+
+
+def _equidecompose(args, g, a_s, b_s):
+    a, b = parse_compact_open(g, a_s), parse_compact_open(g, b_s)
+    budget = _budget(args)
+    cert = mn.equidecompose(g, a, b, budget)
+    if isinstance(cert, mn.Unknown):
+        # only a proof of unequal types turns Unknown into No
+        eq = mn.mon_eq(mn.presentation(g), mn.typ_of(g, a), mn.typ_of(g, b), budget)
+        return _answer(eq if isinstance(eq, mn.No) else cert)
+    entries = [
+        {"element": sg.element_to_word(g, s), "source": sg.element_to_word(g, src),
+         "range": sg.element_to_word(g, rng)}
+        for s, src, rng in zip(cert.elements, cert.sources, cert.ranges)
+    ]
+    lines = [f"{e['element']}  [{e['source']} -> {e['range']}]" for e in entries]
+    return _answer(cert, lines, certificate=entries)
+
+
+# name -> (usage after the name, handler), in the order of the README
+COMMANDS = {
+    "validate": ("GRAPH", _validate),
+    "normalize": ("GRAPH WORD", _normalize),
+    "mul": ("GRAPH WORD1 WORD2", _mul),
+    "idempotents": ("GRAPH", _idempotents),
+    "expand": ("GRAPH WORD SCRIPT", _expand),
+    "cover-check": ("GRAPH WORD MEMBER...", _cover_check),
+    "cover-to-expansion": ("GRAPH WORD MEMBER...", _cover_to_expansion),
+    "cylinders": ("GRAPH EXPR", _cylinders),
+    "filter-contains": ("GRAPH PATH WORD", _filter_contains),
+    "ultrafilter": ("GRAPH PATH", _ultrafilter),
+    "germ": ("GRAPH WORD PATH", _germ),
+    "bisection-check": ("GRAPH WORD...", _bisection_check),
+    "monoid-eq": ("GRAPH X Y", _monoid_eq),
+    "monoid-leq": ("GRAPH X Y", _monoid_leq),
+    "refine": ("GRAPH A B C D", _refine),
+    "typ": ("GRAPH EXPR", _typ),
+    "equidecompose": ("GRAPH EXPR EXPR", _equidecompose),
+}
 
 
 if __name__ == "__main__":

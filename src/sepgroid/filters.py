@@ -166,7 +166,7 @@ def reconstruct_path(g: SeparatedGraph, fam, bounds: Bounds | None = None):
     if not fam:
         raise FilterError("empty family")
     for e in fam:
-        if is_zero(e) or not is_idempotent(e):
+        if not is_idempotent(e):
             raise FilterError("family must consist of nonzero idempotents")
     for i in range(len(fam)):
         for j in range(i + 1, len(fam)):

@@ -203,6 +203,13 @@ def _elem(pres: Presentation, u: tuple[int, ...]) -> MonElem:
 
 @dataclass(frozen=True)
 class Budget:
+    """Limits of one monoid search.  `mon_eq` answers Unknown once its two
+    sides together hold more than `max_states` states.  `mon_leq`,
+    `refinement_witness` and `equidecompose` cap each closure separately:
+    it stops expanding once it holds more than `max_states` states, so its
+    last expansion can overshoot.  No search moves to a state heavier than
+    `max_weight`."""
+
     max_states: int = 100_000
     max_weight: int = 40
 
@@ -317,9 +324,14 @@ def refinement_witness(
     pres: Presentation, a: MonElem, b: MonElem, c: MonElem, d: MonElem,
     budget: Budget = Budget(),
 ):
-    """(w,x,y,z) with a=w+x, b=y+z, c=w+y, d=x+z, or Unknown."""
-    if not isinstance(mon_eq(pres, mon_add(a, b), mon_add(c, d), budget), Yes):
-        raise MonoidError("a+b = c+d not established within budget")
+    """(w,x,y,z) with a=w+x, b=y+z, c=w+y, d=x+z, or Unknown.  A proof
+    that a+b and c+d differ raises MonoidError; Unknown also when the
+    budget ran out before a+b = c+d was shown."""
+    eq = mon_eq(pres, mon_add(a, b), mon_add(c, d), budget)
+    if isinstance(eq, No):
+        raise MonoidError("a+b and c+d are unequal")
+    if isinstance(eq, Unknown):
+        return eq
     reach_a, reach_b, reach_c, reach_d = (
         _closure(pres, _vector(pres, m), budget).parents for m in (a, b, c, d)
     )

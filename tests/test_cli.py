@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from sepgroid import fixture_path
-from sepgroid.cli import _co_tokens, main
+from sepgroid.cli import COMMANDS, _co_tokens, main
 from sepgroid.lattice import LatticeError
 
 
@@ -128,6 +128,18 @@ def test_monoid_leq_and_refine(capsys):
     assert code == 0 and out.splitlines()[0] == "Yes"
 
 
+def test_refine_exit_codes(capsys):
+    # p = p + q1: Yes at the default budget, Unknown (2) when the budget runs
+    # out first; q1 + q2 and 2*q1 are provably unequal, an input error (65).
+    argv = ("refine", G1, "a:p", "a:q1", "a:p", "0")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.splitlines()[0]) == (0, "Yes")
+    assert run(capsys, *argv, "--max-steps", "1") == (2, "Unknown", "")
+    assert run_json(capsys, *argv, "--max-steps", "1") == (2, {"status": "Unknown"})
+    code, out, err = run(capsys, "refine", G1, "a:q1", "a:q2", "a:q1", "a:q1")
+    assert (code, out, err) == (65, "", "error: a+b and c+d are unequal")
+
+
 def test_typ(capsys):
     code, out, _ = run(capsys, "typ", G3, "Z(v:p) + Z(v:w)")
     assert (code, out) == (0, "a:p + a:w")
@@ -161,6 +173,66 @@ def test_json_output(capsys):
     assert doc["command"] == "normalize" and doc["result"] == "v:p"
 
 
+def run_json(capsys, *argv):
+    """The exit code and the `result` of one command's `--json` document;
+    options go after the command's arguments."""
+    code, out, err = run(capsys, *argv, "--json")
+    assert not err
+    doc = json.loads(out)
+    inputs = list(argv[1:])
+    while len(inputs) > 1 and inputs[-2].startswith("--"):
+        inputs = inputs[:-2]
+    assert doc == {"command": argv[0], "inputs": inputs, "result": doc["result"]}
+    return code, doc["result"]
+
+
+def test_json_monoid_documents(capsys):
+    assert run_json(capsys, "monoid-eq", G1, "a:p", "a:p + a:q1") == (
+        0, {"status": "Yes", "path": ["a:p", "a:p + a:q1"]}
+    )
+    assert run_json(capsys, "monoid-eq", G1, "a:q1", "a:q2") == (1, {"status": "No"})
+    assert run_json(capsys, "monoid-eq", G2, "a:w", "6*a:w", "--max-steps", "3") == (
+        2, {"status": "Unknown"}
+    )
+    assert run_json(capsys, "monoid-leq", G3, "a:w", "a:p") == (
+        0, {"status": "Yes", "z": "a:p"}
+    )
+    assert run_json(capsys, "monoid-leq", G2, "3*a:w", "a:w", "--max-steps", "1") == (
+        2, {"status": "Unknown"}
+    )
+    assert run_json(capsys, "refine", G1, "a:p", "a:q1", "a:p", "a:q1") == (
+        0, {"status": "Yes", "witness": ["a:p", "0", "0", "a:q1"]}
+    )
+
+
+HALVES = "Z(e:f1 e:f1*) + Z(e:f2 e:f2*)"
+
+
+def test_json_equidecompose_documents(capsys):
+    assert run_json(capsys, "equidecompose", G2, "Z(v:w)", HALVES) == (0, {
+        "status": "Yes",
+        "certificate": [
+            {"element": "e:f2 e:f1*", "source": "e:f1 e:f1*", "range": "e:f2 e:f2*"},
+            {"element": "e:f1 e:f2*", "source": "e:f2 e:f2*", "range": "e:f1 e:f1*"},
+        ],
+    })
+    no = run_json(capsys, "equidecompose", G1, "Z(v:q1)", "Z(v:q2)")
+    assert no == (1, {"status": "No"})
+    unknown = run_json(capsys, "equidecompose", G2, "Z(v:w)", HALVES, "--max-steps", "0")
+    assert unknown == (2, {"status": "Unknown"})
+
+
+def test_json_filter_and_validate_documents(capsys, tmp_path):
+    path = "[v:p] ; free(inf)"
+    assert run_json(capsys, "filter-contains", G3, path, "a:p.1 a:p.1*") == (0, True)
+    path = "[v:p] ; free(2)"
+    assert run_json(capsys, "filter-contains", G3, path, "b:p.1.1 b:p.1.1*") == (1, False)
+    assert run_json(capsys, "validate", G1) == (0, [])
+    bad = tmp_path / "bad.sg"
+    bad.write_text(NOT_ADAPTABLE)
+    assert run_json(capsys, "validate", str(bad)) == (1, ["|s_Ep^-1(w)| >= 2: r:w"])
+
+
 def test_idempotents(capsys):
     code, out, _ = run(capsys, "idempotents", G1, "--max-exp", "1", "--max-depth", "1")
     assert code == 0
@@ -190,12 +262,11 @@ def _readme_subcommands():
 
 def test_readme_subcommands_reach_dispatch(capsys):
     commands = _readme_subcommands()
-    assert len(commands) == 17 and "selftest" not in commands
+    assert commands == list(COMMANDS) and "selftest" not in commands
     for cmd in commands:
-        code, out, err = run(capsys, cmd)
-        assert code == 64 and not out, cmd
-        assert err.startswith(f"usage error: {cmd} GRAPH"), err
-        assert "unknown command" not in err
+        usage = COMMANDS[cmd][0]
+        assert run(capsys, cmd) == (64, "", f"usage error: {cmd} {usage}")
+        assert usage.startswith("GRAPH")
     assert run(capsys, "nonsense") == (64, "", "usage error: unknown command 'nonsense'")
 
 

@@ -165,10 +165,22 @@ def test_refinement_trivial(g1):
 
 def test_refinement_requires_precondition(g1):
     pres = mn.presentation(g1)
-    with pytest.raises(MonoidError):
+    with pytest.raises(MonoidError, match="^a\\+b and c\\+d are unequal$"):
         mn.refinement_witness(
             pres, mon_unit("q1"), mn.ZERO_ELEM, mon_unit("q2"), mn.ZERO_ELEM
         )
+    q1, q2 = mon_unit("q1"), mon_unit("q2")
+    with pytest.raises(MonoidError, match="^a\\+b and c\\+d are unequal$"):
+        mn.refinement_witness(pres, q1, q2, q1, q1)
+
+
+def test_refinement_out_of_budget_is_unknown(g1):
+    # p = p + q1 holds, but one state is too few for mon_eq to show it.
+    pres = mn.presentation(g1)
+    p, q1, one = mon_unit("p"), mon_unit("q1"), Budget(max_states=1)
+    assert isinstance(mn.mon_eq(pres, mon_add(p, q1), p, one), Unknown)
+    assert mn.refinement_witness(pres, p, q1, p, mn.ZERO_ELEM, one) == Unknown()
+    assert not isinstance(mn.refinement_witness(pres, p, q1, p, mn.ZERO_ELEM), Unknown)
 
 
 # -- the type map --------------------------------------------------------

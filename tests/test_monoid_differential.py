@@ -8,7 +8,7 @@ import pytest
 
 from sepgroid import lattice as lt, monoid as mn
 from sepgroid.graph import parse_graph
-from sepgroid.monoid import Budget, MonoidError, Unknown, Yes, mon_add, mon_of
+from sepgroid.monoid import Budget, MonoidError, No, Unknown, Yes, mon_add, mon_of
 
 import monoid_reference as ref
 from conftest import _random_cover
@@ -64,10 +64,22 @@ def _check_refinement(pres, quad, budget, new, old):
     that closure is complete, d is within the weight cap and mon_eq cannot
     reach its state cap (both of its sides together hold at most twice the
     closure); then the witnesses are equal.  Otherwise both must find a
-    witness or neither, and the new one must be sound."""
+    witness or neither, and the new one must be sound.
+
+    The reference raises MonoidError whenever mon_eq(a+b, c+d) is not Yes;
+    the new code raises only on No and answers Unknown when that mon_eq ran
+    out of budget."""
+    a, b, c, d = quad
+    if old == ("MonoidError", "a+b = c+d not established within budget"):
+        eq = ref.mon_eq(pres, mon_add(a, b), mon_add(c, d), budget)
+        if isinstance(eq, Unknown):
+            assert new == Unknown(), (quad, budget, new)
+        else:
+            assert isinstance(eq, No), (quad, budget, eq)
+            assert new == ("MonoidError", "a+b and c+d are unequal"), (quad, budget, new)
+        return
     if new == old:
         return
-    a, b, c, d = quad
     reach_d, complete, _ = ref.reachable_set(pres, d, budget)
     assert not (
         complete
