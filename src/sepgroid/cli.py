@@ -300,11 +300,13 @@ def _flag(ok: bool, yes_text: str, no_text: str):
 
 def _answer(res, lines=(), **payload):
     """A monoid answer: No exits 1 and Unknown exits 2, each with its status
-    alone; anything else is a Yes that exits 0, with `lines` after "Yes" in
-    the text and `payload` beside the status in JSON."""
-    if isinstance(res, (mn.No, mn.Unknown)):
-        status = type(res).__name__
-        return {"status": status}, [status], 1 if isinstance(res, mn.No) else 2
+    alone in the text (JSON adds an Unknown's reason); anything else is a
+    Yes that exits 0, with `lines` after "Yes" in the text and `payload`
+    beside the status in JSON."""
+    if isinstance(res, mn.No):
+        return {"status": "No"}, ["No"], 1
+    if isinstance(res, mn.Unknown):
+        return {"status": "Unknown", "reason": res.reason}, ["Unknown"], 2
     return {"status": "Yes", **payload}, ["Yes", *lines], 0
 
 

@@ -5,14 +5,23 @@ relation per separation class: a free prime p contributes a_p = a_p +
 sum of its class-i connector targets (one relation per loop index i), and
 a regular vertex v contributes a_v = sum over edges leaving v.
 
+The presentation is built once per graph.  On first use, `complete` turns
+it into a convergent rewriting system (commutative Knuth-Bendix
+completion, charged against `Budget.max_states`) and keeps it on the
+presentation; `verify_inequality` checks it once, so that different normal
+forms prove two elements unequal.  That is how `mon_eq` answers No before
+any search, and how `equidecompose` tells unequal types apart.
+
 One bounded breadth-first search, `_Search`, runs over integer vectors in
-the sorted vertex order of the presentation, built once per graph.
-`mon_eq` runs it from both sides; No only after a full congruence class
-was enumerated below the weight cap.  `mon_leq` and `refinement_witness`
-read closures run to the state cap.  Equidecomposition runs no `mon_eq`:
-a common type of the two expansion-only closures proves the types equal,
-and the relation path to the lightest one is replayed as simple expansions
-of cylinders, matched by type vertex through explicit semigroup elements.
+the sorted vertex order of the presentation.  `mon_eq` runs it from both
+sides for the relation path of a Yes (and answers No also after a full
+congruence class was enumerated below the weight cap).  `mon_leq` and
+`refinement_witness` read closures run to the state cap; `mon_leq`
+answers No when y's closure is its whole class.  Equidecomposition runs
+no `mon_eq`: a common type of the two expansion-only closures proves the
+types equal, and the relation path to the lightest one is replayed as
+simple expansions of cylinders, matched by type vertex through explicit
+semigroup elements.  Every Unknown names the limit it hit.
 
 Precondition: the graph is adaptable (graph.validate_adaptable); nothing
 here checks it.
@@ -21,9 +30,10 @@ here checks it.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from heapq import heappop, heappush
+from itertools import combinations, product
 from operator import add, ge, sub
 
 from .graph import FreePrime, SeparatedGraph
@@ -145,6 +155,10 @@ class Presentation:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
+    def _completion(self) -> _Completion:
+        return _Completion()
+
+    @cached_property
     def _moves(self) -> tuple:
         """(needed counts, change, weight change, relation) of each relation
         applied left to right, then right to left."""
@@ -208,7 +222,9 @@ class Budget:
     `refinement_witness` and `equidecompose` cap each closure separately:
     it stops expanding once it holds more than `max_states` states, so its
     last expansion can overshoot.  No search moves to a state heavier than
-    `max_weight`."""
+    `max_weight`.  Completion (`complete`) is charged one unit per critical
+    pair it processes and gives up after `max_states` of them; `max_weight`
+    does not bound it."""
 
     max_states: int = 100_000
     max_weight: int = 40
@@ -226,7 +242,154 @@ class No:
 
 @dataclass(frozen=True)
 class Unknown:
-    pass
+    """No answer within the budget.  `reason` names the limit that was hit:
+    "state cap", "weight cap" or "completion budget"; `equidecompose` also
+    answers Unknown with "types unequal", because it proves no inequality
+    (`mon_eq` does)."""
+
+    reason: str = field(default="", compare=False)
+
+
+# -- completion ----------------------------------------------------------
+
+
+def _order_key(u) -> tuple:
+    """The term order: total degree first, then reverse lex over the
+    presentation's vertices.  u is greater than v exactly when its key is."""
+    return sum(u), tuple(-n for n in reversed(u))
+
+
+def _sparse(u) -> tuple[tuple[int, int], ...]:
+    return tuple((i, n) for i, n in enumerate(u) if n)
+
+
+def _reduce(steps, u) -> tuple[int, ...]:
+    """u rewritten by (needed counts, change) steps until none applies."""
+    u = list(u)
+    again = True
+    while again:
+        again = False
+        for need, change in steps:
+            for i, n in need:
+                if u[i] < n:
+                    break
+            else:
+                k = min(u[i] // n for i, n in need)
+                for i, n in change:
+                    u[i] += k * n
+                again = True
+    return tuple(u)
+
+
+def _rule_steps(rules) -> list:
+    """The (needed counts, change) step of each rule (l, r)."""
+    return [(_sparse(l), _sparse(map(sub, r, l))) for l, r in rules]
+
+
+@dataclass(frozen=True)
+class RewritingSystem:
+    """Rules (l, r) over the vectors of `Presentation.vertices`, each with l
+    greater than r in the term order; a rule rewrites u >= l to u - l + r."""
+
+    rules: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+    @cached_property
+    def _steps(self) -> list:
+        return _rule_steps(self.rules)
+
+    def normal_form(self, u: tuple[int, ...]) -> tuple[int, ...]:
+        return _reduce(self._steps, u)
+
+
+def _critical_pair(l1, r1, l2, r2):
+    """The two rewrites of lcm(l1, l2), or None when l1 and l2 share no
+    vertex (such a pair always joins)."""
+    if not any(a and b for a, b in zip(l1, l2)):
+        return None
+    m = tuple(map(max, l1, l2))
+    return tuple(map(add, map(sub, m, l1), r1)), tuple(map(add, map(sub, m, l2), r2))
+
+
+def _complete(pres: Presentation, max_pairs: int) -> RewritingSystem | None:
+    """Commutative Knuth-Bendix completion (Buchberger's algorithm on the
+    binomial ideal) of the relations, critical pairs taken smallest lcm
+    degree first; None once more than max_pairs pairs were processed.  A
+    rule whose left side a new rule rewrites goes back to the equations."""
+    rules: dict[int, tuple] = {}  # id -> (l, r); ids fix every order
+    steps: list = []
+    todo = deque((_vector(pres, mon_unit(rel.vertex)), _vector(pres, rel.rhs))
+                 for rel in pres.relations)
+    pairs: list = []  # heap of (lcm degree, id, id)
+    processed = 0
+    new_id = 0
+    while True:
+        while todo:
+            a, b = (_reduce(steps, u) for u in todo.popleft())
+            if a == b:
+                continue
+            l, r = (a, b) if _order_key(a) > _order_key(b) else (b, a)
+            for j, (lj, rj) in list(rules.items()):
+                if all(map(ge, lj, l)):
+                    del rules[j]
+                    todo.append((lj, rj))
+            for j, (lj, _) in rules.items():
+                if any(x and y for x, y in zip(l, lj)):
+                    heappush(pairs, (sum(map(max, l, lj)), j, new_id))
+            rules[new_id] = (l, r)
+            new_id += 1
+            steps = _rule_steps(rules.values())
+        if not pairs:
+            return RewritingSystem(tuple(rules.values()))
+        _, i, j = heappop(pairs)
+        if i in rules and j in rules:
+            processed += 1
+            if processed > max_pairs:
+                return None
+            todo.append(_critical_pair(*rules[i], *rules[j]))
+
+
+def verify_inequality(pres: Presentation, system: RewritingSystem) -> bool:
+    """Whether different normal forms under `system` prove two elements of
+    M(E,C) unequal.  It checks, needing no derivations, that every rule
+    decreases in the term order (so rewriting terminates), that every
+    critical pair joins (so the system is confluent) and that the two sides
+    of every relation have one normal form (so equal elements do)."""
+    nf = system.normal_form
+    if any(_order_key(l) <= _order_key(r) for l, r in system.rules):
+        return False
+    for rel in pres.relations:
+        if nf(_vector(pres, mon_unit(rel.vertex))) != nf(_vector(pres, rel.rhs)):
+            return False
+    for (l1, r1), (l2, r2) in combinations(system.rules, 2):
+        pair = _critical_pair(l1, r1, l2, r2)
+        if pair is not None and nf(pair[0]) != nf(pair[1]):
+            return False
+    return True
+
+
+@dataclass
+class _Completion:
+    """What `complete` has found for one presentation."""
+
+    system: RewritingSystem | None = None
+    gave_up_at: int = -1  # the largest max_states that completion ran out of
+
+
+def complete(pres: Presentation, budget: Budget = Budget()):
+    """The convergent rewriting system of the presentation, which has passed
+    `verify_inequality`, or Unknown("completion budget") when more than
+    `budget.max_states` critical pairs would be needed.  Computed on first
+    use and kept on the presentation; a run that gave up is not repeated
+    under a budget no larger."""
+    state = pres._completion
+    if state.system is None and budget.max_states > state.gave_up_at:
+        system = _complete(pres, budget.max_states)
+        if system is None:
+            state.gave_up_at = budget.max_states
+        elif not verify_inequality(pres, system):
+            raise MonoidError("completed system failed verification")
+        state.system = system
+    return state.system or Unknown("completion budget")
 
 
 class _Search:
@@ -284,13 +447,39 @@ def _closure(pres: Presentation, x, budget: Budget, expand_only=False) -> _Searc
     return search
 
 
+def _limit(*searches: _Search) -> str:
+    """The limit that stopped searches which found nothing; empty when they
+    were exhausted with nothing pruned."""
+    if any(s.queue for s in searches):
+        return "state cap"
+    return "weight cap" if any(s.pruned for s in searches) else ""
+
+
+def _unequal(system, u, v) -> bool:
+    """Whether a completed system gives u and v different normal forms."""
+    return isinstance(system, RewritingSystem) and system.normal_form(u) != system.normal_form(v)
+
+
+def _unknown(system, limit: str) -> Unknown:
+    """Unknown naming the completion budget when completion gave up (then
+    `system` is that Unknown), else `limit`."""
+    return system if isinstance(system, Unknown) else Unknown(limit)
+
+
 def mon_eq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()):
-    """Bounded bidirectional search; No only on provable exhaustion."""
+    """No when the completed system gives x and y different normal forms;
+    otherwise a bounded bidirectional search, which answers Yes with a
+    relation path, No once it has enumerated a whole congruence class, or
+    Unknown naming the limit it hit (the completion budget, when completion
+    gave up)."""
     ux, uy = _vector(pres, x), _vector(pres, y)
     if ux == uy:
         return Yes((x,))
+    system = complete(pres, budget)
+    if _unequal(system, ux, uy):
+        return No()
     if sum(ux) > budget.max_weight or sum(uy) > budget.max_weight:
-        return Unknown()
+        return _unknown(system, "weight cap")
     sides = (_Search(pres, ux, budget.max_weight), _Search(pres, uy, budget.max_weight))
     states = 2
     while sides[0].queue or sides[1].queue:
@@ -302,21 +491,24 @@ def mon_eq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()
                 path = sides[0].trail(w)[::-1] + sides[1].trail(w)[1:]
                 return Yes(tuple(_elem(pres, u) for u, _ in path))
             if states > budget.max_states:
-                return Unknown()
+                return _unknown(system, "state cap")
     if not (sides[0].pruned and sides[1].pruned):
         return No()
-    return Unknown()
+    return _unknown(system, "weight cap")
 
 
 def mon_leq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()):
-    """Yes(z) with x + z equal to y, or Unknown."""
+    """Yes(z) with x + z equal to y; No when the closure of y, exhausted
+    with nothing pruned (the whole congruence class of y), holds no vector
+    >= x; else Unknown naming the limit hit."""
     ux = _vector(pres, x)
+    search = _closure(pres, _vector(pres, y), budget)
     best = None
-    for u in _closure(pres, _vector(pres, y), budget).parents:
+    for u in search.parents:
         if all(map(ge, u, ux)) and (best is None or sum(u) < sum(best)):
             best = u
     if best is None:
-        return Unknown()
+        return Unknown(_limit(search)) if search.queue or search.pruned else No()
     return Yes((_elem(pres, tuple(map(sub, best, ux))),))
 
 
@@ -332,9 +524,8 @@ def refinement_witness(
         raise MonoidError("a+b and c+d are unequal")
     if isinstance(eq, Unknown):
         return eq
-    reach_a, reach_b, reach_c, reach_d = (
-        _closure(pres, _vector(pres, m), budget).parents for m in (a, b, c, d)
-    )
+    searches = [_closure(pres, _vector(pres, m), budget) for m in (a, b, c, d)]
+    reach_a, reach_b, reach_c, reach_d = (s.parents for s in searches)
     for ua in reach_a:
         for w in _below(ua):
             xx = tuple(map(sub, ua, w))
@@ -348,7 +539,7 @@ def refinement_witness(
                     zz = tuple(map(sub, ub, yy))
                     if tuple(map(add, xx, zz)) in reach_d:
                         return tuple(_elem(pres, u) for u in (w, xx, yy, zz))
-    return Unknown()
+    return Unknown(_limit(*searches))
 
 
 def _below(u):
@@ -449,13 +640,17 @@ def equidecompose(
 ):
     """A certificate that A and B are equidecomposable, or Unknown if no
     common type is found within the budget.  Of the lightest common types,
-    the first in A's breadth-first order is used."""
+    the first in A's breadth-first order is used.  Types with different
+    normal forms give Unknown("types unequal") before any search."""
     pres = presentation(g)
-    ta, tb = typ_of(g, a), typ_of(g, b)
-    reach_a, reach_b = (_closure(pres, _vector(pres, t), budget, True) for t in (ta, tb))
+    ta, tb = (_vector(pres, typ_of(g, x)) for x in (a, b))
+    system = complete(pres, budget)
+    if _unequal(system, ta, tb):
+        return Unknown("types unequal")
+    reach_a, reach_b = (_closure(pres, t, budget, True) for t in (ta, tb))
     common = [t for t in reach_a.parents if t in reach_b.parents]
     if not common:
-        return Unknown()
+        return _unknown(system, _limit(reach_a, reach_b))
     t = min(common, key=sum)
     fin_a, fin_b = _replay(g, a, reach_a, t), _replay(g, b, reach_b, t)
     by_vertex: dict[str, list[Element]] = {}

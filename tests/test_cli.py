@@ -124,6 +124,8 @@ def test_monoid_eq_examples(capsys):
 def test_monoid_leq_and_refine(capsys):
     code, out, _ = run(capsys, "monoid-leq", G3, "a:w", "a:p")
     assert code == 0 and out.splitlines()[0] == "Yes"
+    # the closure of q2 is {q2}, complete and unpruned: q1 <= q2 is false
+    assert run(capsys, "monoid-leq", G1, "a:q1", "a:q2") == (1, "No", "")
     code, out, _ = run(capsys, "refine", G1, "a:p", "a:q1", "a:p", "a:q1")
     assert code == 0 and out.splitlines()[0] == "Yes"
 
@@ -135,7 +137,9 @@ def test_refine_exit_codes(capsys):
     code, out, _ = run(capsys, *argv)
     assert (code, out.splitlines()[0]) == (0, "Yes")
     assert run(capsys, *argv, "--max-steps", "1") == (2, "Unknown", "")
-    assert run_json(capsys, *argv, "--max-steps", "1") == (2, {"status": "Unknown"})
+    assert run_json(capsys, *argv, "--max-steps", "1") == (
+        2, {"status": "Unknown", "reason": "state cap"}
+    )
     code, out, err = run(capsys, "refine", G1, "a:q1", "a:q2", "a:q1", "a:q1")
     assert (code, out, err) == (65, "", "error: a+b and c+d are unequal")
 
@@ -192,14 +196,25 @@ def test_json_monoid_documents(capsys):
     )
     assert run_json(capsys, "monoid-eq", G1, "a:q1", "a:q2") == (1, {"status": "No"})
     assert run_json(capsys, "monoid-eq", G2, "a:w", "6*a:w", "--max-steps", "3") == (
-        2, {"status": "Unknown"}
+        2, {"status": "Unknown", "reason": "state cap"}
+    )
+    assert run_json(capsys, "monoid-eq", G2, "a:w", "6*a:w", "--max-weight", "5") == (
+        2, {"status": "Unknown", "reason": "weight cap"}
+    )
+    # g1's completion processes one critical pair, so zero is too few
+    assert run_json(capsys, "monoid-eq", G1, "a:p + a:q1", "a:p + a:q2", "--max-steps", "0") == (
+        2, {"status": "Unknown", "reason": "completion budget"}
     )
     assert run_json(capsys, "monoid-leq", G3, "a:w", "a:p") == (
         0, {"status": "Yes", "z": "a:p"}
     )
     assert run_json(capsys, "monoid-leq", G2, "3*a:w", "a:w", "--max-steps", "1") == (
-        2, {"status": "Unknown"}
+        2, {"status": "Unknown", "reason": "state cap"}
     )
+    assert run_json(capsys, "monoid-leq", G2, "3*a:w", "a:w", "--max-weight", "1") == (
+        2, {"status": "Unknown", "reason": "weight cap"}
+    )
+    assert run_json(capsys, "monoid-leq", G1, "a:q1", "a:q2") == (1, {"status": "No"})
     assert run_json(capsys, "refine", G1, "a:p", "a:q1", "a:p", "a:q1") == (
         0, {"status": "Yes", "witness": ["a:p", "0", "0", "a:q1"]}
     )
@@ -219,7 +234,7 @@ def test_json_equidecompose_documents(capsys):
     no = run_json(capsys, "equidecompose", G1, "Z(v:q1)", "Z(v:q2)")
     assert no == (1, {"status": "No"})
     unknown = run_json(capsys, "equidecompose", G2, "Z(v:w)", HALVES, "--max-steps", "0")
-    assert unknown == (2, {"status": "Unknown"})
+    assert unknown == (2, {"status": "Unknown", "reason": "state cap"})
 
 
 def test_json_filter_and_validate_documents(capsys, tmp_path):

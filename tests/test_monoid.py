@@ -148,6 +148,76 @@ def test_small_budget_gives_unknown(g2):
     assert isinstance(res, Unknown)
 
 
+def test_mon_leq_proves_no(g1, g2):
+    # The closure of q2 is {q2}, exhausted with nothing pruned: it is the
+    # whole congruence class of q2, and no vector in it is >= q1.
+    pres = mn.presentation(g1)
+    assert mn.mon_leq(pres, mon_unit("q1"), mon_unit("q2")) == No()
+    assert isinstance(mn.mon_leq(pres, mon_unit("q1"), mon_unit("p")), Yes)
+    # w = 3w in g2, but a cut or pruned closure proves nothing
+    pres = mn.presentation(g2)
+    three, one = mon_of({"w": 3}), mon_unit("w")
+    assert mn.mon_leq(pres, three, one, Budget(1, 40)).reason == "state cap"
+    assert mn.mon_leq(pres, three, one, Budget(100, 1)).reason == "weight cap"
+    assert isinstance(mn.mon_leq(pres, three, one), Yes)
+
+
+def test_unknown_names_the_limit_it_hit(g1, g2):
+    assert Unknown("state cap") == Unknown()
+    pres = mn.presentation(g2)
+    w, six = mon_unit("w"), mon_of({"w": 6})
+    assert mn.mon_eq(pres, w, six, Budget(3, 6)).reason == "state cap"
+    assert mn.mon_eq(pres, w, six, Budget(100, 5)).reason == "weight cap"
+    # g1's completion processes one critical pair: none are allowed here,
+    # and the search is cut as well (a fresh graph: the shared one may
+    # already hold its system)
+    pres = mn.presentation(load_fixture("g1.sg"))
+    x, y = mon_of({"p": 1, "q1": 1}), mon_of({"p": 1, "q2": 1})
+    assert mn.mon_eq(pres, x, y, Budget(0, 40)).reason == "completion budget"
+    assert isinstance(mn.mon_eq(pres, x, y), Yes)
+    cert = mn.equidecompose(g1, co(g1, "v:q1"), co(g1, "v:q2"))
+    assert cert == Unknown() and cert.reason == "types unequal"
+
+
+def test_completion_decides_the_fixtures(graphs):
+    for g in graphs.values():
+        pres = mn.presentation(g)
+        system = mn.complete(pres)
+        assert mn.verify_inequality(pres, system)
+        assert mn.complete(pres) is system
+    pres = mn.presentation(graphs["g1"])
+    system = mn.complete(pres)
+    # p + q1 -> p and p + q2 -> p; q1 and q2 are normal forms
+    assert system.rules == (((1, 1, 0), (1, 0, 0)), ((1, 0, 1), (1, 0, 0)))
+    assert mn.mon_eq(pres, mon_unit("q1"), mon_unit("q2"), Budget(0, 0)) == No()
+    # a system that does not join a relation proves nothing
+    assert not mn.verify_inequality(pres, mn.RewritingSystem(system.rules[:1]))
+    # nor does one with a rule that does not decrease
+    assert not mn.verify_inequality(pres, mn.RewritingSystem(
+        system.rules + (((1, 0, 0), (1, 1, 0)),)))
+    # nor one whose critical pair q1 <- q1 + q2 -> q2 does not join
+    assert not mn.verify_inequality(pres, mn.RewritingSystem(
+        system.rules + (((0, 1, 1), (0, 1, 0)), ((0, 1, 1), (0, 0, 1)))))
+
+
+def test_completion_that_gave_up_is_not_retried(monkeypatch):
+    pres = mn.presentation(load_fixture("g1.sg"))
+    runs = []
+    complete = mn._complete
+
+    def counted(pres, max_pairs):
+        runs.append(max_pairs)
+        return complete(pres, max_pairs)
+
+    monkeypatch.setattr(mn, "_complete", counted)
+    assert mn.complete(pres, Budget(0)) == Unknown()
+    assert mn.complete(pres, Budget(0)).reason == "completion budget"
+    assert runs == [0]
+    system = mn.complete(pres, Budget(1))
+    assert isinstance(system, mn.RewritingSystem) and runs == [0, 1]
+    assert mn.complete(pres, Budget(0)) is system and runs == [0, 1]
+
+
 # -- refinement ----------------------------------------------------------
 
 

@@ -3,6 +3,8 @@ replaced, kept in `monoid_reference.py`, on the fixtures and on graphs from
 the benchmark's seeded generator."""
 
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -58,6 +60,25 @@ def _both(fn_new, fn_ref, *args):
     return out
 
 
+def _proves_unequal(pres, x, y, budget):
+    """Whether the graph's completed system, which must pass
+    verify_inequality, gives x and y different normal forms."""
+    system = mn.complete(pres, budget)
+    if isinstance(system, Unknown):
+        return False
+    assert mn.verify_inequality(pres, system)
+    return system.normal_form(mn._vector(pres, x)) != system.normal_form(mn._vector(pres, y))
+
+
+def _check_mon_eq(pres, x, y, budget, new, old):
+    """The reference answers No only on an exhausted congruence class; the
+    new code also on different normal forms, so it may answer No where the
+    reference says Unknown, and only there."""
+    if new != old:
+        assert isinstance(old, Unknown) and isinstance(new, No), (x, y, budget, new, old)
+        assert _proves_unequal(pres, x, y, budget), (x, y, budget)
+
+
 def _check_refinement(pres, quad, budget, new, old):
     """The reference accepts a candidate when `mon_eq(d, x + z)` says Yes,
     the new code when x + z lies in d's closure.  The two tests agree when
@@ -67,12 +88,15 @@ def _check_refinement(pres, quad, budget, new, old):
     witness or neither, and the new one must be sound.
 
     The reference raises MonoidError whenever mon_eq(a+b, c+d) is not Yes;
-    the new code raises only on No and answers Unknown when that mon_eq ran
+    the new code raises only on No, which may come from normal forms where
+    the reference search gives up, and answers Unknown when that mon_eq ran
     out of budget."""
     a, b, c, d = quad
     if old == ("MonoidError", "a+b = c+d not established within budget"):
         eq = ref.mon_eq(pres, mon_add(a, b), mon_add(c, d), budget)
-        if isinstance(eq, Unknown):
+        if isinstance(eq, Unknown) and _proves_unequal(pres, mon_add(a, b), mon_add(c, d), budget):
+            assert new == ("MonoidError", "a+b and c+d are unequal"), (quad, budget, new)
+        elif isinstance(eq, Unknown):
             assert new == Unknown(), (quad, budget, new)
         else:
             assert isinstance(eq, No), (quad, budget, eq)
@@ -105,21 +129,33 @@ def test_one_search_matches_the_reference(graphs, gen_module, name):
     pres = mn.presentation(g)
     verts = list(pres.vertices)
     pool = list(lt.enumerate_idempotents(g, lt.Bounds(max_depth=1, max_exp=1, max_len=1)))
+    leq_rng = random.Random(name + "/leq")
     for budget in BUDGETS:
         for _ in range(6):
             x = _random_elem(rng, verts, 3)
             for y in (_random_elem(rng, verts, 3), _expanded(rng, pres, x, 3)):
                 new, old = _both(mn.mon_eq, ref.mon_eq, pres, x, y, budget)
-                assert new == old, (x, y, budget)
+                _check_mon_eq(pres, x, y, budget, new, old)
 
             z = _random_elem(rng, verts, 2)
-            y = _expanded(rng, pres, mon_add(x, z), 2)
-            new, old = _both(mn.mon_leq, ref.mon_leq, pres, x, y, budget)
-            if new != old:
-                # the reference's second search may hit its state cap
-                assert isinstance(old, Unknown) and isinstance(new, Yes), (x, y, budget)
-                parents, _, _ = ref.reachable_set(pres, y, budget)
-                assert mon_add(x, new.path[0]) in parents
+            ys = [_expanded(rng, pres, mon_add(x, z), 2)]
+            # unrelated pairs, where No can come; the reference's closure
+            # costs seconds at the largest budget
+            if budget.max_states <= 50:
+                ys.append(_random_elem(leq_rng, verts, 3))
+            for y in ys:
+                new, old = _both(mn.mon_leq, ref.mon_leq, pres, x, y, budget)
+                if new == old:
+                    continue
+                # The reference never answers No, and its second search may
+                # hit its state cap.
+                assert isinstance(old, Unknown), (x, y, budget)
+                parents, complete, pruned = ref.reachable_set(pres, y, budget)
+                if isinstance(new, No):
+                    assert complete and not pruned, (x, y, budget)
+                    assert not any(mn.mon_geq(u, x) for u in parents), (x, y, budget)
+                else:
+                    assert mon_add(x, new.path[0]) in parents, (x, y, budget)
 
         # The reference spends minutes on some generated quadruples at the
         # largest budget (one mon_eq per candidate), so those are left out.
@@ -131,9 +167,13 @@ def test_one_search_matches_the_reference(graphs, gen_module, name):
 
         for a, b in _compact_opens(rng, g, pool):
             new, old = _both(mn.equidecompose, ref.equidecompose, g, a, b, budget)
-            gate = ref.mon_eq(pres, mn.typ_of(g, a), mn.typ_of(g, b), budget)
+            ta, tb = mn.typ_of(g, a), mn.typ_of(g, b)
+            gate = ref.mon_eq(pres, ta, tb, budget)
             if not isinstance(new, Unknown):
                 assert not isinstance(gate, mn.No), (a, b, budget)
+            elif new.reason == "types unequal":
+                assert not isinstance(gate, Yes), (a, b, budget)
+                assert _proves_unequal(pres, ta, tb, budget), (a, b, budget)
             # The reference still runs its mon_eq gate first; the new code
             # answers from its expansion-only closures alone, so it may find
             # a certificate where that gate gives up.
@@ -145,3 +185,49 @@ def test_one_search_matches_the_reference(graphs, gen_module, name):
                 continue
             assert mn.verify_certificate(g, new, a, b) and mn.verify_certificate(g, old, a, b)
             assert len(new.elements) == len(old.elements)
+
+
+def test_normal_forms_agree_with_the_search(gen_module):
+    """On generated graphs the completed system verifies, and its normal
+    forms are equal wherever the reference search proves Yes and differ
+    wherever it proves No (pairs of vertices give most of the No answers).
+    Tower graphs need up to about 600 critical pairs."""
+    answers = Counter()
+    for name in [f"mixed_graph/nf-{i}" for i in range(6)] + ["tower_graph/diff-0", "tower_graph/diff-1"]:
+        g = _graph(name, {}, gen_module)
+        pres = mn.presentation(g)
+        system = mn.complete(pres, Budget(1000, 10))
+        assert isinstance(system, mn.RewritingSystem), name
+        assert mn.verify_inequality(pres, system), name
+        rng = random.Random(name)
+        verts = list(pres.vertices)
+        pairs = [(mn.mon_unit(v), mn.mon_unit(u)) for v, u in combinations(verts, 2)]
+        for _ in range(30):
+            x = _random_elem(rng, verts, 3)
+            pairs += [(x, _random_elem(rng, verts, 3)), (x, _expanded(rng, pres, x, 3))]
+        for x, y in pairs:
+            bfs = ref.mon_eq(pres, x, y, Budget(50, 10))
+            same = system.normal_form(mn._vector(pres, x)) == system.normal_form(mn._vector(pres, y))
+            if not isinstance(bfs, Unknown):
+                assert same == isinstance(bfs, Yes), (name, x, y, bfs)
+            answers[type(bfs).__name__] += 1
+    assert answers["Yes"] >= 200 and answers["No"] >= 15, answers
+
+
+def test_completion_out_of_budget_leaves_the_search(gen_module):
+    """regular_graph("diff-0") does not complete within 300 critical pairs;
+    mon_eq then answers as the reference search does, and its Unknowns name
+    the completion budget."""
+    g = _graph("regular_graph/diff-0", {}, gen_module)
+    pres = mn.presentation(g)
+    budget = Budget(300, 10)
+    assert mn.complete(pres, budget).reason == "completion budget"
+    rng = random.Random("regular_graph/diff-0")
+    verts = list(pres.vertices)
+    for _ in range(20):
+        x = _random_elem(rng, verts, 3)
+        for y in (_random_elem(rng, verts, 3), _expanded(rng, pres, x, 3)):
+            new = mn.mon_eq(pres, x, y, budget)
+            assert new == ref.mon_eq(pres, x, y, budget), (x, y)
+            if isinstance(new, Unknown):
+                assert new.reason == "completion budget", (x, y)
