@@ -224,6 +224,12 @@ def co_of(g: SeparatedGraph, *elements: Element) -> CompactOpen:
     return out
 
 
+def co_of_orthogonal(g: SeparatedGraph, elements) -> CompactOpen:
+    """The cylinders of nonzero idempotents, sorted.  This is their union
+    when they are pairwise orthogonal, with nothing to subtract."""
+    return _normalize(g, [epath_of(g, e) for e in elements])
+
+
 def _normalize(g: SeparatedGraph, cyls) -> CompactOpen:
     return CompactOpen(tuple(sorted(cyls, key=lambda mu: epath_key(g, mu))))
 
@@ -293,6 +299,8 @@ def co_is_empty(a: CompactOpen) -> bool:
 
 
 def co_eq(g: SeparatedGraph, a: CompactOpen, b: CompactOpen) -> bool:
+    if a == b:
+        return True
     return co_is_empty(co_subtract(g, a, b)) and co_is_empty(co_subtract(g, b, a))
 
 
@@ -320,8 +328,7 @@ def is_orthogonal_cover(g: SeparatedGraph, e: Element, sigma) -> bool:
 
 def _covers(g: SeparatedGraph, e: Element, sigma) -> bool:
     """Whether the cylinders of sigma, idempotents below e, cover Z(e)."""
-    covered = _normalize(g, [epath_of(g, f) for f in sigma])
-    return co_is_empty(co_subtract(g, co_of(g, e), covered))
+    return co_is_empty(co_subtract(g, co_of(g, e), co_of_orthogonal(g, sigma)))
 
 
 def orthogonalize_cover(g: SeparatedGraph, e: Element, sigma) -> list[Element]:

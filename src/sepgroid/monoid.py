@@ -19,9 +19,11 @@ congruence class was enumerated below the weight cap).  `mon_leq` and
 `refinement_witness` read closures run to the state cap; `mon_leq`
 answers No when y's closure is its whole class.  Equidecomposition runs
 no `mon_eq`: a common type of the two expansion-only closures proves the
-types equal, and the relation path to the lightest one is replayed as
-simple expansions of cylinders, matched by type vertex through explicit
-semigroup elements.  Every Unknown names the limit it hit.
+types equal.  They are expanded alternately and stop once no lighter
+common type can appear, and the relation path to the lightest one is
+replayed as simple expansions of cylinders, matched by type vertex
+through explicit semigroup elements.  Every Unknown names the limit it
+hit.
 
 Precondition: the graph is adaptable (graph.validate_adaptable); nothing
 here checks it.
@@ -37,7 +39,7 @@ from itertools import combinations, product
 from operator import add, ge, sub
 
 from .graph import FreePrime, SeparatedGraph
-from .lattice import CompactOpen, co_eq, co_of, epath_end, first_overlap
+from .lattice import CompactOpen, co_eq, co_of_orthogonal, epath_end, first_overlap
 from .lattice import simple_expand, trusted_idem
 from .semigroup import (
     Element,
@@ -47,6 +49,7 @@ from .semigroup import (
     Triple,
     cpath_range,
     is_idempotent,
+    is_zero,
     mul,
     star,
 )
@@ -221,10 +224,11 @@ class Budget:
     sides together hold more than `max_states` states.  `mon_leq`,
     `refinement_witness` and `equidecompose` cap each closure separately:
     it stops expanding once it holds more than `max_states` states, so its
-    last expansion can overshoot.  No search moves to a state heavier than
-    `max_weight`.  Completion (`complete`) is charged one unit per critical
-    pair it processes and gives up after `max_states` of them; `max_weight`
-    does not bound it."""
+    last expansion can overshoot.  `equidecompose` stops both of its
+    closures earlier, once no lighter common type can appear.  No search
+    moves to a state heavier than `max_weight`.  Completion (`complete`) is
+    charged one unit per critical pair it processes and gives up after
+    `max_states` of them; `max_weight` does not bound it."""
 
     max_states: int = 100_000
     max_weight: int = 40
@@ -439,12 +443,54 @@ class _Search:
         return out + [(u, None)]
 
 
-def _closure(pres: Presentation, x, budget: Budget, expand_only=False) -> _Search:
+def _open(search: _Search, budget: Budget) -> bool:
+    """Whether the search is neither exhausted nor over the state cap."""
+    return bool(search.queue) and len(search.parents) <= budget.max_states
+
+
+def _closure(pres: Presentation, x, budget: Budget) -> _Search:
     """The search from x, run until it is exhausted or over the state cap."""
-    search = _Search(pres, x, budget.max_weight, expand_only)
-    while search.queue and len(search.parents) <= budget.max_states:
+    search = _Search(pres, x, budget.max_weight)
+    while _open(search, budget):
         search.expand()
     return search
+
+
+def _common_closures(pres: Presentation, ta, tb, budget: Budget):
+    """The expansion-only searches from ta and tb, and the lightest state
+    both reached, first in A's breadth-first order (None if there is none).
+
+    The two are expanded alternately, each only while it is open (as
+    `_closure` runs it) and could still change the answer.  Once a common
+    state of weight w is known, A could change it only by reaching a state
+    lighter than w (a tie would come later in A's order), and B only by
+    reaching one no heavier than w.  Every expansion move adds at least
+    `step` to the weight, so when step >= 0 a queued state u leads to
+    nothing lighter than sum(u) + step.  The answer is the one the two
+    closures run to the state cap would give."""
+    a, b = (_Search(pres, t, budget.max_weight, expand_only=True) for t in (ta, tb))
+    step = min((dw for _, _, dw, _ in a.moves), default=0)
+    best = sum(ta) if ta == tb else None  # the lightest common weight so far
+
+    def wanted(search: _Search, slack: int) -> bool:
+        return _open(search, budget) and (
+            best is None
+            or step < 0
+            or any(sum(u) + step < best + slack for u in search.queue)
+        )
+
+    # (search, other search, slack): A is wanted while it could reach a
+    # state lighter than best, B one no heavier.  A side no longer wanted
+    # is never wanted again: it is not expanded, and best only falls.
+    sides = [(a, b, 0), (b, a, 1)]
+    while sides:
+        sides = [(s, other, slack) for s, other, slack in sides if wanted(s, slack)]
+        for search, other, _ in sides:
+            for w in search.expand():
+                if w in other.parents and (best is None or sum(w) < best):
+                    best = sum(w)
+    common = [t for t in a.parents if t in b.parents]
+    return a, b, min(common, key=sum) if common else None
 
 
 def _limit(*searches: _Search) -> str:
@@ -607,13 +653,16 @@ class EquidecompCertificate:
 def verify_certificate(
     g: SeparatedGraph, cert: EquidecompCertificate, a: CompactOpen, b: CompactOpen
 ) -> bool:
+    """Whether every element s is nonzero with s*s its source and s s* its
+    range, and the sources (ranges) are pairwise orthogonal with union A
+    (B)."""
     if not (len(cert.elements) == len(cert.sources) == len(cert.ranges)):
         return False
     for s, src, rng in zip(cert.elements, cert.sources, cert.ranges):
-        if mul(g, star(g, s), s) != src or mul(g, s, star(g, s)) != rng:
+        if is_zero(s) or mul(g, star(g, s), s) != src or mul(g, s, star(g, s)) != rng:
             return False
     for group, whole in ((cert.sources, a), (cert.ranges, b)):
-        if first_overlap(g, group) is not None or not co_eq(g, co_of(g, *group), whole):
+        if first_overlap(g, group) is not None or not co_eq(g, co_of_orthogonal(g, group), whole):
             return False
     return True
 
@@ -647,11 +696,9 @@ def equidecompose(
     system = complete(pres, budget)
     if _unequal(system, ta, tb):
         return Unknown("types unequal")
-    reach_a, reach_b = (_closure(pres, t, budget, True) for t in (ta, tb))
-    common = [t for t in reach_a.parents if t in reach_b.parents]
-    if not common:
+    reach_a, reach_b, t = _common_closures(pres, ta, tb, budget)
+    if t is None:
         return _unknown(system, _limit(reach_a, reach_b))
-    t = min(common, key=sum)
     fin_a, fin_b = _replay(g, a, reach_a, t), _replay(g, b, reach_b, t)
     by_vertex: dict[str, list[Element]] = {}
     for e in fin_b:

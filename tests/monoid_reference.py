@@ -4,7 +4,12 @@ search over integer vectors, kept verbatim as a differential reference.
 `_neighbors` rewrites MonElem dicts one relation at a time, `mon_eq` is the
 undirected bidirectional search, `mon_leq` and `refinement_witness` read
 cached reachable sets, and `equidecompose` expands cylinder lists at every
-state of both refinement closures.  Only the tests import this module.
+state of both refinement closures.
+
+Two later forms of `sepgroid.monoid` code are kept beside them:
+`equidecompose_to_cap` runs both expansion-only closures to the state cap
+before it picks the lightest common type, and `verify_certificate_by_co_of`
+builds each union with `co_of`.  Only the tests import this module.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 
-from sepgroid.lattice import CompactOpen, simple_expand, trusted_idem
+from sepgroid import monoid as mn
+from sepgroid.lattice import CompactOpen, co_is_empty, co_of, co_subtract, first_overlap
+from sepgroid.lattice import simple_expand, trusted_idem
 from sepgroid.monoid import (
     Budget,
     EquidecompCertificate,
@@ -37,7 +44,7 @@ from sepgroid.monoid import (
     vertex_of_idempotent,
 )
 from sepgroid.graph import SeparatedGraph
-from sepgroid.semigroup import Element
+from sepgroid.semigroup import Element, mul, star
 
 
 def _neighbors(pres: Presentation, u: MonElem, max_weight: int):
@@ -267,3 +274,61 @@ def equidecompose(
         raise MonoidError("constructed certificate failed verification")
     return cert
 
+
+def _expansion_closure(pres: Presentation, x, budget: Budget) -> mn._Search:
+    search = mn._Search(pres, x, budget.max_weight, expand_only=True)
+    while search.queue and len(search.parents) <= budget.max_states:
+        search.expand()
+    return search
+
+
+def equidecompose_to_cap(
+    g: SeparatedGraph, a: CompactOpen, b: CompactOpen, budget: Budget = Budget()
+):
+    """`sepgroid.monoid.equidecompose` with both expansion-only closures run
+    until they are exhausted or over the state cap; of the lightest common
+    types, the first in A's breadth-first order is replayed."""
+    pres = presentation(g)
+    ta, tb = (mn._vector(pres, typ_of(g, x)) for x in (a, b))
+    system = mn.complete(pres, budget)
+    if mn._unequal(system, ta, tb):
+        return Unknown("types unequal")
+    reach_a, reach_b = (_expansion_closure(pres, t, budget) for t in (ta, tb))
+    common = [t for t in reach_a.parents if t in reach_b.parents]
+    if not common:
+        return mn._unknown(system, mn._limit(reach_a, reach_b))
+    t = min(common, key=sum)
+    fin_a, fin_b = mn._replay(g, a, reach_a, t), mn._replay(g, b, reach_b, t)
+    by_vertex: dict[str, list[Element]] = {}
+    for e in fin_b:
+        by_vertex.setdefault(vertex_of_idempotent(g, e), []).append(e)
+    elements, sources, ranges = [], [], []
+    for ea in fin_a:
+        eb = by_vertex[vertex_of_idempotent(g, ea)].pop()
+        s = connect_idempotents(g, eb, ea)
+        elements.append(s)
+        sources.append(ea)
+        ranges.append(eb)
+    cert = EquidecompCertificate(tuple(elements), tuple(sources), tuple(ranges))
+    if not verify_certificate(g, cert, a, b):
+        raise MonoidError("constructed certificate failed verification")
+    return cert
+
+
+def verify_certificate_by_co_of(
+    g: SeparatedGraph, cert: EquidecompCertificate, a: CompactOpen, b: CompactOpen
+) -> bool:
+    """Certificate verification with each union built by `co_of`, one
+    `co_union` per piece, and compared by subtraction both ways."""
+    if not (len(cert.elements) == len(cert.sources) == len(cert.ranges)):
+        return False
+    for s, src, rng in zip(cert.elements, cert.sources, cert.ranges):
+        if mul(g, star(g, s), s) != src or mul(g, s, star(g, s)) != rng:
+            return False
+    for group, whole in ((cert.sources, a), (cert.ranges, b)):
+        if first_overlap(g, group) is not None:
+            return False
+        union = co_of(g, *group)
+        if not (co_is_empty(co_subtract(g, union, whole)) and co_is_empty(co_subtract(g, whole, union))):
+            return False
+    return True

@@ -180,6 +180,22 @@ def test_boolean_ring_laws(graphs, rng):
             )
 
 
+def test_co_eq_compares_canonical_forms_first(g3, monkeypatch):
+    whole = co(g3, "v:p")
+    halves = lt.co_of(g3, *lt.simple_expand(g3, w(g3, "v:p"), 1))
+    # different forms of one set: decided by subtraction
+    assert whole != halves
+    assert lt.co_eq(g3, whole, halves) and lt.co_eq(g3, halves, whole)
+    assert not lt.co_eq(g3, whole, co(g3, "v:w"))
+    assert not lt.co_eq(g3, halves, co(g3, "a:p.1 a:p.1*"))
+
+    def no_subtraction(*args):
+        raise AssertionError("identical forms need no subtraction")
+
+    monkeypatch.setattr(lt, "co_subtract", no_subtraction)
+    assert lt.co_eq(g3, halves, CompactOpen(halves.cyls))
+
+
 def test_empty_compact_open(g1):
     empty = CompactOpen(())
     assert lt.co_is_empty(empty)

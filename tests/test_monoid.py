@@ -373,6 +373,16 @@ def test_equidecompose_iff_mon_eq_sample(graphs, rng):
                 assert mn.verify_certificate(g, cert, a, b)
 
 
+def test_certificate_with_a_zero_piece_does_not_verify(g1):
+    a = co(g1, "v:q1")
+    cert = mn.equidecompose(g1, a, a)
+    assert mn.verify_certificate(g1, cert, a, a)
+    zero = mn.EquidecompCertificate(
+        cert.elements + (sg.ZERO,), cert.sources + (sg.ZERO,), cert.ranges + (sg.ZERO,)
+    )
+    assert mn.verify_certificate(g1, zero, a, a) is False
+
+
 def test_unknown_vertex_is_rejected_at_the_boundary(g1):
     pres = mn.presentation(g1)
     stray = mon_unit("nosuch")

@@ -8,12 +8,12 @@ from itertools import combinations
 
 import pytest
 
-from sepgroid import lattice as lt, monoid as mn
+from sepgroid import lattice as lt, monoid as mn, semigroup as sg
 from sepgroid.graph import parse_graph
 from sepgroid.monoid import Budget, MonoidError, No, Unknown, Yes, mon_add, mon_of
 
 import monoid_reference as ref
-from conftest import _random_cover
+from conftest import _random_cover, _top_idem
 
 BUDGETS = [Budget(3, 6), Budget(50, 8), Budget(300, 10)]
 GRAPHS = ["g0", "g1", "g2", "g3"] + [
@@ -231,3 +231,133 @@ def test_completion_out_of_budget_leaves_the_search(gen_module):
             assert new == ref.mon_eq(pres, x, y, budget), (x, y)
             if isinstance(new, Unknown):
                 assert new.reason == "completion budget", (x, y)
+
+
+# -- the early stop of equidecompose ---------------------------------------
+
+EARLY_STOP_BUDGETS = [Budget(2, 6), Budget(20, 8), Budget(300, 10)]
+POOL_BOUNDS = lt.Bounds(max_depth=1, max_exp=1, max_len=1)
+
+
+def _expansion(g, rng, e):
+    return lt.co_of(g, *_random_cover(g, rng, e, rng.randint(1, 3)))
+
+
+def _fixture_pairs(g, rng):
+    """Every ordered pair of pool cylinders, each pool cylinder against a
+    random expansion of it, and two random expansions of it."""
+    pool = list(lt.enumerate_idempotents(g, POOL_BOUNDS))
+    for e in pool:
+        for f in pool:
+            yield lt.co_of(g, e), lt.co_of(g, f)
+    for e in pool:
+        yield lt.co_of(g, e), _expansion(g, rng, e)
+        yield _expansion(g, rng, e), _expansion(g, rng, e)
+
+
+def _generated_pairs(g, rng, n):
+    """Pairs drawn as the benchmark draws them (a pool cylinder against a
+    random expansion of it, or two random pool cylinders), and pairs of
+    two random expansions of one pool cylinder, where common types of
+    equal weight tie most often."""
+    pool = list(lt.enumerate_idempotents(g, POOL_BOUNDS))
+    for j in range(n):
+        e = rng.choice(pool)
+        if j % 3 == 0:
+            yield lt.co_of(g, e), _expansion(g, rng, e)
+        elif j % 3 == 1:
+            yield lt.co_of(g, e), lt.co_of(g, rng.choice(pool))
+        else:
+            yield _expansion(g, rng, e), _expansion(g, rng, e)
+
+
+@pytest.mark.parametrize("name", ["g0", "g1", "g2", "g3"] + [
+    f"{shape}/stop-{i}" for shape in ("mixed_graph", "tower_graph") for i in range(3)
+])
+def test_early_stop_matches_the_closures_run_to_the_cap(graphs, gen_module, name):
+    """The certificate, or the Unknown with its reason, is the one the two
+    closures run to the state cap give.  A Yes from mon_eq comes with a
+    certificate, except where the expansion-only closures were cut by the
+    state cap: mon_eq's two sides may meet through contractions within a
+    budget that the closures, each capped alone, do not reach.  That
+    happens on tower graphs at Budget(20, 8), and never at the benchmark's
+    Budget(300, 10)."""
+    g = _graph(name, graphs, gen_module)
+    pres = mn.presentation(g)
+    rng = random.Random(name)
+    pairs = list(_fixture_pairs(g, rng) if name in graphs else _generated_pairs(g, rng, 60))
+    certs = 0
+    for budget in EARLY_STOP_BUDGETS:
+        for a, b in pairs:
+            new = mn.equidecompose(g, a, b, budget)
+            assert repr(new) == repr(ref.equidecompose_to_cap(g, a, b, budget)), (a, b, budget)
+            certs += isinstance(new, mn.EquidecompCertificate)
+            ta, tb = mn.typ_of(g, a), mn.typ_of(g, b)
+            if isinstance(new, Unknown) and isinstance(mn.mon_eq(pres, ta, tb, budget), Yes):
+                closures = [ref._expansion_closure(pres, mn._vector(pres, t), budget) for t in (ta, tb)]
+                assert mn._limit(*closures) == "state cap", (a, b, budget)
+                assert name.startswith("tower_graph") and budget == Budget(20, 8), (a, b, budget)
+    assert certs >= len(pairs) // 2
+
+
+def test_early_stop_expands_few_states(gen_module, monkeypatch):
+    """At the default budget a cylinder against its 3-step expansion needs a
+    handful of expansions, where the two closures run to the cap expand
+    about 150,000 states."""
+    g = parse_graph(gen_module.mixed_graph("1-0").text())
+    base = _top_idem(g)
+    a = lt.co_of(g, base)
+    b = lt.co_of(g, *_random_cover(g, random.Random(0), base, 3))
+    expanded = []
+    expand = mn._Search.expand
+
+    def counted(search):
+        expanded.append(search.queue[0])
+        return expand(search)
+
+    monkeypatch.setattr(mn._Search, "expand", counted)
+    assert isinstance(mn.equidecompose(g, a, b), mn.EquidecompCertificate)
+    assert 0 < len(expanded) < Budget().max_states // 1000
+
+
+def _tampered(g, cert, rng, pool):
+    """The certificate with its pieces (element, source, range) changed:
+    two elements swapped, a piece dropped, a piece duplicated, a piece cut
+    down to its source's first simple-expansion child, or an extra pool
+    cylinder added as a piece."""
+    pieces = list(zip(cert.elements, cert.sources, cert.ranges))
+    out = [pieces[1:], pieces + pieces[:1]]
+    if len(pieces) >= 2:
+        (s0, *rest0), (s1, *rest1) = pieces[:2]
+        out.append([(s1, *rest0), (s0, *rest1)] + pieces[2:])
+    s, src, _ = pieces[0]
+    mu = lt.epath_of(g, src)
+    if not (g.is_free(mu.p) and g.k(mu.p) == 0):
+        child = lt.simple_expand(g, src, 1 if g.is_free(mu.p) else None)[0]
+        t = sg.mul(g, s, child)
+        out.append([(t, child, sg.mul(g, t, sg.star(g, t)))] + pieces[1:])
+    e = rng.choice(pool)
+    out.append(pieces + [(e, e, e)])
+    return [mn.EquidecompCertificate(*(tuple(p[i] for p in ps) for i in range(3))) for ps in out]
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "mixed_graph/tamper-0", "mixed_graph/tamper-1"])
+def test_tampered_certificates_fail_as_with_co_of(graphs, gen_module, name):
+    """The verifier that builds each union once and compares canonical
+    forms first answers as the one that builds it with `co_of`: True on the
+    certificates equidecompose gives, False on each tampered one."""
+    g = _graph(name, graphs, gen_module)
+    rng = random.Random(name)
+    pool = list(lt.enumerate_idempotents(g, POOL_BOUNDS))
+    pairs = list(_fixture_pairs(g, rng) if name in graphs else _generated_pairs(g, rng, 60))
+    tampered = 0
+    for a, b in pairs:
+        cert = mn.equidecompose(g, a, b, Budget(300, 10))
+        if not isinstance(cert, mn.EquidecompCertificate):
+            continue
+        assert mn.verify_certificate(g, cert, a, b) and ref.verify_certificate_by_co_of(g, cert, a, b)
+        for bad in _tampered(g, cert, rng, pool):
+            assert not mn.verify_certificate(g, bad, a, b), (a, b, bad)
+            assert not ref.verify_certificate_by_co_of(g, bad, a, b), (a, b, bad)
+            tampered += 1
+    assert tampered >= 3 * len(pairs) // 4
