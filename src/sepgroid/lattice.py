@@ -1,8 +1,12 @@
 """The idempotent semilattice and its cylinder-set Boolean algebra.
 
 Nonzero idempotents correspond bijectively to E-paths (a descending c-path
-prefix plus a finite tail in the terminal component).  Compact-open subsets
-of the path space are finite disjoint unions of cylinders Z(mu), kept in a
+prefix plus a finite tail in the terminal component), and Z(e) lies in
+Z(f) exactly when f's E-path is an initial segment of e's.  Meets, the
+order, overlaps and differences are read off the E-paths by one rule
+(_cyl_meet) without forming semigroup products; semigroup.mul is the
+reference for that rule only in the tests.  Compact-open subsets of the
+path space are finite disjoint unions of cylinders Z(mu), kept in a
 canonical sorted form so that equality is decidable.  Subtraction descends
 by simple expansions directed at the subtrahend, which reproduces the
 explicit cylinder decompositions.
@@ -25,13 +29,11 @@ from .semigroup import (
     Monomial,
     RegBody,
     RegularStep,
+    ZERO,
     Triple,
     cpath_edge_len,
     cpath_range,
     is_idempotent,
-    is_zero,
-    mul,
-    trivial_monomial,
     validate_cpath,
     validate_element,
 )
@@ -64,11 +66,16 @@ class Bounds:
 
 
 def epath_of(g: SeparatedGraph, e: Element) -> EPath:
+    return _epath(e, "e")
+
+
+def _epath(e: Element, name: str) -> EPath:
+    """The E-path of e; raises LatticeError unless e is a nonzero
+    idempotent."""
     if not is_idempotent(e):
-        raise LatticeError("epath_of needs a nonzero idempotent")
+        raise LatticeError(f"{name} is not a nonzero idempotent")
     b = e.m.body
-    tail = b.k if isinstance(b, FreeBody) else b.gamma
-    return EPath(e.gamma, e.m.p, tail)
+    return EPath(e.gamma, e.m.p, b.k if isinstance(b, FreeBody) else b.gamma)
 
 
 def idem_of(g: SeparatedGraph, mu: EPath) -> Element:
@@ -122,24 +129,45 @@ def epath_key(g: SeparatedGraph, mu: EPath):
 # -- order, meet, join ---------------------------------------------------
 
 
-def _require_idem(e: Element, name: str) -> None:
-    if not is_idempotent(e):
-        raise LatticeError(f"{name} is not a nonzero idempotent")
+def _cyl_meet(g: SeparatedGraph, mu: EPath, rho: EPath) -> EPath | None:
+    """The E-path of Z(mu) & Z(rho), or None when the cylinders are
+    disjoint: the semigroup product of the two idempotents, read off their
+    E-paths."""
+    if mu.gamma.start != rho.gamma.start:
+        return None
+    a, b = mu.gamma.steps, rho.gamma.steps
+    if len(a) > len(b):
+        mu, rho, a, b = rho, mu, b, a
+    n = len(a)
+    if b[:n] != a:
+        return None
+    if len(b) > n:
+        # rho descends past mu's component; its step there must lie in
+        # mu's tail cylinder.
+        step = b[n]
+        if isinstance(step, FreeStep):
+            return rho if mu.tail[step.i - 1] <= step.m else None
+        return rho if step.path[: len(mu.tail)] == mu.tail else None
+    if mu.p in g.free_k:
+        return EPath(mu.gamma, mu.p, tuple(map(max, mu.tail, rho.tail)))
+    if len(mu.tail) > len(rho.tail):
+        mu, rho = rho, mu
+    return rho if rho.tail[: len(mu.tail)] == mu.tail else None
 
 
 def meet(g: SeparatedGraph, e: Element, f: Element) -> Element:
-    _require_idem(e, "e")
-    _require_idem(f, "f")
-    return mul(g, e, f)
+    m = _cyl_meet(g, _epath(e, "e"), _epath(f, "f"))
+    return ZERO if m is None else trusted_idem(g, m)
 
 
 def nat_leq(g: SeparatedGraph, e: Element, f: Element) -> bool:
-    return meet(g, e, f) == e
+    mu = _epath(e, "e")
+    return _cyl_meet(g, mu, _epath(f, "f")) == mu
 
 
 def join_free(g: SeparatedGraph, e: Element, f: Element) -> Element:
-    _require_idem(e, "e")
-    _require_idem(f, "f")
+    _epath(e, "e")
+    _epath(f, "f")
     if e.gamma != f.gamma or e.m.p != f.m.p:
         raise LatticeError("join_free needs identical prefixes at one prime")
     if not isinstance(e.m.body, FreeBody):
@@ -155,9 +183,13 @@ def simple_expand(
     g: SeparatedGraph, e: Element, choice: int | None = None
 ) -> list[Element]:
     """Split an idempotent into its orthogonal children one level down."""
-    _require_idem(e, "e")
-    mu = epath_of(g, e)
-    out: list[Element] = []
+    return [trusted_idem(g, mu) for mu in _epath_children(g, _epath(e, "e"), choice)]
+
+
+def _epath_children(g: SeparatedGraph, mu: EPath, choice: int | None) -> list[EPath]:
+    """The E-paths of the simple expansion of Z(mu) along loop index
+    `choice` (free prime) or without a choice (regular prime)."""
+    out: list[EPath] = []
     kp = g.free_k.get(mu.p)
     if kp is not None:
         if choice is None or not 1 <= choice <= kp:
@@ -166,22 +198,28 @@ def simple_expand(
         bumped = tuple(
             x + 1 if j == j0 else x for j, x in enumerate(mu.tail, start=1)
         )
-        out.append(trusted_idem(g, EPath(mu.gamma, mu.p, bumped)))
+        out.append(EPath(mu.gamma, mu.p, bumped))
         for t, u in enumerate(g.prime_by_name[mu.p].targets[j0 - 1], start=1):
             step = FreeStep(mu.p, j0, mu.tail[j0 - 1], t)
-            gamma = CPath(mu.gamma.start, mu.gamma.steps + (step,))
-            out.append(Triple(gamma, trivial_monomial(g, u), gamma))
+            out.append(_top_epath(g, CPath(mu.gamma.start, mu.gamma.steps + (step,)), u))
     else:
         if choice is not None:
             raise LatticeError("simple_expand at a regular prime takes no choice")
         v = epath_end(g, mu)
         for edge in g.out_edges_of[v]:
-            out.append(trusted_idem(g, EPath(mu.gamma, mu.p, mu.tail + (edge.name,))))
+            out.append(EPath(mu.gamma, mu.p, mu.tail + (edge.name,)))
         for conn in g.out_connectors_of[v]:
             step = RegularStep(mu.p, mu.tail, conn.name)
-            gamma = CPath(mu.gamma.start, mu.gamma.steps + (step,))
-            out.append(Triple(gamma, trivial_monomial(g, conn.rng), gamma))
+            out.append(_top_epath(g, CPath(mu.gamma.start, mu.gamma.steps + (step,)), conn.rng))
     return out
+
+
+def _top_epath(g: SeparatedGraph, gamma: CPath, u: str) -> EPath:
+    """The E-path of the whole cylinder below gamma, which ends at u: a
+    zero loop-exponent vector or an empty internal path."""
+    p = g.vertex_prime[u]
+    kp = g.free_k.get(p)
+    return EPath(gamma, p, () if kp is None else (0,) * kp)
 
 
 def epath_end(g: SeparatedGraph, mu: EPath) -> str:
@@ -234,25 +272,17 @@ def _normalize(g: SeparatedGraph, cyls) -> CompactOpen:
     return CompactOpen(tuple(sorted(cyls, key=lambda mu: epath_key(g, mu))))
 
 
-def _cyl_meet(g: SeparatedGraph, mu: EPath, rho: EPath) -> EPath | None:
-    m = mul(g, trusted_idem(g, mu), trusted_idem(g, rho))
-    return None if is_zero(m) else epath_of(g, m)
-
-
 def _cyl_subtract(g: SeparatedGraph, mu: EPath, rho: EPath) -> list[EPath]:
     """Z(mu) minus Z(rho) as disjoint cylinders, by directed expansion."""
-    e = trusted_idem(g, mu)
-    f = trusted_idem(g, rho)
-    mt = mul(g, e, f)
-    if is_zero(mt):
+    target = _cyl_meet(g, mu, rho)
+    if target is None:
         return [mu]
-    if mt == e:
+    if target == mu:
         return []
-    target = epath_of(g, mt)
     choice = _direction(g, mu, target) if mu.p in g.free_k else None
     out: list[EPath] = []
-    for child in simple_expand(g, e, choice):
-        out.extend(_cyl_subtract(g, epath_of(g, child), rho))
+    for child in _epath_children(g, mu, choice):
+        out.extend(_cyl_subtract(g, child, rho))
     return out
 
 
@@ -308,17 +338,19 @@ def co_eq(g: SeparatedGraph, a: CompactOpen, b: CompactOpen) -> bool:
 
 
 def first_overlap(g: SeparatedGraph, elems) -> tuple[int, int] | None:
-    """The first pair i < j, in row order, whose product elems[i] elems[j]
-    is nonzero; None if the elements are pairwise orthogonal."""
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if not is_zero(mul(g, elems[i], elems[j])):
+    """The first pair i < j, in row order, whose cylinders meet; None if
+    the elements are pairwise orthogonal.  The elements must be nonzero
+    idempotents (LatticeError otherwise)."""
+    mus = [_epath(e, "element") for e in elems]
+    for i, mu in enumerate(mus):
+        for j in range(i + 1, len(mus)):
+            if _cyl_meet(g, mu, mus[j]) is not None:
                 return i, j
     return None
 
 
 def is_orthogonal_cover(g: SeparatedGraph, e: Element, sigma) -> bool:
-    _require_idem(e, "e")
+    _epath(e, "e")
     sigma = list(sigma)
     for f in sigma:
         if not is_idempotent(f) or not nat_leq(g, f, e):
@@ -334,10 +366,10 @@ def _covers(g: SeparatedGraph, e: Element, sigma) -> bool:
 def orthogonalize_cover(g: SeparatedGraph, e: Element, sigma) -> list[Element]:
     """Turn a finite cover into an orthogonal one: drop the smaller of a
     comparable overlapping pair, join a non-comparable free pair."""
-    _require_idem(e, "e")
+    _epath(e, "e")
     sigma = list(sigma)
     for f in sigma:
-        _require_idem(f, "cover member")
+        _epath(f, "cover member")
         if not nat_leq(g, f, e):
             raise LatticeError("cover member not below e")
     if not _covers(g, e, sigma):

@@ -213,6 +213,117 @@ def test_enumerations_are_bounded(graphs):
         assert len(set(idems)) == len(idems)
 
 
+# -- the meet rule against the semigroup product -------------------------
+
+
+MEET_BOUNDS = Bounds(2, 2, 3)
+
+
+def _epath_pool(g):
+    """The E-paths of g within MEET_BOUNDS, grouped by every prefix of
+    their c-paths (the empty prefix groups them by start)."""
+    by_prefix = {}
+    for v in sorted(g.vertex_prime):
+        for mu in lt.enumerate_epaths(g, v, MEET_BOUNDS):
+            steps = mu.gamma.steps
+            for n in range(len(steps) + 1):
+                by_prefix.setdefault((v, steps[:n]), []).append(mu)
+    return by_prefix
+
+
+def _pairs(g, rng, count):
+    """count pairs of E-paths with one start: half drawn at random, half
+    sharing a c-path prefix, so that many of them meet."""
+    by_prefix = _epath_pool(g)
+    starts = [key for key in by_prefix if not key[1]]
+    for k in range(count):
+        mu = rng.choice(by_prefix[rng.choice(starts)])
+        steps = mu.gamma.steps
+        n = rng.randint(0, len(steps)) if k % 2 else 0
+        yield mu, rng.choice(by_prefix[(mu.gamma.start, steps[:n])])
+
+
+def _product_meet(g, mu, rho):
+    m = sg.mul(g, lt.trusted_idem(g, mu), lt.trusted_idem(g, rho))
+    return None if sg.is_zero(m) else lt.epath_of(g, m)
+
+
+def _check_meets(g, pairs):
+    """Every meet operation agrees with the product on every pair; returns
+    the number of nonzero meets."""
+    nonzero = 0
+    for mu, rho in pairs:
+        e, f = lt.trusted_idem(g, mu), lt.trusted_idem(g, rho)
+        ef = sg.mul(g, e, f)
+        expect = None if sg.is_zero(ef) else lt.epath_of(g, ef)
+        assert lt._cyl_meet(g, mu, rho) == expect, (mu, rho)
+        assert lt._cyl_meet(g, rho, mu) == expect, (rho, mu)
+        assert lt.meet(g, e, f) == ef
+        assert lt.nat_leq(g, e, f) == (ef == e)
+        assert lt.first_overlap(g, [e, f]) == (None if expect is None else (0, 1))
+        nonzero += expect is not None
+    return nonzero
+
+
+def _covered_by_products(g, x, parts):
+    """Whether the cylinders of parts cover Z(x), decided by semigroup
+    products alone: descend by simple expansions towards a part that meets
+    x until every branch lies in a part or meets none."""
+    meets = [sg.mul(g, x, p) for p in parts]
+    if x in meets:
+        return True
+    below = [m for m in meets if not sg.is_zero(m)]
+    if not below:
+        return False
+    mu = lt.epath_of(g, x)
+    choice = lt._direction(g, mu, lt.epath_of(g, below[0])) if g.is_free(mu.p) else None
+    return all(_covered_by_products(g, c, parts) for c in lt.simple_expand(g, x, choice))
+
+
+def _check_single_subtractions(g, pairs):
+    """Z(mu) - Z(rho) from co_subtract, checked with products: the pieces
+    are pairwise orthogonal, lie below mu, miss rho, and with the meet they
+    cover mu."""
+    for mu, rho in pairs:
+        e, f = lt.trusted_idem(g, mu), lt.trusted_idem(g, rho)
+        diff = lt.co_subtract(g, CompactOpen((mu,)), CompactOpen((rho,)))
+        pieces = [lt.trusted_idem(g, c) for c in diff.cyls]
+        for i, p in enumerate(pieces):
+            assert sg.mul(g, p, e) == p
+            assert sg.is_zero(sg.mul(g, p, f))
+            for q in pieces[i + 1 :]:
+                assert sg.is_zero(sg.mul(g, p, q))
+        ef = sg.mul(g, e, f)
+        parts = pieces + ([] if sg.is_zero(ef) else [ef])
+        assert _covered_by_products(g, e, parts), (mu, rho)
+
+
+@pytest.mark.parametrize("name", ["g0", "g1", "g2", "g3"])
+def test_meet_rule_matches_the_product_on_fixtures(graphs, name):
+    g = graphs[name]
+    by_prefix = _epath_pool(g)
+    pairs = [
+        (mu, rho)
+        for key, group in by_prefix.items()
+        if not key[1]
+        for mu in group
+        for rho in group
+    ]
+    assert _check_meets(g, pairs) > 0
+    _check_single_subtractions(g, random.Random(name).sample(pairs, min(300, len(pairs))))
+
+
+@pytest.mark.parametrize("shape", ["tower_graph", "regular_graph", "mixed_graph"])
+def test_meet_rule_matches_the_product_on_generated(gen_module, shape):
+    nonzero = 0
+    for tag in ("meet-0", "meet-1"):
+        g = parse_graph(getattr(gen_module, shape)(tag).text())
+        rng = random.Random(f"{shape}/{tag}")
+        nonzero += _check_meets(g, _pairs(g, rng, 4000))
+        _check_single_subtractions(g, _pairs(g, rng, 200))
+    assert nonzero >= 500
+
+
 # -- the trust boundary --------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from sepgroid import lattice as lt, load_fixture, monoid as mn, semigroup as sg
+from sepgroid.graph import parse_graph
 from sepgroid.monoid import (
     Budget,
     MonoidError,
@@ -80,6 +81,35 @@ def test_presentation_is_built_once_per_graph():
     assert fresh.monoid_presentation is None
     # the stored presentation is not part of the graph's value
     assert g == fresh and repr(g) == repr(fresh)
+
+
+def test_expansions_meet_the_diamond_lemma(graphs, gen_module):
+    """The two conditions under which any two one-step expansions of a
+    state close in at most one further step each, so that expansion is
+    confluent and equidecompose's expansion-only closures meet exactly
+    when the types are equal.  A graph feature that breaks them fails
+    here."""
+    generated = [
+        parse_graph(getattr(gen_module, shape)(f"diamond-{k}").text())
+        for shape in ("mixed_graph", "tower_graph", "regular_graph")
+        for k in range(4)
+    ]
+    branching = 0
+    for g in list(graphs.values()) + generated:
+        pres = mn.presentation(g)
+        expansions = {}
+        for need, change, _, rel in pres._moves[::2]:
+            v = pres._index[rel.vertex]
+            # one copy of one vertex, and only that vertex falls, by one
+            assert need == ((v, 1),)
+            assert all(n >= 0 or (i == v and n == -1) for i, n in change)
+            expansions.setdefault(rel.vertex, []).append(rel)
+        for vertex, rels in expansions.items():
+            if len(rels) >= 2:
+                branching += 1
+                assert g.vertex_prime[vertex] == vertex and g.is_free(vertex)
+                assert all(dict(rel.rhs.counts).get(vertex, 0) >= 1 for rel in rels)
+    assert branching > 0
 
 
 # -- word problem --------------------------------------------------------
@@ -381,6 +411,17 @@ def test_certificate_with_a_zero_piece_does_not_verify(g1):
         cert.elements + (sg.ZERO,), cert.sources + (sg.ZERO,), cert.ranges + (sg.ZERO,)
     )
     assert mn.verify_certificate(g1, zero, a, a) is False
+
+
+def test_equidecompose_verifies_every_connector(g3, monkeypatch):
+    # equidecompose builds its connectors unchecked; verify_certificate
+    # is the one check of s s* and s* s.
+    a, b = co(g3, "v:p"), co(g3, "a:p.1 a:p.1*")
+    assert isinstance(mn.equidecompose(g3, a, b), mn.EquidecompCertificate)
+    real = mn._connector
+    monkeypatch.setattr(mn, "_connector", lambda g, e1, e2: sg.star(g, real(g, e1, e2)))
+    with pytest.raises(MonoidError, match="failed verification"):
+        mn.equidecompose(g3, a, b)
 
 
 def test_unknown_vertex_is_rejected_at_the_boundary(g1):
