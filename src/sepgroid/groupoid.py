@@ -19,7 +19,7 @@ from itertools import zip_longest
 
 from .graph import SeparatedGraph
 from .filters import PerTail, SemifinitePath, filter_contains, is_infinite
-from .lattice import CompactOpen, EPath, co_of, first_overlap, trusted_idem
+from .lattice import CompactOpen, EPath, co_of, first_overlap, top_epath, trusted_idem
 from .semigroup import (
     CPath,
     Element,
@@ -141,7 +141,7 @@ def germ_of(g: SeparatedGraph, s: Element, x: SemifinitePath) -> Germ:
         raise GroupoidError("germs live over infinite paths")
     if not filter_contains(g, x, mul(g, star(g, s), s)):
         raise GroupoidError("x is not in the source cylinder of s")
-    absorber = trusted_idem(g, _trivial_epath(g, x))
+    absorber = trusted_idem(g, top_epath(g, x.gamma, x.p))
     sp = mul(g, s, absorber)
     if is_zero(sp) or sp.eta != x.gamma:
         raise GroupoidError("absorption failed; x not in the source cylinder")
@@ -160,12 +160,6 @@ def germ_of(g: SeparatedGraph, s: Element, x: SemifinitePath) -> Germ:
         rx = SemifinitePath(sp.gamma, m.p, _prepend_tail(m.body.gamma, x0))
     weight = GermWeight(n1, _n2_of(g, gpart, npart))
     return Germ(rx, weight, x, (gpart, npart))
-
-
-def _trivial_epath(g: SeparatedGraph, x: SemifinitePath) -> EPath:
-    kp = g.free_k.get(x.p)
-    tail = () if kp is None else (0,) * kp
-    return EPath(x.gamma, x.p, tail)
 
 
 # -- membership in basic opens -------------------------------------------
@@ -208,8 +202,8 @@ def in_bisection(g: SeparatedGraph, germ: Germ, s: Element) -> bool:
         return False
     if x.p != y.p or x.tail != y.tail:
         return False
-    gpart = _trivial_epath(g, x)
-    npart = _trivial_epath(g, y)
+    gpart = top_epath(g, x.gamma, x.p)
+    npart = top_epath(g, y.gamma, y.p)
     return germ.weight == GermWeight(ttuple(phi), _n2_of(g, gpart, npart))
 
 

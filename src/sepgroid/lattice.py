@@ -201,7 +201,8 @@ def _epath_children(g: SeparatedGraph, mu: EPath, choice: int | None) -> list[EP
         out.append(EPath(mu.gamma, mu.p, bumped))
         for t, u in enumerate(g.prime_by_name[mu.p].targets[j0 - 1], start=1):
             step = FreeStep(mu.p, j0, mu.tail[j0 - 1], t)
-            out.append(_top_epath(g, CPath(mu.gamma.start, mu.gamma.steps + (step,)), u))
+            cpath = CPath(mu.gamma.start, mu.gamma.steps + (step,))
+            out.append(top_epath(g, cpath, g.vertex_prime[u]))
     else:
         if choice is not None:
             raise LatticeError("simple_expand at a regular prime takes no choice")
@@ -210,14 +211,14 @@ def _epath_children(g: SeparatedGraph, mu: EPath, choice: int | None) -> list[EP
             out.append(EPath(mu.gamma, mu.p, mu.tail + (edge.name,)))
         for conn in g.out_connectors_of[v]:
             step = RegularStep(mu.p, mu.tail, conn.name)
-            out.append(_top_epath(g, CPath(mu.gamma.start, mu.gamma.steps + (step,)), conn.rng))
+            cpath = CPath(mu.gamma.start, mu.gamma.steps + (step,))
+            out.append(top_epath(g, cpath, g.vertex_prime[conn.rng]))
     return out
 
 
-def _top_epath(g: SeparatedGraph, gamma: CPath, u: str) -> EPath:
-    """The E-path of the whole cylinder below gamma, which ends at u: a
-    zero loop-exponent vector or an empty internal path."""
-    p = g.vertex_prime[u]
+def top_epath(g: SeparatedGraph, gamma: CPath, p: str) -> EPath:
+    """The E-path of the whole cylinder below gamma, which ends at the prime
+    p: a zero loop-exponent vector or an empty internal path."""
     kp = g.free_k.get(p)
     return EPath(gamma, p, () if kp is None else (0,) * kp)
 

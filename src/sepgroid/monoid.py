@@ -15,15 +15,15 @@ any search, and how `equidecompose` tells unequal types apart.
 One bounded breadth-first search, `_Search`, runs over integer vectors in
 the sorted vertex order of the presentation.  `mon_eq` runs it from both
 sides for the relation path of a Yes (and answers No also after a full
-congruence class was enumerated below the weight cap).  `mon_leq` and
-`refinement_witness` read closures run to the state cap; `mon_leq`
-answers No when y's closure is its whole class.  Equidecomposition runs
-no `mon_eq`: a common type of the two expansion-only closures proves the
-types equal.  They are expanded alternately and stop once no lighter
-common type can appear, and the relation path to the lightest one is
-replayed as simple expansions of cylinders, matched by type vertex
-through explicit semigroup elements.  Every Unknown names the limit it
-hit.
+congruence class was enumerated below the weight cap); that path alone
+gives `refinement_witness` its witness.  `mon_leq` reads a closure run to
+the state cap and answers No when y's closure is its whole class.
+Equidecomposition runs no `mon_eq`: a common type of the two
+expansion-only closures proves the types equal.  They are expanded
+alternately and stop once no lighter common type can appear, and the
+relation path to the lightest one is replayed as simple expansions of
+cylinders, matched by type vertex through explicit semigroup elements.
+Every Unknown names the limit it hit.
 
 Precondition: the graph is adaptable (graph.validate_adaptable); nothing
 here checks it.
@@ -35,7 +35,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import combinations, product
+from itertools import combinations
 from operator import add, ge, sub
 
 from .graph import FreePrime, SeparatedGraph
@@ -220,15 +220,15 @@ def _elem(pres: Presentation, u: tuple[int, ...]) -> MonElem:
 
 @dataclass(frozen=True)
 class Budget:
-    """Limits of one monoid search.  `mon_eq` answers Unknown once its two
-    sides together hold more than `max_states` states.  `mon_leq`,
-    `refinement_witness` and `equidecompose` cap each closure separately:
-    it stops expanding once it holds more than `max_states` states, so its
-    last expansion can overshoot.  `equidecompose` stops both of its
-    closures earlier, once no lighter common type can appear.  No search
-    moves to a state heavier than `max_weight`.  Completion (`complete`) is
-    charged one unit per critical pair it processes and gives up after
-    `max_states` of them; `max_weight` does not bound it."""
+    """Limits of one monoid search.  `mon_eq`, and `refinement_witness`
+    through it, answers Unknown once its two sides together hold more than
+    `max_states` states.  `mon_leq` and `equidecompose` cap each closure
+    separately: it stops expanding once it holds more than `max_states`
+    states, so its last expansion can overshoot.  `equidecompose` stops
+    both of its closures earlier, once no lighter common type can appear.
+    No search moves to a state heavier than `max_weight`.  Completion
+    (`complete`) is charged one unit per critical pair it processes and
+    gives up after `max_states` of them; `max_weight` does not bound it."""
 
     max_states: int = 100_000
     max_weight: int = 40
@@ -448,20 +448,12 @@ def _open(search: _Search, budget: Budget) -> bool:
     return bool(search.queue) and len(search.parents) <= budget.max_states
 
 
-def _closure(pres: Presentation, x, budget: Budget) -> _Search:
-    """The search from x, run until it is exhausted or over the state cap."""
-    search = _Search(pres, x, budget.max_weight)
-    while _open(search, budget):
-        search.expand()
-    return search
-
-
 def _common_closures(pres: Presentation, ta, tb, budget: Budget):
     """The expansion-only searches from ta and tb, and the lightest state
     both reached, first in A's breadth-first order (None if there is none).
 
-    The two are expanded alternately, each only while it is open (as
-    `_closure` runs it) and could still change the answer.  Once a common
+    The two are expanded alternately, each only while it is open (see
+    `_open`) and could still change the answer.  Once a common
     state of weight w is known, A could change it only by reaching a state
     lighter than w (a tie would come later in A's order), and B only by
     reaching one no heavier than w.  Every expansion move adds at least
@@ -512,15 +504,11 @@ def _unknown(system, limit: str) -> Unknown:
     return system if isinstance(system, Unknown) else Unknown(limit)
 
 
-def mon_eq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()):
-    """No when the completed system gives x and y different normal forms;
-    otherwise a bounded bidirectional search, which answers Yes with a
-    relation path, No once it has enumerated a whole congruence class, or
-    Unknown naming the limit it hit (the completion budget, when completion
-    gave up)."""
+def _eq_path(pres: Presentation, x: MonElem, y: MonElem, budget: Budget):
+    """mon_eq's answer, with a Yes given as (state, relation from the previous state) pairs."""
     ux, uy = _vector(pres, x), _vector(pres, y)
     if ux == uy:
-        return Yes((x,))
+        return [(ux, None)]
     system = complete(pres, budget)
     if _unequal(system, ux, uy):
         return No()
@@ -534,8 +522,10 @@ def mon_eq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()
         for w in sides[i].expand():
             states += 1
             if w in sides[1 - i].parents:
-                path = sides[0].trail(w)[::-1] + sides[1].trail(w)[1:]
-                return Yes(tuple(_elem(pres, u) for u, _ in path))
+                back = sides[1].trail(w)
+                return sides[0].trail(w)[::-1] + [
+                    (u, rel) for (u, _), (_, rel) in zip(back[1:], back)
+                ]
             if states > budget.max_states:
                 return _unknown(system, "state cap")
     if not (sides[0].pruned and sides[1].pruned):
@@ -543,12 +533,24 @@ def mon_eq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()
     return _unknown(system, "weight cap")
 
 
+def mon_eq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()):
+    """No when the completed system gives x and y different normal forms;
+    otherwise a bounded bidirectional search, which answers Yes with a
+    relation path, No once it has enumerated a whole congruence class, or
+    Unknown naming the limit it hit (the completion budget, when completion
+    gave up)."""
+    path = _eq_path(pres, x, y, budget)
+    return Yes(tuple(_elem(pres, u) for u, _ in path)) if isinstance(path, list) else path
+
+
 def mon_leq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()):
     """Yes(z) with x + z equal to y; No when the closure of y, exhausted
     with nothing pruned (the whole congruence class of y), holds no vector
     >= x; else Unknown naming the limit hit."""
     ux = _vector(pres, x)
-    search = _closure(pres, _vector(pres, y), budget)
+    search = _Search(pres, _vector(pres, y), budget.max_weight)
+    while _open(search, budget):
+        search.expand()
     best = None
     for u in search.parents:
         if all(map(ge, u, ux)) and (best is None or sum(u) < sum(best)):
@@ -562,40 +564,43 @@ def refinement_witness(
     pres: Presentation, a: MonElem, b: MonElem, c: MonElem, d: MonElem,
     budget: Budget = Budget(),
 ):
-    """(w,x,y,z) with a=w+x, b=y+z, c=w+y, d=x+z, or Unknown.  A proof
-    that a+b and c+d differ raises MonoidError; Unknown also when the
-    budget ran out before a+b = c+d was shown."""
-    eq = mon_eq(pres, mon_add(a, b), mon_add(c, d), budget)
-    if isinstance(eq, No):
+    """(w,x,y,z) with a=w+x, b=y+z, c=w+y, d=x+z, from the relation path of
+    mon_eq(a+b, c+d); its No raises MonoidError, its Unknown is the answer.
+    The path is folded into expansions a+b ->* t <-* c+d: an expansion after
+    contractions is swapped past them (the diamond lemma) or cancels the
+    last one by the same move.  Split by summand, t = ta + tb = tc + td in
+    N^V; then w = min(ta, tc), x = ta - w, y = tc - w and z = tb - y.  A
+    path, split or sum failing its check raises MonoidError."""
+    path = _eq_path(pres, mon_add(a, b), mon_add(c, d), budget)
+    if isinstance(path, No):
         raise MonoidError("a+b and c+d are unequal")
-    if isinstance(eq, Unknown):
-        return eq
-    searches = [_closure(pres, _vector(pres, m), budget) for m in (a, b, c, d)]
-    reach_a, reach_b, reach_c, reach_d = (s.parents for s in searches)
-    for ua in reach_a:
-        for w in _below(ua):
-            xx = tuple(map(sub, ua, w))
-            for uc in reach_c:
-                if not all(map(ge, uc, w)):
-                    continue
-                yy = tuple(map(sub, uc, w))
-                for ub in reach_b:
-                    if not all(map(ge, ub, yy)):
-                        continue
-                    zz = tuple(map(sub, ub, yy))
-                    if tuple(map(add, xx, zz)) in reach_d:
-                        return tuple(_elem(pres, u) for u in (w, xx, yy, zz))
-    return Unknown(_limit(*searches))
-
-
-def _below(u):
-    """Every w <= u componentwise, the first coordinate varying fastest."""
-    support = [i for i, n in enumerate(u) if n][::-1]
-    for takes in product(*(range(u[i] + 1) for i in support)):
-        w = [0] * len(u)
-        for i, n in zip(support, takes):
-            w[i] = n
-        yield tuple(w)
+    if isinstance(path, Unknown):
+        return path
+    grow = {rel: change for _, change, _, rel in pres._moves[::2]}  # sparse changes
+    up, down = [], []  # expansions from a+b to t; contractions from t on
+    for (u, _), (v, rel) in zip(path, path[1:]):
+        if _sparse(map(sub, u, v)) == grow[rel]:
+            down.append(rel)
+        elif _sparse(map(sub, v, u)) != grow[rel]:
+            raise MonoidError("the path of mon_eq is not a relation path")
+        elif same := [j for j, r in enumerate(down) if grow[r] == grow[rel]]:
+            del down[same[-1]]
+        else:
+            up.append(rel)
+    ta, tb, tc, td = (list(_vector(pres, m)) for m in (a, b, c, d))
+    for (first, second), rels in (((ta, tb), up), ((tc, td), down[::-1])):
+        for rel in rels:  # from the first summand while it holds a copy
+            v = pres._index[rel.vertex]
+            part = first if first[v] else second
+            if not part[v]:
+                raise MonoidError(f"no copy of {rel.vertex!r} to expand")
+            for i, n in grow[rel]:
+                part[i] += n
+    if list(map(add, ta, tb)) != list(map(add, tc, td)):
+        raise MonoidError("the two sides of the refinement valley differ")
+    w = tuple(map(min, ta, tc))
+    x, y = tuple(map(sub, ta, w)), tuple(map(sub, tc, w))
+    return tuple(_elem(pres, u) for u in (w, x, y, tuple(map(sub, tb, y))))
 
 
 # -- the type map --------------------------------------------------------

@@ -6,12 +6,15 @@ and runtime targets are enforced, not advisory.
 
 import random
 import time
+from collections import Counter
+from itertools import combinations_with_replacement
 
 from sepgroid import filters as fl, groupoid as gp, lattice as lt
 from sepgroid import monoid as mn, semigroup as sg
+from sepgroid.graph import parse_graph
 from sepgroid.filters import INF, FreeTail, PerTail, RegTail
 from sepgroid.lattice import Bounds
-from sepgroid.monoid import No, Unknown, Yes
+from sepgroid.monoid import Budget, No, Unknown, Yes
 
 from conftest import _expandable, _random_cover, _top_idem, alphabet, random_word
 from oracle import ZERO, oracle_nf
@@ -379,57 +382,77 @@ def test_criterion_09_concrete_monoid_identities(graphs):
     )
 
 
-def test_criterion_10_refinement(graphs):
-    from itertools import combinations_with_replacement
+def _equal_sum_quadruples(pres, verts, max_weight, budget):
+    """Every (a, b, c, d) with a+b of weight <= max_weight and a+b = c+d
+    shown by mon_eq under the budget, up to the symmetries a <-> b,
+    c <-> d and (a, b) <-> (c, d)."""
+    elems = [
+        mn.mon_of(Counter(combo))
+        for r in range(max_weight + 1)
+        for combo in combinations_with_replacement(verts, r)
+    ]
+    by_sum = {}
+    for i, a in enumerate(elems):
+        for b in elems[i:]:
+            if mn.mon_weight(mn.mon_add(a, b)) <= max_weight:
+                by_sum.setdefault(mn.mon_add(a, b), []).append((a, b))
+    sums = list(by_sum)
+    for i, k in enumerate(sums):
+        for k2 in sums[i:]:
+            if not isinstance(mn.mon_eq(pres, k, k2, budget), Yes):
+                continue
+            for j, (a, b) in enumerate(by_sum[k]):
+                for c, d in by_sum[k][j:] if k == k2 else by_sum[k2]:
+                    yield a, b, c, d
 
+
+def _check_witness(pres, quad, budget):
+    """refinement_witness gives (w, x, y, z), each with positive
+    coefficients only, and mon_eq says Yes to each of a = w+x, b = y+z,
+    c = w+y and d = x+z under a weight cap that covers both sides: a
+    witness may be heavier than the budget's cap."""
+    out = mn.refinement_witness(pres, *quad, budget)
+    assert not isinstance(out, Unknown), quad
+    assert all(n > 0 for m in out for _, n in m.counts), (quad, out)
+    ww, xx, yy, zz = out
+    a, b, c, d = quad
+    for lhs, rhs in (
+        (mn.mon_add(ww, xx), a),
+        (mn.mon_add(yy, zz), b),
+        (mn.mon_add(ww, yy), c),
+        (mn.mon_add(xx, zz), d),
+    ):
+        cap = max(budget.max_weight, mn.mon_weight(lhs), mn.mon_weight(rhs))
+        assert isinstance(mn.mon_eq(pres, lhs, rhs, Budget(budget.max_states, cap)), Yes), quad
+
+
+def test_criterion_10_refinement(graphs, gen_module):
+    t0 = time.time()
     quads = 0
     for name in ("g1", "g2", "g3"):
-        g = graphs[name]
-        pres = mn.presentation(g)
-        verts = sorted(g.vertex_prime)
-        elems = []
-        for r in range(5):
-            for combo in combinations_with_replacement(verts, r):
-                d = {}
-                for v in combo:
-                    d[v] = d.get(v, 0) + 1
-                elems.append(mn.mon_of(d))
-        pairs = [
-            (a, b)
-            for i, a in enumerate(elems)
-            for b in elems[i:]
-            if mn.mon_weight(mn.mon_add(a, b)) <= 4
-        ]
-        by_sum = {}
-        for a, b in pairs:
-            by_sum.setdefault(mn.mon_add(a, b), []).append((a, b))
-        reps, cls = [], {}
-        for k in by_sum:
-            for r in reps:
-                if isinstance(mn.mon_eq(pres, k, r), Yes):
-                    cls[k] = r
-                    break
-            else:
-                reps.append(k)
-                cls[k] = k
-        by_class = {}
-        for k, plist in by_sum.items():
-            by_class.setdefault(cls[k], []).extend(plist)
-        for plist in by_class.values():
-            for i, (a, b) in enumerate(plist):
-                for c, d in plist[i:]:
-                    out = mn.refinement_witness(pres, a, b, c, d)
-                    assert not isinstance(out, Unknown), (a, b, c, d)
-                    ww, xx, yy, zz = out
-                    for lhs, rhs in (
-                        (mn.mon_add(ww, xx), a),
-                        (mn.mon_add(yy, zz), b),
-                        (mn.mon_add(ww, yy), c),
-                        (mn.mon_add(xx, zz), d),
-                    ):
-                        assert isinstance(mn.mon_eq(pres, lhs, rhs), Yes)
-                    quads += 1
+        pres = mn.presentation(graphs[name])
+        for quad in _equal_sum_quadruples(pres, pres.vertices, 4, Budget()):
+            _check_witness(pres, quad, Budget())
+            quads += 1
+    assert quads == 1279, quads
+    # Seeded graphs of the benchmark's three families.  Their quadruples of
+    # weight <= 3 run to about 10^5 per tower graph, and where completion
+    # gives up (regular graphs) each pair of sums costs a search to the
+    # state cap, so these stop at weight 2.
+    small = Budget(20, 10)
+    generated = 0
+    for shape in ("tower_graph", "regular_graph", "mixed_graph"):
+        for tag in ("refine-0", "refine-1"):
+            pres = mn.presentation(parse_graph(getattr(gen_module, shape)(tag).text()))
+            found = 0
+            for quad in _equal_sum_quadruples(pres, pres.vertices, 2, small):
+                _check_witness(pres, quad, small)
+                found += 1
+            assert found >= 200, (shape, tag, found)
+            generated += found
     print(
         f"criterion 10 PASS: all {quads} quadruples of weight <=4 with "
-        f"a+b=c+d (up to symmetry) admit verified refinement witnesses"
+        f"a+b=c+d (up to symmetry) on g1-g3 and all {generated} of weight "
+        f"<=2 on six generated graphs admit verified refinement witnesses "
+        f"({time.time() - t0:.1f}s)"
     )

@@ -279,8 +279,34 @@ def test_refinement_out_of_budget_is_unknown(g1):
     pres = mn.presentation(g1)
     p, q1, one = mon_unit("p"), mon_unit("q1"), Budget(max_states=1)
     assert isinstance(mn.mon_eq(pres, mon_add(p, q1), p, one), Unknown)
-    assert mn.refinement_witness(pres, p, q1, p, mn.ZERO_ELEM, one) == Unknown()
+    out = mn.refinement_witness(pres, p, q1, p, mn.ZERO_ELEM, one)
+    assert out == Unknown() and out.reason == "state cap"
     assert not isinstance(mn.refinement_witness(pres, p, q1, p, mn.ZERO_ELEM), Unknown)
+
+
+def test_refinement_folds_a_relation_path_and_checks_it(g1, monkeypatch):
+    # p + q1 -> p -> p + q2 -> p + q1 + q2 contracts by p = p + q1, expands
+    # by p = p + q2 (swapped past the contraction) and by p = p + q1 again
+    # (cancelling the contraction).  The same path with one state moved off
+    # its relation step gives no witness.
+    pres = mn.presentation(g1)
+    r1, r2 = pres.relations
+    q1, q2, p = mon_unit("q1"), mon_unit("q2"), mon_unit("p")
+    quad = (q1, p, mon_add(q1, q2), p)
+    path = [((1, 1, 0), None), ((1, 0, 0), r1), ((1, 0, 1), r2), ((1, 1, 1), r1)]
+    monkeypatch.setattr(mn, "_eq_path", lambda *args: path)
+    assert mn.refinement_witness(pres, *quad) == (q1, mn.ZERO_ELEM, q2, p)
+    path[2] = ((2, 1, 2), r2)
+    with pytest.raises(MonoidError, match="not a relation path"):
+        mn.refinement_witness(pres, *quad)
+    # relation paths that do not join a+b to c+d
+    for quad, path, message in (
+        ((q1, q2, q1, q2), [((0, 1, 1), None), ((0, 2, 1), r1)], "no copy of 'p'"),
+        ((p, q1, p, q1), [((1, 1, 0), None), ((1, 2, 0), r1)], "valley differ"),
+    ):
+        monkeypatch.setattr(mn, "_eq_path", lambda *args, path=path: path)
+        with pytest.raises(MonoidError, match=message):
+            mn.refinement_witness(pres, *quad)
 
 
 # -- the type map --------------------------------------------------------
