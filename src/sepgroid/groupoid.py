@@ -14,7 +14,7 @@ here checks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
 
 from .graph import SeparatedGraph
@@ -75,7 +75,6 @@ class Germ:
     x: SemifinitePath
     weight: GermWeight
     y: SemifinitePath
-    witness: tuple[EPath, EPath] | None = field(default=None, compare=False)
 
 
 # -- periodic tails (PerTail keeps them canonical) ------------------------
@@ -94,7 +93,7 @@ def _prepend_tail(lam, tail: PerTail) -> PerTail:
     return PerTail(tuple(lam) + tail.prefix, tail.cycle)
 
 
-# -- weights from witnesses ----------------------------------------------
+# -- weights from E-paths ------------------------------------------------
 
 
 def norm_length(g: SeparatedGraph, mu: EPath) -> tuple[int, ...]:
@@ -114,20 +113,17 @@ def _n2_of(g: SeparatedGraph, gpart: EPath, npart: EPath) -> tuple[int, ...]:
 
 
 def unit(g: SeparatedGraph, x: SemifinitePath) -> Germ:
-    return Germ(x, ZERO_WEIGHT, x, None)
+    return Germ(x, ZERO_WEIGHT, x)
 
 
 def inverse(germ: Germ) -> Germ:
-    w = None
-    if germ.witness is not None:
-        w = (germ.witness[1], germ.witness[0])
-    return Germ(germ.y, weight_neg(germ.weight), germ.x, w)
+    return Germ(germ.y, weight_neg(germ.weight), germ.x)
 
 
 def compose(g: SeparatedGraph, g1: Germ, g2: Germ) -> Germ:
     if g1.y != g2.x:
         raise GroupoidError("germs are not composable")
-    return Germ(g1.x, weight_add(g1.weight, g2.weight), g2.y, None)
+    return Germ(g1.x, weight_add(g1.weight, g2.weight), g2.y)
 
 
 # -- germ_of -------------------------------------------------------------
@@ -159,7 +155,7 @@ def germ_of(g: SeparatedGraph, s: Element, x: SemifinitePath) -> Germ:
         npart = EPath(x.gamma, m.p, m.body.nu)
         rx = SemifinitePath(sp.gamma, m.p, _prepend_tail(m.body.gamma, x0))
     weight = GermWeight(n1, _n2_of(g, gpart, npart))
-    return Germ(rx, weight, x, (gpart, npart))
+    return Germ(rx, weight, x)
 
 
 # -- membership in basic opens -------------------------------------------

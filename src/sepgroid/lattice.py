@@ -5,11 +5,13 @@ prefix plus a finite tail in the terminal component), and Z(e) lies in
 Z(f) exactly when f's E-path is an initial segment of e's.  Meets, the
 order, overlaps and differences are read off the E-paths by one rule
 (_cyl_meet) without forming semigroup products; semigroup.mul is the
-reference for that rule only in the tests.  Compact-open subsets of the
-path space are finite disjoint unions of cylinders Z(mu), kept in a
-canonical sorted form so that equality is decidable.  Subtraction descends
-by simple expansions directed at the subtrahend, which reproduces the
-explicit cylinder decompositions.
+reference for that rule only in the tests.  An idempotent a caller passes
+is checked once, where it enters (`_epath`); the covers and disjoint unions
+then read E-paths only and build elements (`trusted_idem`) only for what
+they return.  Compact-open subsets of the path space are finite disjoint
+unions of cylinders Z(mu), kept in a canonical sorted form so that equality
+is decidable.  Subtraction descends by simple expansions directed at the
+subtrahend, which reproduces the explicit cylinder decompositions.
 
 Precondition: the graph is adaptable (graph.validate_adaptable); nothing
 here checks it.
@@ -183,10 +185,10 @@ def simple_expand(
     g: SeparatedGraph, e: Element, choice: int | None = None
 ) -> list[Element]:
     """Split an idempotent into its orthogonal children one level down."""
-    return [trusted_idem(g, mu) for mu in _epath_children(g, _epath(e, "e"), choice)]
+    return [trusted_idem(g, mu) for mu in epath_children(g, _epath(e, "e"), choice)]
 
 
-def _epath_children(g: SeparatedGraph, mu: EPath, choice: int | None) -> list[EPath]:
+def epath_children(g: SeparatedGraph, mu: EPath, choice: int | None) -> list[EPath]:
     """The E-paths of the simple expansion of Z(mu) along loop index
     `choice` (free prime) or without a choice (regular prime)."""
     out: list[EPath] = []
@@ -263,12 +265,6 @@ def co_of(g: SeparatedGraph, *elements: Element) -> CompactOpen:
     return out
 
 
-def co_of_orthogonal(g: SeparatedGraph, elements) -> CompactOpen:
-    """The cylinders of nonzero idempotents, sorted.  This is their union
-    when they are pairwise orthogonal, with nothing to subtract."""
-    return _normalize(g, [epath_of(g, e) for e in elements])
-
-
 def _normalize(g: SeparatedGraph, cyls) -> CompactOpen:
     return CompactOpen(tuple(sorted(cyls, key=lambda mu: epath_key(g, mu))))
 
@@ -282,7 +278,7 @@ def _cyl_subtract(g: SeparatedGraph, mu: EPath, rho: EPath) -> list[EPath]:
         return []
     choice = _direction(g, mu, target) if mu.p in g.free_k else None
     out: list[EPath] = []
-    for child in _epath_children(g, mu, choice):
+    for child in epath_children(g, mu, choice):
         out.extend(_cyl_subtract(g, child, rho))
     return out
 
@@ -338,11 +334,9 @@ def co_eq(g: SeparatedGraph, a: CompactOpen, b: CompactOpen) -> bool:
 # -- covers --------------------------------------------------------------
 
 
-def first_overlap(g: SeparatedGraph, elems) -> tuple[int, int] | None:
-    """The first pair i < j, in row order, whose cylinders meet; None if
-    the elements are pairwise orthogonal.  The elements must be nonzero
-    idempotents (LatticeError otherwise)."""
-    mus = [_epath(e, "element") for e in elems]
+def _meeting_pair(g: SeparatedGraph, mus) -> tuple[int, int] | None:
+    """The first pair i < j, in row order, of E-paths whose cylinders meet;
+    None if they are pairwise disjoint."""
     for i, mu in enumerate(mus):
         for j in range(i + 1, len(mus)):
             if _cyl_meet(g, mu, mus[j]) is not None:
@@ -350,87 +344,99 @@ def first_overlap(g: SeparatedGraph, elems) -> tuple[int, int] | None:
     return None
 
 
-def is_orthogonal_cover(g: SeparatedGraph, e: Element, sigma) -> bool:
-    _epath(e, "e")
-    sigma = list(sigma)
+def first_overlap(g: SeparatedGraph, elems) -> tuple[int, int] | None:
+    """The first pair i < j, in row order, whose cylinders meet; None if
+    the elements are pairwise orthogonal.  The elements must be nonzero
+    idempotents (LatticeError otherwise)."""
+    return _meeting_pair(g, [_epath(e, "element") for e in elems])
+
+
+def disjoint_union(g: SeparatedGraph, elems) -> CompactOpen | None:
+    """The union of the cylinders of nonzero idempotents when they are
+    pairwise orthogonal, None when two of them meet.  LatticeError unless
+    every element is a nonzero idempotent."""
+    mus = [_epath(e, "element") for e in elems]
+    return None if _meeting_pair(g, mus) is not None else _normalize(g, mus)
+
+
+def _members_below(g: SeparatedGraph, mu: EPath, sigma) -> list[EPath]:
+    """The E-paths of the cover members; LatticeError unless each is a
+    nonzero idempotent below Z(mu)."""
+    out = []
     for f in sigma:
-        if not is_idempotent(f) or not nat_leq(g, f, e):
-            return False
-    return first_overlap(g, sigma) is None and _covers(g, e, sigma)
+        rho = _epath(f, "cover member")
+        if _cyl_meet(g, rho, mu) != rho:
+            raise LatticeError("cover member not below e")
+        out.append(rho)
+    return out
 
 
-def _covers(g: SeparatedGraph, e: Element, sigma) -> bool:
-    """Whether the cylinders of sigma, idempotents below e, cover Z(e)."""
-    return co_is_empty(co_subtract(g, co_of(g, e), co_of_orthogonal(g, sigma)))
+def _covers(g: SeparatedGraph, mu: EPath, rhos) -> bool:
+    """Whether the cylinders of rhos cover Z(mu)."""
+    return co_is_empty(co_subtract(g, CompactOpen((mu,)), _normalize(g, rhos)))
+
+
+def _orthogonal_cover(g: SeparatedGraph, mu: EPath, sigma) -> list[EPath] | None:
+    """The E-paths of sigma when it is an orthogonal cover of Z(mu), else
+    None."""
+    try:
+        rhos = _members_below(g, mu, sigma)
+    except LatticeError:
+        return None
+    return rhos if _meeting_pair(g, rhos) is None and _covers(g, mu, rhos) else None
+
+
+def is_orthogonal_cover(g: SeparatedGraph, e: Element, sigma) -> bool:
+    return _orthogonal_cover(g, _epath(e, "e"), sigma) is not None
 
 
 def orthogonalize_cover(g: SeparatedGraph, e: Element, sigma) -> list[Element]:
     """Turn a finite cover into an orthogonal one: drop the smaller of a
     comparable overlapping pair, join a non-comparable free pair."""
-    _epath(e, "e")
-    sigma = list(sigma)
-    for f in sigma:
-        _epath(f, "cover member")
-        if not nat_leq(g, f, e):
-            raise LatticeError("cover member not below e")
-    if not _covers(g, e, sigma):
+    mu = _epath(e, "e")
+    rhos = _members_below(g, mu, sigma)
+    if not _covers(g, mu, rhos):
         raise LatticeError("input is not a cover of e")
-    while True:
-        pair = first_overlap(g, sigma)
-        if pair is None:
-            return sigma
+    while (pair := _meeting_pair(g, rhos)) is not None:
         i, j = pair
-        f, h = sigma[i], sigma[j]
-        if nat_leq(g, f, h):
-            del sigma[i]
-        elif nat_leq(g, h, f):
-            del sigma[j]
-        else:
-            joined = join_free(g, f, h)
-            del sigma[j]
-            sigma[i] = joined
+        f, h = rhos[i], rhos[j]
+        m = _cyl_meet(g, f, h)
+        if m != f and m != h:  # only a free pair at one prefix: join it
+            rhos[i] = EPath(f.gamma, f.p, tuple(map(min, f.tail, h.tail)))
+        del rhos[i if m == f else j]
+    return [trusted_idem(g, rho) for rho in rhos]
 
 
 def cover_to_expansion(g: SeparatedGraph, e: Element, sigma) -> Script:
     """Find a script with expand(e, script) == sigma as a set."""
-    sigma = list(sigma)
-    if not is_orthogonal_cover(g, e, sigma):
+    mu = _epath(e, "e")
+    rhos = _orthogonal_cover(g, mu, sigma)
+    if rhos is None:
         raise LatticeError("not an orthogonal cover")
-    entries: list[Element] = [e]
-    targets: list[list[Element]] = [sigma]
+    entries: list[EPath] = [mu]
+    targets: list[list[EPath]] = [rhos]
     script: Script = []
     while True:
-        pos = next(
-            (i for i, x in enumerate(entries) if targets[i] != [x]),
-            None,
-        )
+        pos = next((i for i, x in enumerate(entries) if targets[i] != [x]), None)
         if pos is None:
             return script
-        x = entries[pos]
-        goal = targets[pos]
-        choice = _cover_direction(g, x, goal)
-        children = simple_expand(g, x, choice)
-        parts: list[list[Element]] = [[] for _ in children]
+        x, goal = entries[pos], targets[pos]
+        choice = None
+        if x.p in g.free_k:
+            same = [s for s in goal if s.gamma == x.gamma]
+            if len(same) != 1:
+                raise LatticeError("expected a unique member over the free prefix")
+            choice = _direction(g, x, same[0])
+        children = epath_children(g, x, choice)
+        parts: list[list[EPath]] = [[] for _ in children]
         for s in goal:
-            owner = next(
-                (ci for ci, c in enumerate(children) if nat_leq(g, s, c)), None
-            )
+            owner = next((ci for ci, c in enumerate(children) if _cyl_meet(g, s, c) == s), None)
             if owner is None:
                 raise LatticeError("cover member crosses expansion children")
             parts[owner].append(s)
         script.append((pos, choice))
         entries[pos : pos + 1] = children
         targets[pos : pos + 1] = parts
-
-
-def _cover_direction(g: SeparatedGraph, x: Element, goal) -> int | None:
-    mu = epath_of(g, x)
-    if mu.p not in g.free_k:
-        return None
-    same = [s for s in goal if epath_of(g, s).gamma == mu.gamma]
-    if len(same) != 1:
-        raise LatticeError("expected a unique member over the free prefix")
-    return _direction(g, mu, epath_of(g, same[0]))
 
 
 # -- bounded enumeration -------------------------------------------------

@@ -21,9 +21,10 @@ the state cap and answers No when y's closure is its whole class.
 Equidecomposition runs no `mon_eq`: a common type of the two
 expansion-only closures proves the types equal.  They are expanded
 alternately and stop once no lighter common type can appear, and the
-relation path to the lightest one is replayed as simple expansions of
-cylinders, matched by type vertex through explicit semigroup elements.
-Every Unknown names the limit it hit.
+relation path to the lightest one is replayed on the cylinders' E-paths,
+matched by type vertex (`epath_end`); elements are built only for the
+certificate, whose check reads each side through `disjoint_union`.  Every
+Unknown names the limit it hit.
 
 Precondition: the graph is adaptable (graph.validate_adaptable); nothing
 here checks it.
@@ -39,8 +40,8 @@ from itertools import combinations
 from operator import add, ge, sub
 
 from .graph import FreePrime, SeparatedGraph
-from .lattice import CompactOpen, co_eq, co_of_orthogonal, epath_end, first_overlap
-from .lattice import simple_expand, trusted_idem
+from .lattice import CompactOpen, EPath, co_eq, disjoint_union, epath_children, epath_end
+from .lattice import epath_of, trusted_idem
 from .semigroup import (
     Element,
     FreeBody,
@@ -167,14 +168,9 @@ class Presentation:
         applied left to right, then right to left."""
         out = []
         for rel in self.relations:
-            rhs = _vector(self, rel.rhs)
-            v = self._index[rel.vertex]
-            change = list(rhs)
-            change[v] -= 1
-            change = tuple((i, n) for i, n in enumerate(change) if n)
-            out.append((((v, 1),), change, sum(rhs) - 1, rel))
-            need = tuple((i, n) for i, n in enumerate(rhs) if n)
-            out.append((need, tuple((i, -n) for i, n in change), 1 - sum(rhs), rel))
+            l, r = _vector(self, mon_unit(rel.vertex)), _vector(self, rel.rhs)
+            grow, shrink = _rule_steps([(l, r), (r, l)])
+            out += [(*grow, sum(r) - 1, rel), (*shrink, 1 - sum(r), rel)]
         return tuple(out)
 
 
@@ -504,6 +500,14 @@ def _unknown(system, limit: str) -> Unknown:
     return system if isinstance(system, Unknown) else Unknown(limit)
 
 
+def _no_common_type(system, *closures: _Search) -> Unknown:
+    """Unknown for expansion-only closures without a common state: "types
+    unequal" when they are exhausted with nothing pruned (equal types have
+    a common expansion, by the diamond lemma), else as `_unknown`."""
+    limit = _limit(*closures)
+    return _unknown(system, limit) if limit else Unknown("types unequal")
+
+
 def _eq_path(pres: Presentation, x: MonElem, y: MonElem, budget: Budget):
     """mon_eq's answer, with a Yes given as (state, relation from the previous state) pairs."""
     ux, uy = _vector(pres, x), _vector(pres, y)
@@ -610,9 +614,7 @@ def vertex_of_idempotent(g: SeparatedGraph, e: Element) -> str:
     """The vertex representing the cylinder Z(e) in M(E,C)."""
     if not is_idempotent(e):
         raise MonoidError("not a nonzero idempotent")
-    if isinstance(e.m.body, FreeBody):
-        return e.m.p
-    return g.path_end(e.m.body.src, e.m.body.gamma)
+    return epath_end(g, epath_of(g, e))
 
 
 def typ_of(g: SeparatedGraph, a: CompactOpen) -> MonElem:
@@ -673,26 +675,22 @@ def verify_certificate(
         if is_zero(s) or mul(g, star(g, s), s) != src or mul(g, s, star(g, s)) != rng:
             return False
     for group, whole in ((cert.sources, a), (cert.ranges, b)):
-        if first_overlap(g, group) is not None or not co_eq(g, co_of_orthogonal(g, group), whole):
+        union = disjoint_union(g, group)
+        if union is None or not co_eq(g, union, whole):
             return False
     return True
 
 
-def _expand_for_relation(g: SeparatedGraph, pieces, rel: Relation):
-    """Apply one relation to a cylinder list: expand its first piece of type
-    rel.vertex."""
-    for i, e in enumerate(pieces):
-        if vertex_of_idempotent(g, e) == rel.vertex:
-            return pieces[:i] + tuple(simple_expand(g, e, rel.index)) + pieces[i + 1 :]
-    raise MonoidError(f"no cylinder of type {rel.vertex!r} to expand")
-
-
-def _replay(g: SeparatedGraph, a: CompactOpen, search: _Search, t) -> list[Element]:
-    """The cylinders of A expanded along the search's relation path to t."""
-    pieces = tuple(trusted_idem(g, mu) for mu in a.cyls)
+def _replay(g: SeparatedGraph, a: CompactOpen, search: _Search, t) -> list[EPath]:
+    """The cylinders of A expanded along the search's relation path to t:
+    each relation expands the first piece of type rel.vertex."""
+    pieces = list(a.cyls)
     for _, rel in reversed(search.trail(t)[:-1]):
-        pieces = _expand_for_relation(g, pieces, rel)
-    return list(pieces)
+        i = next((i for i, mu in enumerate(pieces) if epath_end(g, mu) == rel.vertex), None)
+        if i is None:
+            raise MonoidError(f"no cylinder of type {rel.vertex!r} to expand")
+        pieces[i : i + 1] = epath_children(g, pieces[i], rel.index)
+    return pieces
 
 
 def equidecompose(
@@ -701,7 +699,8 @@ def equidecompose(
     """A certificate that A and B are equidecomposable, or Unknown if no
     common type is found within the budget.  Of the lightest common types,
     the first in A's breadth-first order is used.  Types with different
-    normal forms give Unknown("types unequal") before any search."""
+    normal forms give Unknown("types unequal") before any search, and so do
+    closures exhausted with nothing pruned and no common type."""
     pres = presentation(g)
     ta, tb = (_vector(pres, typ_of(g, x)) for x in (a, b))
     system = complete(pres, budget)
@@ -709,19 +708,15 @@ def equidecompose(
         return Unknown("types unequal")
     reach_a, reach_b, t = _common_closures(pres, ta, tb, budget)
     if t is None:
-        return _unknown(system, _limit(reach_a, reach_b))
-    fin_a, fin_b = _replay(g, a, reach_a, t), _replay(g, b, reach_b, t)
-    by_vertex: dict[str, list[Element]] = {}
-    for e in fin_b:
-        by_vertex.setdefault(vertex_of_idempotent(g, e), []).append(e)
-    elements, sources, ranges = [], [], []
-    for ea in fin_a:
-        eb = by_vertex[vertex_of_idempotent(g, ea)].pop()
-        # verify_certificate below checks s s* and s* s of every piece.
-        s = _connector(g, eb, ea)
-        elements.append(s)
-        sources.append(ea)
-        ranges.append(eb)
+        return _no_common_type(system, reach_a, reach_b)
+    by_vertex: dict[str, list[EPath]] = {}
+    for mu in _replay(g, b, reach_b, t):
+        by_vertex.setdefault(epath_end(g, mu), []).append(mu)
+    fin_a = _replay(g, a, reach_a, t)
+    sources = [trusted_idem(g, mu) for mu in fin_a]
+    ranges = [trusted_idem(g, by_vertex[epath_end(g, mu)].pop()) for mu in fin_a]
+    # verify_certificate below checks s s* and s* s of every piece.
+    elements = [_connector(g, eb, ea) for ea, eb in zip(sources, ranges)]
     cert = EquidecompCertificate(tuple(elements), tuple(sources), tuple(ranges))
     if not verify_certificate(g, cert, a, b):
         raise MonoidError("constructed certificate failed verification")

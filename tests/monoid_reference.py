@@ -296,9 +296,12 @@ def equidecompose_to_cap(
     reach_a, reach_b = (_expansion_closure(pres, t, budget) for t in (ta, tb))
     common = [t for t in reach_a.parents if t in reach_b.parents]
     if not common:
-        return mn._unknown(system, mn._limit(reach_a, reach_b))
+        return mn._no_common_type(system, reach_a, reach_b)
     t = min(common, key=sum)
-    fin_a, fin_b = mn._replay(g, a, reach_a, t), mn._replay(g, b, reach_b, t)
+    fin_a, fin_b = (
+        [trusted_idem(g, mu) for mu in mn._replay(g, x, reach, t)]
+        for x, reach in ((a, reach_a), (b, reach_b))
+    )
     by_vertex: dict[str, list[Element]] = {}
     for e in fin_b:
         by_vertex.setdefault(vertex_of_idempotent(g, e), []).append(e)

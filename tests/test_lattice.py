@@ -6,7 +6,7 @@ from sepgroid import lattice as lt, monoid as mn, semigroup as sg
 from sepgroid.graph import parse_graph
 from sepgroid.lattice import Bounds, CompactOpen, LatticeError
 
-from conftest import _top_idem, alphabet, random_word
+from conftest import _random_cover, _top_idem, alphabet, random_word
 
 
 def w(g, text):
@@ -122,6 +122,125 @@ def test_orthogonalize_cover(g1):
     out = lt.orthogonalize_cover(g1, base, sigma)
     assert lt.is_orthogonal_cover(g1, base, out)
     assert lt.co_eq(g1, lt.co_of(g1, *out), lt.co_of(g1, base))
+
+
+# -- covers against their definitions by products ------------------------
+
+
+def _defects(g, e, sigma):
+    """What keeps sigma from being an orthogonal cover of e, by products
+    alone: the error for the first member that is not a nonzero idempotent
+    (f f != f) or not below e (f e != f), else whether two members meet (a
+    nonzero f h) and whether their union is Z(e)."""
+    bad_member = None
+    for f in sigma:
+        if sg.is_zero(f) or sg.mul(g, f, f) != f:
+            bad_member = "cover member is not a nonzero idempotent"
+        elif sg.mul(g, f, e) != f:
+            bad_member = "cover member not below e"
+        if bad_member:
+            return bad_member, None, None
+    overlap = any(
+        not sg.is_zero(sg.mul(g, f, h)) for i, f in enumerate(sigma) for h in sigma[i + 1 :]
+    )
+    covering = lt.co_eq(g, lt.co_of(g, *sigma), lt.co_of(g, e))
+    return None, overlap, covering
+
+
+def _cover_cases(g, rng, count):
+    """(e, sigma) pairs: random orthogonal covers of pool idempotents, each
+    kept as it is or broken by an overlapping pair, a member not below e, a
+    missing piece or a non-idempotent member (one or two of these)."""
+    pool = list(lt.enumerate_idempotents(g, Bounds(1, 1, 2)))
+    toks = alphabet(g)
+    for _ in range(count):
+        e = rng.choice(pool)
+        cover = _random_cover(g, rng, e, rng.randint(0, 3))
+        sigma = list(cover)
+        for fault in rng.sample(["none", "overlap", "outside", "missing", "stray"], rng.randint(1, 2)):
+            if fault == "overlap":  # a copy, e itself, or a piece of a member
+                f = rng.choice(cover)
+                sigma.append(rng.choice([f, e] + _random_cover(g, rng, f, 1)))
+            elif fault == "outside":
+                sigma.append(rng.choice(pool))
+            elif fault == "missing" and sigma:
+                del sigma[rng.randrange(len(sigma))]
+            elif fault == "stray":
+                sigma.append(rng.choice([sg.ZERO, sg.parse_word(g, random_word(rng, toks, 3))]))
+        rng.shuffle(sigma)
+        yield e, sigma
+
+
+def _check_covers_by_products(g, rng, count, monkeypatch):
+    """is_orthogonal_cover, orthogonalize_cover and cover_to_expansion agree
+    with _defects on every case, and each turns every idempotent it is
+    given into its E-path once (fewer times when it stops early).  Returns
+    the kinds of case seen: the bad member's error, else (overlap,
+    covering)."""
+    calls = []
+    real = lt._epath
+
+    def counted(e, name):
+        calls.append(e)
+        return real(e, name)
+
+    monkeypatch.setattr(lt, "_epath", counted)
+    kinds = set()
+    for e, sigma in _cover_cases(g, rng, count):
+        bad_member, overlap, covering = _defects(g, e, sigma)
+        ortho_cover = bad_member is None and not overlap and covering
+        kinds.add(bad_member or (overlap, covering))
+        calls.clear()
+        assert lt.is_orthogonal_cover(g, e, sigma) == ortho_cover, (e, sigma)
+        assert len(calls) <= len(sigma) + 1
+        assert len(calls) == len(sigma) + 1 or not ortho_cover
+
+        calls.clear()
+        if ortho_cover:
+            script = lt.cover_to_expansion(g, e, sigma)
+            assert len(calls) == len(sigma) + 1
+        else:
+            with pytest.raises(LatticeError, match="not an orthogonal cover"):
+                lt.cover_to_expansion(g, e, sigma)
+
+        calls.clear()
+        if bad_member or not covering:
+            with pytest.raises(LatticeError, match=bad_member or "input is not a cover of e"):
+                lt.orthogonalize_cover(g, e, sigma)
+            out = None
+        else:
+            out = lt.orthogonalize_cover(g, e, sigma)
+            assert len(calls) == len(sigma) + 1
+
+        if ortho_cover:
+            replay = lt.expand(g, e, script)
+            assert sorted(map(repr, replay)) == sorted(map(repr, sigma))
+            assert sorted(map(repr, out)) == sorted(map(repr, sigma))
+        if out is not None:
+            assert _defects(g, e, out) == (None, False, True), (e, sigma, out)
+    return kinds
+
+
+COVER_KINDS = {
+    "cover member is not a nonzero idempotent",
+    "cover member not below e",
+    (False, True),  # an orthogonal cover
+    (True, True),  # an overlapping cover
+    (False, False),  # a piece missing
+}
+
+
+@pytest.mark.parametrize("name", ["g0", "g1", "g2", "g3"])
+def test_cover_predicates_match_their_definitions_on_fixtures(graphs, name, monkeypatch):
+    kinds = _check_covers_by_products(graphs[name], random.Random(name), 300, monkeypatch)
+    # g0 has a single vertex, a point: every idempotent lies below every other
+    assert kinds >= COVER_KINDS - ({"cover member not below e"} if name == "g0" else set())
+
+
+@pytest.mark.parametrize("shape", ["tower_graph", "regular_graph", "mixed_graph"])
+def test_cover_predicates_match_their_definitions_on_generated(gen_module, shape, monkeypatch):
+    g = parse_graph(getattr(gen_module, shape)("cover-0").text())
+    assert _check_covers_by_products(g, random.Random(shape), 200, monkeypatch) >= COVER_KINDS
 
 
 # -- cylinder algebra ----------------------------------------------------

@@ -402,6 +402,24 @@ def test_equidecompose_needs_no_mon_eq(g1):
     assert mn.verify_certificate(g1, cert, a, b)
 
 
+@pytest.mark.parametrize("shape", ["regular_graph", "tower_graph"])
+def test_exhausted_closures_prove_types_unequal(gen_module, shape):
+    # Completion gives up at this budget.  The sink z has no relation, so
+    # each expansion-only closure is its start alone, exhausted with nothing
+    # pruned; equal types would share an expansion (the diamond lemma).
+    g = parse_graph(getattr(gen_module, shape)("diff-0").text())
+    pres, budget = mn.presentation(g), Budget(300, 10)
+    at_z = [
+        e for e in lt.enumerate_idempotents(g, lt.Bounds(1, 0, 0))
+        if mn.vertex_of_idempotent(g, e) == "z" and e != w(g, "v:z")
+    ]
+    a, b = co(g, "v:z"), lt.co_of(g, *at_z[:2])
+    assert len(b.cyls) == 2 and mn.typ_of(g, b) == mon_of({"z": 2})
+    assert mn.complete(pres, budget).reason == "completion budget"
+    assert repr(mn.equidecompose(g, a, b, budget)) == "Unknown(reason='types unequal')"
+    assert mn.mon_eq(pres, mn.typ_of(g, a), mn.typ_of(g, b), budget) == No()
+
+
 def test_equidecompose_iff_mon_eq_sample(graphs, rng):
     for name in ("g1", "g2", "g3"):
         g = graphs[name]
@@ -448,6 +466,18 @@ def test_equidecompose_verifies_every_connector(g3, monkeypatch):
     monkeypatch.setattr(mn, "_connector", lambda g, e1, e2: sg.star(g, real(g, e1, e2)))
     with pytest.raises(MonoidError, match="failed verification"):
         mn.equidecompose(g3, a, b)
+
+
+def test_verify_certificate_reads_each_piece_once(g2, monkeypatch):
+    a = co(g2, "v:w")
+    b = lt.co_of(g2, *lt.expand(g2, w(g2, "v:w"), [(0, None), (0, None)]))
+    cert = mn.equidecompose(g2, a, b)
+    assert len(cert.sources) >= 2
+    calls = []
+    real = lt._epath
+    monkeypatch.setattr(lt, "_epath", lambda e, name: calls.append(e) or real(e, name))
+    assert mn.verify_certificate(g2, cert, a, b)
+    assert sorted(map(repr, calls)) == sorted(map(repr, cert.sources + cert.ranges))
 
 
 def test_unknown_vertex_is_rejected_at_the_boundary(g1):
