@@ -410,12 +410,10 @@ def _typ(args, g, expr):
 
 def _equidecompose(args, g, a_s, b_s):
     a, b = parse_compact_open(g, a_s), parse_compact_open(g, b_s)
-    budget = _budget(args)
-    cert = mn.equidecompose(g, a, b, budget)
+    cert = mn.equidecompose(g, a, b, _budget(args))
     if isinstance(cert, mn.Unknown):
-        # only a proof of unequal types turns Unknown into No
-        eq = mn.mon_eq(mn.presentation(g), mn.typ_of(g, a), mn.typ_of(g, b), budget)
-        return _answer(eq if isinstance(eq, mn.No) else cert)
+        # types proven unequal are a No; any other Unknown names its limit
+        return _answer(mn.No() if cert.reason == "types unequal" else cert)
     entries = [
         {"element": sg.element_to_word(g, s), "source": sg.element_to_word(g, src),
          "range": sg.element_to_word(g, rng)}

@@ -9,22 +9,21 @@ The presentation is built once per graph.  On first use, `complete` turns
 it into a convergent rewriting system (commutative Knuth-Bendix
 completion, charged against `Budget.max_states`) and keeps it on the
 presentation; `verify_inequality` checks it once, so that different normal
-forms prove two elements unequal.  That is how `mon_eq` answers No before
-any search, and how `equidecompose` tells unequal types apart.
+forms prove two elements unequal.
 
-One bounded breadth-first search, `_Search`, runs over integer vectors in
-the sorted vertex order of the presentation.  `mon_eq` runs it from both
-sides for the relation path of a Yes (and answers No also after a full
-congruence class was enumerated below the weight cap); that path alone
-gives `refinement_witness` its witness.  `mon_leq` reads a closure run to
-the state cap and answers No when y's closure is its whole class.
-Equidecomposition runs no `mon_eq`: a common type of the two
-expansion-only closures proves the types equal.  They are expanded
-alternately and stop once no lighter common type can appear, and the
-relation path to the lightest one is replayed on the cylinders' E-paths,
-matched by type vertex (`epath_end`); elements are built only for the
-certificate, whose check reads each side through `disjoint_union`.  Every
-Unknown names the limit it hit.
+Every equality question is answered by one search, `_common_type`.  By the
+diamond lemma, x = y exactly when x and y have a common expansion, so it
+runs the expansion-only closures of the two sides, breadth first over
+integer vectors in the sorted vertex order of the presentation and each
+under its own state cap, and returns their lightest common state, or No
+(different normal forms, or exhausted closures that prove it), or Unknown.
+`mon_eq` reads a relation path from the two trails to that state,
+`refinement_witness` splits the trails by summand, and `equidecompose`
+replays them on the cylinders' E-paths, matched by type vertex
+(`epath_end`); elements are built only for the certificate, whose check
+reads each side through `disjoint_union`.  `mon_leq` reads one closure with
+contractions run to the state cap and answers No when y's closure is its
+whole class.  Every Unknown names the limit it hit.
 
 Precondition: the graph is adaptable (graph.validate_adaptable); nothing
 here checks it.
@@ -216,15 +215,14 @@ def _elem(pres: Presentation, u: tuple[int, ...]) -> MonElem:
 
 @dataclass(frozen=True)
 class Budget:
-    """Limits of one monoid search.  `mon_eq`, and `refinement_witness`
-    through it, answers Unknown once its two sides together hold more than
-    `max_states` states.  `mon_leq` and `equidecompose` cap each closure
-    separately: it stops expanding once it holds more than `max_states`
-    states, so its last expansion can overshoot.  `equidecompose` stops
-    both of its closures earlier, once no lighter common type can appear.
-    No search moves to a state heavier than `max_weight`.  Completion
-    (`complete`) is charged one unit per critical pair it processes and
-    gives up after `max_states` of them; `max_weight` does not bound it."""
+    """Limits of one monoid question.  Every closure is capped alone: it
+    stops expanding once it holds more than `max_states` states, so its
+    last expansion can overshoot.  The two expansion-only closures of
+    `mon_eq`, `refinement_witness` and `equidecompose` stop earlier, once no
+    lighter common state can appear.  No search moves to a state heavier
+    than `max_weight`.  Completion (`complete`) is charged one unit per
+    critical pair it processes, and answers only when the presentation
+    needs at most `max_states` of them; `max_weight` does not bound it."""
 
     max_states: int = 100_000
     max_weight: int = 40
@@ -243,9 +241,9 @@ class No:
 @dataclass(frozen=True)
 class Unknown:
     """No answer within the budget.  `reason` names the limit that was hit:
-    "state cap", "weight cap" or "completion budget"; `equidecompose` also
-    answers Unknown with "types unequal", because it proves no inequality
-    (`mon_eq` does)."""
+    "state cap", "weight cap" or "completion budget".  `equidecompose` also
+    answers Unknown("types unequal") where `mon_eq` answers No: the types
+    are proven unequal, so there is no certificate to give."""
 
     reason: str = field(default="", compare=False)
 
@@ -310,11 +308,12 @@ def _critical_pair(l1, r1, l2, r2):
     return tuple(map(add, map(sub, m, l1), r1)), tuple(map(add, map(sub, m, l2), r2))
 
 
-def _complete(pres: Presentation, max_pairs: int) -> RewritingSystem | None:
+def _complete(pres: Presentation, max_pairs: int):
     """Commutative Knuth-Bendix completion (Buchberger's algorithm on the
     binomial ideal) of the relations, critical pairs taken smallest lcm
-    degree first; None once more than max_pairs pairs were processed.  A
-    rule whose left side a new rule rewrites goes back to the equations."""
+    degree first: the system and the number of pairs processed, or None
+    once more than max_pairs were.  A rule whose left side a new rule
+    rewrites goes back to the equations."""
     rules: dict[int, tuple] = {}  # id -> (l, r); ids fix every order
     steps: list = []
     todo = deque((_vector(pres, mon_unit(rel.vertex)), _vector(pres, rel.rhs))
@@ -339,7 +338,7 @@ def _complete(pres: Presentation, max_pairs: int) -> RewritingSystem | None:
             new_id += 1
             steps = _rule_steps(rules.values())
         if not pairs:
-            return RewritingSystem(tuple(rules.values()))
+            return RewritingSystem(tuple(rules.values())), processed
         _, i, j = heappop(pairs)
         if i in rules and j in rules:
             processed += 1
@@ -372,24 +371,29 @@ class _Completion:
     """What `complete` has found for one presentation."""
 
     system: RewritingSystem | None = None
+    pairs: int = 0  # the critical pairs that the completed run processed
     gave_up_at: int = -1  # the largest max_states that completion ran out of
 
 
 def complete(pres: Presentation, budget: Budget = Budget()):
     """The convergent rewriting system of the presentation, which has passed
     `verify_inequality`, or Unknown("completion budget") when more than
-    `budget.max_states` critical pairs would be needed.  Computed on first
-    use and kept on the presentation; a run that gave up is not repeated
-    under a budget no larger."""
+    `budget.max_states` critical pairs are needed.  Computed on first use
+    and kept on the presentation, with the number of pairs it needed, so
+    that the answer depends on this call's budget alone; a run that gave up
+    is not repeated under a budget no larger."""
     state = pres._completion
     if state.system is None and budget.max_states > state.gave_up_at:
-        system = _complete(pres, budget.max_states)
-        if system is None:
+        done = _complete(pres, budget.max_states)
+        if done is None:
             state.gave_up_at = budget.max_states
-        elif not verify_inequality(pres, system):
+        elif not verify_inequality(pres, done[0]):
             raise MonoidError("completed system failed verification")
-        state.system = system
-    return state.system or Unknown("completion budget")
+        else:
+            state.system, state.pairs = done
+    if state.system is None or state.pairs > budget.max_states:
+        return Unknown("completion budget")
+    return state.system
 
 
 class _Search:
@@ -444,21 +448,28 @@ def _open(search: _Search, budget: Budget) -> bool:
     return bool(search.queue) and len(search.parents) <= budget.max_states
 
 
-def _common_closures(pres: Presentation, ta, tb, budget: Budget):
-    """The expansion-only searches from ta and tb, and the lightest state
-    both reached, first in A's breadth-first order (None if there is none).
+def _common_type(pres: Presentation, ux, uy, budget: Budget):
+    """(A, B, t): the expansion-only searches from ux and uy and the lightest
+    state t both reached, first in A's breadth-first order; or No, or
+    Unknown naming the limit hit.  By the diamond lemma, ux = uy exactly
+    when they have a common expansion, so t proves them equal.
 
-    The two are expanded alternately, each only while it is open (see
-    `_open`) and could still change the answer.  Once a common
-    state of weight w is known, A could change it only by reaching a state
-    lighter than w (a tie would come later in A's order), and B only by
-    reaching one no heavier than w.  Every expansion move adds at least
+    Different normal forms of the completed system answer No before any
+    search.  Otherwise the two closures are expanded alternately, each only
+    while it is open (see `_open`) and could still change the answer.  Once a
+    common state of weight w is known, A could change it only by reaching a
+    state lighter than w (a tie would come later in A's order), and B only
+    by reaching one no heavier than w.  Every expansion move adds at least
     `step` to the weight, so when step >= 0 a queued state u leads to
     nothing lighter than sum(u) + step.  The answer is the one the two
-    closures run to the state cap would give."""
-    a, b = (_Search(pres, t, budget.max_weight, expand_only=True) for t in (ta, tb))
+    closures run to the state cap would give (`_verdict`, when they share
+    no state)."""
+    system = complete(pres, budget)
+    if isinstance(system, RewritingSystem) and system.normal_form(ux) != system.normal_form(uy):
+        return No()
+    a, b = (_Search(pres, u, budget.max_weight, expand_only=True) for u in (ux, uy))
     step = min((dw for _, _, dw, _ in a.moves), default=0)
-    best = sum(ta) if ta == tb else None  # the lightest common weight so far
+    best = sum(ux) if ux == uy else None  # the lightest common weight so far
 
     def wanted(search: _Search, slack: int) -> bool:
         return _open(search, budget) and (
@@ -478,73 +489,46 @@ def _common_closures(pres: Presentation, ta, tb, budget: Budget):
                 if w in other.parents and (best is None or sum(w) < best):
                     best = sum(w)
     common = [t for t in a.parents if t in b.parents]
-    return a, b, min(common, key=sum) if common else None
+    return (a, b, min(common, key=sum)) if common else _verdict(system, a, b, budget)
 
 
-def _limit(*searches: _Search) -> str:
-    """The limit that stopped searches which found nothing; empty when they
-    were exhausted with nothing pruned."""
-    if any(s.queue for s in searches):
-        return "state cap"
-    return "weight cap" if any(s.pruned for s in searches) else ""
+def _verdict(system, a: _Search, b: _Search, budget: Budget):
+    """No or Unknown for two expansion-only closures that share no state,
+    each exhausted or over the state cap; `system` is what `complete` gave.
 
-
-def _unequal(system, u, v) -> bool:
-    """Whether a completed system gives u and v different normal forms."""
-    return isinstance(system, RewritingSystem) and system.normal_form(u) != system.normal_form(v)
-
-
-def _unknown(system, limit: str) -> Unknown:
-    """Unknown naming the completion budget when completion gave up (then
-    `system` is that Unknown), else `limit`."""
+    The answer is No when both closures are exhausted, both starts weigh at
+    most max_weight, and at least one closure, say A, had nothing pruned.
+    Proof: were the starts equal, they would have a common expansion c (the
+    diamond lemma).  A, exhausted with nothing pruned, holds every
+    expansion of its start, so c is in A and weighs at most max_weight.
+    Expansions only gain weight, so every state on the way from B's start
+    to c weighs at most max_weight too, and B, being exhausted, would have
+    reached c.  Otherwise the answer is the completion's Unknown when
+    completion gave up, else Unknown naming the limit that stopped the
+    closures."""
+    starts = (next(iter(s.parents)) for s in (a, b))  # a search's first state
+    if a.queue or b.queue:
+        limit = "state cap"
+    elif (a.pruned and b.pruned) or max(map(sum, starts)) > budget.max_weight:
+        limit = "weight cap"
+    else:
+        return No()
     return system if isinstance(system, Unknown) else Unknown(limit)
 
 
-def _no_common_type(system, *closures: _Search) -> Unknown:
-    """Unknown for expansion-only closures without a common state: "types
-    unequal" when they are exhausted with nothing pruned (equal types have
-    a common expansion, by the diamond lemma), else as `_unknown`."""
-    limit = _limit(*closures)
-    return _unknown(system, limit) if limit else Unknown("types unequal")
-
-
-def _eq_path(pres: Presentation, x: MonElem, y: MonElem, budget: Budget):
-    """mon_eq's answer, with a Yes given as (state, relation from the previous state) pairs."""
+def mon_eq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()):
+    """Yes with a relation path: x's expansions up to the common state of
+    `_common_type`, then y's expansions from it taken back.  No or Unknown
+    as `_common_type` answers."""
     ux, uy = _vector(pres, x), _vector(pres, y)
     if ux == uy:
-        return [(ux, None)]
-    system = complete(pres, budget)
-    if _unequal(system, ux, uy):
-        return No()
-    if sum(ux) > budget.max_weight or sum(uy) > budget.max_weight:
-        return _unknown(system, "weight cap")
-    sides = (_Search(pres, ux, budget.max_weight), _Search(pres, uy, budget.max_weight))
-    states = 2
-    while sides[0].queue or sides[1].queue:
-        q0, q1 = sides[0].queue, sides[1].queue
-        i = 0 if q0 and (not q1 or len(q0) <= len(q1)) else 1
-        for w in sides[i].expand():
-            states += 1
-            if w in sides[1 - i].parents:
-                back = sides[1].trail(w)
-                return sides[0].trail(w)[::-1] + [
-                    (u, rel) for (u, _), (_, rel) in zip(back[1:], back)
-                ]
-            if states > budget.max_states:
-                return _unknown(system, "state cap")
-    if not (sides[0].pruned and sides[1].pruned):
-        return No()
-    return _unknown(system, "weight cap")
-
-
-def mon_eq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()):
-    """No when the completed system gives x and y different normal forms;
-    otherwise a bounded bidirectional search, which answers Yes with a
-    relation path, No once it has enumerated a whole congruence class, or
-    Unknown naming the limit it hit (the completion budget, when completion
-    gave up)."""
-    path = _eq_path(pres, x, y, budget)
-    return Yes(tuple(_elem(pres, u) for u, _ in path)) if isinstance(path, list) else path
+        return Yes((_elem(pres, ux),))
+    found = _common_type(pres, ux, uy, budget)
+    if not isinstance(found, tuple):
+        return found
+    a, b, t = found
+    path = [u for u, _ in reversed(a.trail(t))] + [u for u, _ in b.trail(t)[1:]]
+    return Yes(tuple(_elem(pres, u) for u in path))
 
 
 def mon_leq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()):
@@ -559,43 +543,35 @@ def mon_leq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget(
     for u in search.parents:
         if all(map(ge, u, ux)) and (best is None or sum(u) < sum(best)):
             best = u
-    if best is None:
-        return Unknown(_limit(search)) if search.queue or search.pruned else No()
-    return Yes((_elem(pres, tuple(map(sub, best, ux))),))
+    if best is not None:
+        return Yes((_elem(pres, tuple(map(sub, best, ux))),))
+    if search.queue:
+        return Unknown("state cap")
+    return Unknown("weight cap") if search.pruned else No()
 
 
 def refinement_witness(
     pres: Presentation, a: MonElem, b: MonElem, c: MonElem, d: MonElem,
     budget: Budget = Budget(),
 ):
-    """(w,x,y,z) with a=w+x, b=y+z, c=w+y, d=x+z, from the relation path of
-    mon_eq(a+b, c+d); its No raises MonoidError, its Unknown is the answer.
-    The path is folded into expansions a+b ->* t <-* c+d: an expansion after
-    contractions is swapped past them (the diamond lemma) or cancels the
-    last one by the same move.  Split by summand, t = ta + tb = tc + td in
-    N^V; then w = min(ta, tc), x = ta - w, y = tc - w and z = tb - y.  A
-    path, split or sum failing its check raises MonoidError."""
-    path = _eq_path(pres, mon_add(a, b), mon_add(c, d), budget)
-    if isinstance(path, No):
-        raise MonoidError("a+b and c+d are unequal")
-    if isinstance(path, Unknown):
-        return path
-    grow = {rel: change for _, change, _, rel in pres._moves[::2]}  # sparse changes
-    up, down = [], []  # expansions from a+b to t; contractions from t on
-    for (u, _), (v, rel) in zip(path, path[1:]):
-        if _sparse(map(sub, u, v)) == grow[rel]:
-            down.append(rel)
-        elif _sparse(map(sub, v, u)) != grow[rel]:
-            raise MonoidError("the path of mon_eq is not a relation path")
-        elif same := [j for j, r in enumerate(down) if grow[r] == grow[rel]]:
-            del down[same[-1]]
-        else:
-            up.append(rel)
+    """(w,x,y,z) with a=w+x, b=y+z, c=w+y, d=x+z, from the common expansion
+    t of a+b and c+d that `_common_type` finds; its No raises MonoidError,
+    its Unknown is the answer.  Each side's trail to t is split by summand,
+    so that t = ta + tb = tc + td in N^V; then w = min(ta, tc), x = ta - w,
+    y = tc - w and z = tb - y.  A split or sum failing its check raises
+    MonoidError."""
     ta, tb, tc, td = (list(_vector(pres, m)) for m in (a, b, c, d))
-    for (first, second), rels in (((ta, tb), up), ((tc, td), down[::-1])):
-        for rel in rels:  # from the first summand while it holds a copy
+    found = _common_type(pres, tuple(map(add, ta, tb)), tuple(map(add, tc, td)), budget)
+    if isinstance(found, No):
+        raise MonoidError("a+b and c+d are unequal")
+    if isinstance(found, Unknown):
+        return found
+    *searches, t = found
+    grow = {rel: change for _, change, _, rel in pres._moves[::2]}  # sparse changes
+    for (first, second), search in zip(((ta, tb), (tc, td)), searches):
+        for _, rel in reversed(search.trail(t)[:-1]):
             v = pres._index[rel.vertex]
-            part = first if first[v] else second
+            part = first if first[v] else second  # the first summand while it holds a copy
             if not part[v]:
                 raise MonoidError(f"no copy of {rel.vertex!r} to expand")
             for i, n in grow[rel]:
@@ -696,19 +672,15 @@ def _replay(g: SeparatedGraph, a: CompactOpen, search: _Search, t) -> list[EPath
 def equidecompose(
     g: SeparatedGraph, a: CompactOpen, b: CompactOpen, budget: Budget = Budget()
 ):
-    """A certificate that A and B are equidecomposable, or Unknown if no
-    common type is found within the budget.  Of the lightest common types,
-    the first in A's breadth-first order is used.  Types with different
-    normal forms give Unknown("types unequal") before any search, and so do
-    closures exhausted with nothing pruned and no common type."""
+    """A certificate that A and B are equidecomposable, replayed from the
+    common type that `_common_type` finds: of the lightest, the first in
+    A's breadth-first order.  Its No, a proof that the types differ, gives
+    Unknown("types unequal"); its Unknown is the answer."""
     pres = presentation(g)
-    ta, tb = (_vector(pres, typ_of(g, x)) for x in (a, b))
-    system = complete(pres, budget)
-    if _unequal(system, ta, tb):
-        return Unknown("types unequal")
-    reach_a, reach_b, t = _common_closures(pres, ta, tb, budget)
-    if t is None:
-        return _no_common_type(system, reach_a, reach_b)
+    found = _common_type(pres, *(_vector(pres, typ_of(g, x)) for x in (a, b)), budget)
+    if not isinstance(found, tuple):
+        return Unknown("types unequal") if isinstance(found, No) else found
+    reach_a, reach_b, t = found
     by_vertex: dict[str, list[EPath]] = {}
     for mu in _replay(g, b, reach_b, t):
         by_vertex.setdefault(epath_end(g, mu), []).append(mu)

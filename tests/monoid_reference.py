@@ -2,9 +2,9 @@
 search over integer vectors, kept verbatim as a differential reference.
 
 `_neighbors` rewrites MonElem dicts one relation at a time, `mon_eq` is the
-undirected bidirectional search, `mon_leq` and `refinement_witness` read
-cached reachable sets, and `equidecompose` expands cylinder lists at every
-state of both refinement closures.
+undirected bidirectional search, `mon_leq` reads a reachable set, and
+`equidecompose` expands cylinder lists at every state of both refinement
+closures.
 
 Two later forms of `sepgroid.monoid` code are kept beside them:
 `equidecompose_to_cap` runs both expansion-only closures to the state cap
@@ -15,7 +15,6 @@ builds each union with `co_of`.  Only the tests import this module.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 
 from sepgroid import monoid as mn
 from sepgroid.lattice import CompactOpen, co_is_empty, co_of, co_subtract, first_overlap
@@ -34,7 +33,6 @@ from sepgroid.monoid import (
     connect_idempotents,
     mon_add,
     mon_geq,
-    mon_of,
     mon_sub,
     mon_unit,
     mon_weight,
@@ -86,12 +84,6 @@ def reachable_set(pres: Presentation, x: MonElem, budget: Budget):
                 parents[w] = u
                 queue.append(w)
     return parents, complete and not queue, pruned
-
-
-@lru_cache(maxsize=4096)
-def _reach_cached(pres: Presentation, x: MonElem, budget: Budget):
-    """Shared read-only reachable sets; callers must not mutate them."""
-    return reachable_set(pres, x, budget)
 
 
 def _trace(parents, u) -> list[MonElem]:
@@ -157,52 +149,6 @@ def mon_leq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget(
     check = mon_eq(pres, mon_add(x, best), y, budget)
     return Yes((best,)) if isinstance(check, Yes) else Unknown()
 
-
-def refinement_witness(
-    pres: Presentation, a: MonElem, b: MonElem, c: MonElem, d: MonElem,
-    budget: Budget = Budget(),
-):
-    """(w,x,y,z) with a=w+x, b=y+z, c=w+y, d=x+z, or Unknown."""
-    pre = mon_eq(pres, mon_add(a, b), mon_add(c, d), budget)
-    if not isinstance(pre, Yes):
-        raise MonoidError("a+b = c+d not established within budget")
-    reach_a, _, _ = _reach_cached(pres, a, budget)
-    reach_b, _, _ = _reach_cached(pres, b, budget)
-    reach_c, _, _ = _reach_cached(pres, c, budget)
-    for ua in reach_a:
-        for w in _splits(ua):
-            xx = mon_sub(ua, w)
-            for uc in reach_c:
-                if not mon_geq(uc, w):
-                    continue
-                yy = mon_sub(uc, w)
-                for ub in reach_b:
-                    if not mon_geq(ub, yy):
-                        continue
-                    zz = mon_sub(ub, yy)
-                    if isinstance(mon_eq(pres, d, mon_add(xx, zz), budget), Yes):
-                        return (w, xx, yy, zz)
-    return Unknown()
-
-
-def _splits(u: MonElem):
-    """All w with w <= u componentwise."""
-    items = list(u.counts)
-
-    def rec(i):
-        if i == len(items):
-            yield {}
-            return
-        v, n = items[i]
-        for rest in rec(i + 1):
-            for take in range(n + 1):
-                out = dict(rest)
-                if take:
-                    out[v] = take
-                yield out
-
-    for d in rec(0):
-        yield mon_of(d)
 
 def _expand_for_relation(g: SeparatedGraph, pieces, rel: Relation):
     """Apply one relation to a cylinder list; None if no piece matches."""
@@ -291,12 +237,13 @@ def equidecompose_to_cap(
     pres = presentation(g)
     ta, tb = (mn._vector(pres, typ_of(g, x)) for x in (a, b))
     system = mn.complete(pres, budget)
-    if mn._unequal(system, ta, tb):
+    if isinstance(system, mn.RewritingSystem) and system.normal_form(ta) != system.normal_form(tb):
         return Unknown("types unequal")
     reach_a, reach_b = (_expansion_closure(pres, t, budget) for t in (ta, tb))
     common = [t for t in reach_a.parents if t in reach_b.parents]
     if not common:
-        return mn._no_common_type(system, reach_a, reach_b)
+        verdict = mn._verdict(system, reach_a, reach_b, budget)
+        return Unknown("types unequal") if isinstance(verdict, No) else verdict
     t = min(common, key=sum)
     fin_a, fin_b = (
         [trusted_idem(g, mu) for mu in mn._replay(g, x, reach, t)]

@@ -131,9 +131,9 @@ def test_monoid_leq_and_refine(capsys):
 
 
 def test_refine_exit_codes(capsys):
-    # p = p + q1: Yes at the default budget, Unknown (2) when the budget runs
+    # w = 3w: Yes at the default budget, Unknown (2) when the budget runs
     # out first; q1 + q2 and 2*q1 are provably unequal, an input error (65).
-    argv = ("refine", G1, "a:p", "a:q1", "a:p", "0")
+    argv = ("refine", G2, "a:w", "0", "2*a:w", "a:w")
     code, out, _ = run(capsys, *argv)
     assert (code, out.splitlines()[0]) == (0, "Yes")
     assert run(capsys, *argv, "--max-steps", "1") == (2, "Unknown", "")
@@ -160,12 +160,13 @@ def test_equidecompose_example(capsys):
 
 
 def test_equidecompose_answers_from_its_own_search(capsys):
-    # One state is too few for monoid-eq, but enough for the expansion-only
-    # closures to meet.
+    # monoid-eq on the types and equidecompose on the compact opens run one
+    # search, so they agree: one state per closure is enough for both.
     a, b = "Z(v:p)", "Z(a:p.2 a:p.2*) + Z(b:p.2.1 b:p.2.1*)"
-    code, out, _ = run(capsys, "monoid-eq", G1, "a:p", "a:p + a:q2", "--max-steps", "1")
-    assert (code, out) == (2, "Unknown")
-    code, out, _ = run(capsys, "equidecompose", G1, a, b, "--max-steps", "1")
+    limits = ("--max-steps", "1", "--max-weight", "6")
+    code, out, _ = run(capsys, "monoid-eq", G1, "a:p", "a:p + a:q2", *limits)
+    assert (code, out) == (0, "Yes\na:p\na:p + a:q2")
+    code, out, _ = run(capsys, "equidecompose", G1, a, b, *limits)
     assert code == 0
     assert out.splitlines()[0] == "Yes"
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sepgroid import lattice as lt, load_fixture, monoid as mn, semigroup as sg
+from sepgroid import cli, fixture_path, lattice as lt, load_fixture, monoid as mn, semigroup as sg
 from sepgroid.graph import parse_graph
 from sepgroid.monoid import (
     Budget,
@@ -219,7 +219,8 @@ def test_completion_decides_the_fixtures(graphs):
     system = mn.complete(pres)
     # p + q1 -> p and p + q2 -> p; q1 and q2 are normal forms
     assert system.rules == (((1, 1, 0), (1, 0, 0)), ((1, 0, 1), (1, 0, 0)))
-    assert mn.mon_eq(pres, mon_unit("q1"), mon_unit("q2"), Budget(0, 0)) == No()
+    # g1 needs one critical pair
+    assert mn.mon_eq(pres, mon_unit("q1"), mon_unit("q2"), Budget(1, 0)) == No()
     # a system that does not join a relation proves nothing
     assert not mn.verify_inequality(pres, mn.RewritingSystem(system.rules[:1]))
     # nor does one with a rule that does not decrease
@@ -245,7 +246,9 @@ def test_completion_that_gave_up_is_not_retried(monkeypatch):
     assert runs == [0]
     system = mn.complete(pres, Budget(1))
     assert isinstance(system, mn.RewritingSystem) and runs == [0, 1]
-    assert mn.complete(pres, Budget(0)) is system and runs == [0, 1]
+    # the kept system needed one pair: a budget of none still gets no system
+    assert mn.complete(pres, Budget(0)).reason == "completion budget" and runs == [0, 1]
+    assert mn.complete(pres, Budget(1)) is system and runs == [0, 1]
 
 
 # -- refinement ----------------------------------------------------------
@@ -274,37 +277,45 @@ def test_refinement_requires_precondition(g1):
         mn.refinement_witness(pres, q1, q2, q1, q1)
 
 
-def test_refinement_out_of_budget_is_unknown(g1):
-    # p = p + q1 holds, but one state is too few for mon_eq to show it.
-    pres = mn.presentation(g1)
-    p, q1, one = mon_unit("p"), mon_unit("q1"), Budget(max_states=1)
-    assert isinstance(mn.mon_eq(pres, mon_add(p, q1), p, one), Unknown)
-    out = mn.refinement_witness(pres, p, q1, p, mn.ZERO_ELEM, one)
+def test_refinement_out_of_budget_is_unknown(g2):
+    # w + 2w = 3w = w holds, but with one state each the closures of w and
+    # 3w reach only 2w and 4w.
+    pres = mn.presentation(g2)
+    w, two, one = mon_unit("w"), mon_of({"w": 2}), Budget(max_states=1)
+    assert mn.mon_eq(pres, mon_add(w, two), w, one).reason == "state cap"
+    out = mn.refinement_witness(pres, w, mn.ZERO_ELEM, two, w, one)
     assert out == Unknown() and out.reason == "state cap"
-    assert not isinstance(mn.refinement_witness(pres, p, q1, p, mn.ZERO_ELEM), Unknown)
+    assert not isinstance(mn.refinement_witness(pres, w, mn.ZERO_ELEM, two, w), Unknown)
 
 
-def test_refinement_folds_a_relation_path_and_checks_it(g1, monkeypatch):
-    # p + q1 -> p -> p + q2 -> p + q1 + q2 contracts by p = p + q1, expands
-    # by p = p + q2 (swapped past the contraction) and by p = p + q1 again
-    # (cancelling the contraction).  The same path with one state moved off
-    # its relation step gives no witness.
+def _closure(pres, trail):
+    """An expansion-only search whose parents hold one trail of (state,
+    relation that reached it) pairs, from its start on."""
+    search = mn._Search(pres, trail[0][0], 40, expand_only=True)
+    for (u, _), (v, rel) in zip(trail, trail[1:]):
+        search.parents[v] = (u, rel)
+    return search
+
+
+def test_refinement_splits_the_trails_and_checks_them(g1, monkeypatch):
+    # q1 + p expands by p = p + q2 to the common state p + q1 + q2 of
+    # q1 + q2 + p: the expansion is charged to p, the summand that holds a
+    # copy of p.
     pres = mn.presentation(g1)
     r1, r2 = pres.relations
     q1, q2, p = mon_unit("q1"), mon_unit("q2"), mon_unit("p")
-    quad = (q1, p, mon_add(q1, q2), p)
-    path = [((1, 1, 0), None), ((1, 0, 0), r1), ((1, 0, 1), r2), ((1, 1, 1), r1)]
-    monkeypatch.setattr(mn, "_eq_path", lambda *args: path)
-    assert mn.refinement_witness(pres, *quad) == (q1, mn.ZERO_ELEM, q2, p)
-    path[2] = ((2, 1, 2), r2)
-    with pytest.raises(MonoidError, match="not a relation path"):
-        mn.refinement_witness(pres, *quad)
-    # relation paths that do not join a+b to c+d
-    for quad, path, message in (
+    t = (1, 1, 1)
+    closures = (_closure(pres, [((1, 1, 0), None), (t, r2)]), _closure(pres, [(t, None)]), t)
+    monkeypatch.setattr(mn, "_common_type", lambda *args: closures)
+    assert mn.refinement_witness(pres, q1, p, mon_add(q1, q2), p) == (q1, mn.ZERO_ELEM, q2, p)
+    # trails that do not join a+b to c+d
+    for quad, trail, message in (
         ((q1, q2, q1, q2), [((0, 1, 1), None), ((0, 2, 1), r1)], "no copy of 'p'"),
         ((p, q1, p, q1), [((1, 1, 0), None), ((1, 2, 0), r1)], "valley differ"),
     ):
-        monkeypatch.setattr(mn, "_eq_path", lambda *args, path=path: path)
+        end = trail[-1][0]
+        closures = (_closure(pres, trail), _closure(pres, [(end, None)]), end)
+        monkeypatch.setattr(mn, "_common_type", lambda *args, found=closures: found)
         with pytest.raises(MonoidError, match=message):
             mn.refinement_witness(pres, *quad)
 
@@ -390,16 +401,21 @@ def test_equidecompose_identity(g1):
     assert mn.verify_certificate(g1, cert, a, a)
 
 
-def test_equidecompose_needs_no_mon_eq(g1):
-    # At one state mon_eq gives up, but a common type of the expansion-only
-    # closures is already a proof that the types are equal.
+def test_equidecompose_needs_no_mon_eq(g1, monkeypatch, capsys):
+    # mon_eq and equidecompose read one search: at one state each, its
+    # closures meet at p + q2, which gives mon_eq its path and equidecompose
+    # its certificate.  Neither equidecompose nor the command line then runs
+    # mon_eq, not even to tell No from Unknown.
     a, b = co(g1, "v:p"), lt.co_of(g1, w(g1, "a:p.2 a:p.2*"), w(g1, "b:p.2.1 b:p.2.1*"))
     budget = Budget(1, 6)
     eq = mn.mon_eq(mn.presentation(g1), mn.typ_of(g1, a), mn.typ_of(g1, b), budget)
-    assert isinstance(eq, Unknown)
+    assert eq == Yes((mon_unit("p"), mon_of({"p": 1, "q2": 1})))
+    monkeypatch.setattr(mn, "mon_eq", None)
     cert = mn.equidecompose(g1, a, b, budget)
     assert len(cert.elements) == 2
     assert mn.verify_certificate(g1, cert, a, b)
+    assert cli.main(["equidecompose", fixture_path("g1.sg"), "Z(v:q1)", "Z(v:q2)"]) == 1
+    assert capsys.readouterr().out == "No\n"
 
 
 @pytest.mark.parametrize("shape", ["regular_graph", "tower_graph"])
@@ -418,6 +434,16 @@ def test_exhausted_closures_prove_types_unequal(gen_module, shape):
     assert mn.complete(pres, budget).reason == "completion budget"
     assert repr(mn.equidecompose(g, a, b, budget)) == "Unknown(reason='types unequal')"
     assert mn.mon_eq(pres, mn.typ_of(g, a), mn.typ_of(g, b), budget) == No()
+    # One unpruned closure is enough: z's closure {z} holds every expansion
+    # of z, while rbv2's closure is exhausted with some moves pruned.
+    z, rbv2 = mon_unit("z"), mon_unit("rbv2")
+    closure = mn._Search(pres, mn._vector(pres, rbv2), budget.max_weight, expand_only=True)
+    while closure.queue:
+        closure.expand()
+    assert closure.pruned and len(closure.parents) <= budget.max_states
+    assert repr(mn.mon_eq(pres, z, rbv2, budget)) == "No()"
+    c = co(g, "v:rbv2")
+    assert repr(mn.equidecompose(g, a, c, budget)) == "Unknown(reason='types unequal')"
 
 
 def test_equidecompose_iff_mon_eq_sample(graphs, rng):
