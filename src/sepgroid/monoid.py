@@ -21,9 +21,10 @@ under its own state cap, and returns their lightest common state, or No
 `refinement_witness` splits the trails by summand, and `equidecompose`
 replays them on the cylinders' E-paths, matched by type vertex
 (`epath_end`); elements are built only for the certificate, whose check
-reads each side through `disjoint_union`.  `mon_leq` reads one closure with
-contractions run to the state cap and answers No when y's closure is its
-whole class.  Every Unknown names the limit it hit.
+reads each side through `disjoint_union`.  `mon_leq` runs y's
+expansion-only closure until a state lies above an expansion of x
+(`_below`), and answers No when the closure, exhausted with nothing
+pruned, holds none.  Every Unknown names the limit it hit.
 
 Precondition: the graph is adaptable (graph.validate_adaptable); nothing
 here checks it.
@@ -163,13 +164,12 @@ class Presentation:
 
     @cached_property
     def _moves(self) -> tuple:
-        """(needed counts, change, weight change, relation) of each relation
-        applied left to right, then right to left."""
+        """(vertex index, change, weight change, relation) of each relation
+        applied left to right: an expansion needs one copy of one vertex."""
         out = []
         for rel in self.relations:
             l, r = _vector(self, mon_unit(rel.vertex)), _vector(self, rel.rhs)
-            grow, shrink = _rule_steps([(l, r), (r, l)])
-            out += [(*grow, sum(r) - 1, rel), (*shrink, 1 - sum(r), rel)]
+            out.append((self._index[rel.vertex], _sparse(map(sub, r, l)), sum(r) - 1, rel))
         return tuple(out)
 
 
@@ -219,10 +219,11 @@ class Budget:
     stops expanding once it holds more than `max_states` states, so its
     last expansion can overshoot.  The two expansion-only closures of
     `mon_eq`, `refinement_witness` and `equidecompose` stop earlier, once no
-    lighter common state can appear.  No search moves to a state heavier
-    than `max_weight`.  Completion (`complete`) is charged one unit per
-    critical pair it processes, and answers only when the presentation
-    needs at most `max_states` of them; `max_weight` does not bound it."""
+    lighter common state can appear, and `mon_leq`'s at its first witness.
+    No search moves to a state heavier than `max_weight`.  Completion
+    (`complete`) is charged one unit per critical pair it processes, and
+    answers only when the presentation needs at most `max_states` of them;
+    `max_weight` does not bound it."""
 
     max_states: int = 100_000
     max_weight: int = 40
@@ -230,6 +231,9 @@ class Budget:
 
 @dataclass(frozen=True)
 class Yes:
+    """`path` is a relation path from x to y for `mon_eq`, and (z,) with
+    x + z = y for `mon_leq`."""
+
     path: tuple[MonElem, ...] = ()
 
 
@@ -397,14 +401,13 @@ def complete(pres: Presentation, budget: Budget = Budget()):
 
 
 class _Search:
-    """Breadth-first search over the states reachable from one start state.
-    Each expanded state tries every relation left to right and, unless
-    expand_only, right to left; states above max_weight are dropped and
-    flagged in `pruned`."""
+    """Breadth-first search over the expansions of one start state: the
+    expansion-only closure.  Each expanded state tries every relation left
+    to right; states above max_weight are dropped and flagged in
+    `pruned`."""
 
-    def __init__(self, pres: Presentation, start, max_weight: int, expand_only=False):
-        # _moves alternates expansions and contractions
-        self.moves = pres._moves[::2] if expand_only else pres._moves
+    def __init__(self, pres: Presentation, start, max_weight: int):
+        self.moves = pres._moves
         self.max_weight = max_weight
         # state -> (previous state, relation), None at the start
         self.parents: dict = {start: None}
@@ -416,22 +419,20 @@ class _Search:
         u = self.queue.popleft()
         weight = sum(u)
         new = []
-        for need, change, dw, rel in self.moves:
-            for i, n in need:
-                if u[i] < n:
-                    break
-            else:
-                if weight + dw > self.max_weight:
-                    self.pruned = True
-                    continue
-                w = list(u)
-                for i, n in change:
-                    w[i] += n
-                w = tuple(w)
-                if w not in self.parents:
-                    self.parents[w] = (u, rel)
-                    self.queue.append(w)
-                    new.append(w)
+        for v, change, dw, rel in self.moves:
+            if not u[v]:
+                continue
+            if weight + dw > self.max_weight:
+                self.pruned = True
+                continue
+            w = list(u)
+            for i, n in change:
+                w[i] += n
+            w = tuple(w)
+            if w not in self.parents:
+                self.parents[w] = (u, rel)
+                self.queue.append(w)
+                new.append(w)
         return new
 
     def trail(self, u) -> list:
@@ -460,21 +461,20 @@ def _common_type(pres: Presentation, ux, uy, budget: Budget):
     common state of weight w is known, A could change it only by reaching a
     state lighter than w (a tie would come later in A's order), and B only
     by reaching one no heavier than w.  Every expansion move adds at least
-    `step` to the weight, so when step >= 0 a queued state u leads to
-    nothing lighter than sum(u) + step.  The answer is the one the two
-    closures run to the state cap would give (`_verdict`, when they share
-    no state)."""
+    `step` >= 1 to the weight (a free prime has a target in each class, a
+    regular vertex two edges), so a queued state u leads to nothing lighter
+    than sum(u) + step.  The answer is the one the two closures run to the
+    state cap would give (`_verdict`, when they share no state)."""
     system = complete(pres, budget)
     if isinstance(system, RewritingSystem) and system.normal_form(ux) != system.normal_form(uy):
         return No()
-    a, b = (_Search(pres, u, budget.max_weight, expand_only=True) for u in (ux, uy))
+    a, b = (_Search(pres, u, budget.max_weight) for u in (ux, uy))
     step = min((dw for _, _, dw, _ in a.moves), default=0)
     best = sum(ux) if ux == uy else None  # the lightest common weight so far
 
     def wanted(search: _Search, slack: int) -> bool:
         return _open(search, budget) and (
             best is None
-            or step < 0
             or any(sum(u) + step < best + slack for u in search.queue)
         )
 
@@ -531,20 +531,48 @@ def mon_eq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()
     return Yes(tuple(_elem(pres, u) for u in path))
 
 
+def _below(lower: dict, u, b):
+    """An expansion of u that lies below b, or None when there is none;
+    `lower` maps each vertex index that its relations lower to the change
+    of that relation.  While some vertex v has u_v > b_v, one copy of v is
+    expanded; None once v is not in `lower` or sum(u) >= sum(b).
+
+    Proof: (1) any expansion of u below b must expand a copy of such a v;
+    that move can be made first, because the moves before it never consume
+    v.  (2) Only a free prime has several relations, and each of them keeps
+    its copy, as does the one relation of a regular vertex with a loop:
+    such a v never falls.  Any other v has one relation, so the move is
+    forced.  (3) Every expansion adds at least 1 to the weight, and
+    anything below b weighs at most sum(b)."""
+    u = list(u)
+    while True:
+        v = next((i for i, (m, n) in enumerate(zip(u, b)) if m > n), None)
+        if v is None:
+            return tuple(u)
+        if v not in lower or sum(u) >= sum(b):
+            return None
+        for i, n in lower[v]:
+            u[i] += n
+
+
 def mon_leq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()):
-    """Yes(z) with x + z equal to y; No when the closure of y, exhausted
-    with nothing pruned (the whole congruence class of y), holds no vector
-    >= x; else Unknown naming the limit hit."""
+    """Yes((b - a,)) for the first state b of y's expansion-only closure,
+    its start first, above an expansion a of x (`_below`).  x <= y exactly
+    when such a and b exist: a common expansion of x + z and y (the diamond
+    lemma) splits by summand.  No when the closure, exhausted with nothing
+    pruned (every expansion of y), has no such b; else Unknown."""
     ux = _vector(pres, x)
+    lower = {v: change for v, change, _, _ in pres._moves if (v, -1) in change}
     search = _Search(pres, _vector(pres, y), budget.max_weight)
-    while _open(search, budget):
-        search.expand()
-    best = None
-    for u in search.parents:
-        if all(map(ge, u, ux)) and (best is None or sum(u) < sum(best)):
-            best = u
-    if best is not None:
-        return Yes((_elem(pres, tuple(map(sub, best, ux))),))
+    reached = list(search.parents)
+    while True:
+        for b in reached:
+            a = _below(lower, ux, b)
+            if a is not None:
+                return Yes((_elem(pres, tuple(map(sub, b, a))),))
+        if not _open(search, budget):
+            break
+        reached = search.expand()
     if search.queue:
         return Unknown("state cap")
     return Unknown("weight cap") if search.pruned else No()
@@ -567,7 +595,7 @@ def refinement_witness(
     if isinstance(found, Unknown):
         return found
     *searches, t = found
-    grow = {rel: change for _, change, _, rel in pres._moves[::2]}  # sparse changes
+    grow = {rel: change for _, change, _, rel in pres._moves}  # sparse changes
     for (first, second), search in zip(((ta, tb), (tc, td)), searches):
         for _, rel in reversed(search.trail(t)[:-1]):
             v = pres._index[rel.vertex]

@@ -222,7 +222,7 @@ def equidecompose(
 
 
 def _expansion_closure(pres: Presentation, x, budget: Budget) -> mn._Search:
-    search = mn._Search(pres, x, budget.max_weight, expand_only=True)
+    search = mn._Search(pres, x, budget.max_weight)
     while search.queue and len(search.parents) <= budget.max_states:
         search.expand()
     return search

@@ -87,8 +87,9 @@ def test_expansions_meet_the_diamond_lemma(graphs, gen_module):
     """The two conditions under which any two one-step expansions of a
     state close in at most one further step each, so that expansion is
     confluent and equidecompose's expansion-only closures meet exactly
-    when the types are equal.  A graph feature that breaks them fails
-    here."""
+    when the types are equal; and that every expansion gains weight, which
+    `_verdict`'s proof, the early stop of `_common_type` and `_below` rely
+    on.  A graph feature that breaks them fails here."""
     generated = [
         parse_graph(getattr(gen_module, shape)(f"diamond-{k}").text())
         for shape in ("mixed_graph", "tower_graph", "regular_graph")
@@ -98,11 +99,11 @@ def test_expansions_meet_the_diamond_lemma(graphs, gen_module):
     for g in list(graphs.values()) + generated:
         pres = mn.presentation(g)
         expansions = {}
-        for need, change, _, rel in pres._moves[::2]:
-            v = pres._index[rel.vertex]
+        for v, change, dw, rel in pres._moves:
             # one copy of one vertex, and only that vertex falls, by one
-            assert need == ((v, 1),)
+            assert v == pres._index[rel.vertex]
             assert all(n >= 0 or (i == v and n == -1) for i, n in change)
+            assert dw == sum(n for _, n in change) >= 1
             expansions.setdefault(rel.vertex, []).append(rel)
         for vertex, rels in expansions.items():
             if len(rels) >= 2:
@@ -179,8 +180,9 @@ def test_small_budget_gives_unknown(g2):
 
 
 def test_mon_leq_proves_no(g1, g2):
-    # The closure of q2 is {q2}, exhausted with nothing pruned: it is the
-    # whole congruence class of q2, and no vector in it is >= q1.
+    # The expansion-only closure of q2 is {q2}, exhausted with nothing
+    # pruned: it holds every expansion of q2, and none of them lies above
+    # an expansion of q1.
     pres = mn.presentation(g1)
     assert mn.mon_leq(pres, mon_unit("q1"), mon_unit("q2")) == No()
     assert isinstance(mn.mon_leq(pres, mon_unit("q1"), mon_unit("p")), Yes)
@@ -291,7 +293,7 @@ def test_refinement_out_of_budget_is_unknown(g2):
 def _closure(pres, trail):
     """An expansion-only search whose parents hold one trail of (state,
     relation that reached it) pairs, from its start on."""
-    search = mn._Search(pres, trail[0][0], 40, expand_only=True)
+    search = mn._Search(pres, trail[0][0], 40)
     for (u, _), (v, rel) in zip(trail, trail[1:]):
         search.parents[v] = (u, rel)
     return search
@@ -437,7 +439,7 @@ def test_exhausted_closures_prove_types_unequal(gen_module, shape):
     # One unpruned closure is enough: z's closure {z} holds every expansion
     # of z, while rbv2's closure is exhausted with some moves pruned.
     z, rbv2 = mon_unit("z"), mon_unit("rbv2")
-    closure = mn._Search(pres, mn._vector(pres, rbv2), budget.max_weight, expand_only=True)
+    closure = mn._Search(pres, mn._vector(pres, rbv2), budget.max_weight)
     while closure.queue:
         closure.expand()
     assert closure.pruned and len(closure.parents) <= budget.max_states

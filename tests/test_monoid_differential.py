@@ -5,6 +5,7 @@ the benchmark's seeded generator."""
 import random
 from collections import Counter
 from itertools import combinations
+from operator import le
 
 import pytest
 
@@ -172,6 +173,44 @@ def _check_refinement(pres, quad, budget):
         assert _proves_equal(pres, part, whole, budget), (quad, budget, new)
 
 
+def _leq_closures(pres, x, y, budget):
+    """The reference's expansion-only closures of x and y, for a pair scan:
+    y's at the budget, and x's at the weight of y's heaviest state and no
+    state cap, so that it holds every expansion of x that can lie below a
+    state of y's."""
+    b = ref._expansion_closure(pres, mn._vector(pres, y), budget)
+    cap = max(map(sum, b.parents))
+    a = ref._expansion_closure(pres, mn._vector(pres, x), Budget(10**6, cap))
+    assert not a.queue
+    return a, b
+
+
+def _check_mon_leq(pres, x, y, budget, new, old):
+    """An answer of mon_leq against the reference's `old`, which reads y's
+    class through contractions and never answers No.  mon_leq never
+    contradicts it.  A Yes(z) shows x + z = y by equal normal forms where
+    completion finished, and mon_eq never answers No on it.  A No is proven
+    by y's closure, exhausted with nothing pruned, and a pair scan in which
+    no expansion of x lies below a state of it.  A reference Yes becomes
+    Unknown only at the state or weight cap."""
+    case = (x, y, budget, new, old)
+    if isinstance(new, Yes):
+        (z,) = new.path
+        system = _system(pres, budget)
+        if system is not None:
+            nf = system.normal_form
+            assert nf(mn._vector(pres, mon_add(x, z))) == nf(mn._vector(pres, y)), case
+        assert not isinstance(mn.mon_eq(pres, mon_add(x, z), y, budget), No), case
+    elif isinstance(new, No):
+        assert not isinstance(old, Yes), case
+        a, b = _leq_closures(pres, x, y, budget)
+        assert not (b.queue or b.pruned), case
+        assert not any(all(map(le, u, v)) for u in a.parents for v in b.parents), case
+    else:
+        assert isinstance(new, Unknown), case
+        assert new.reason in ("state cap", "weight cap"), case
+
+
 def _compact_opens(rng, g, pool):
     base = rng.choice(pool)
     yield lt.co_of(g, base), lt.co_of(g, *_random_cover(g, rng, base, rng.randint(1, 3)))
@@ -201,17 +240,7 @@ def test_one_search_matches_the_reference(graphs, gen_module, name):
                 ys.append(_random_elem(leq_rng, verts, 3))
             for y in ys:
                 new, old = _both(mn.mon_leq, ref.mon_leq, pres, x, y, budget)
-                if new == old:
-                    continue
-                # The reference never answers No, and its second search may
-                # hit its state cap.
-                assert isinstance(old, Unknown), (x, y, budget)
-                parents, complete, pruned = ref.reachable_set(pres, y, budget)
-                if isinstance(new, No):
-                    assert complete and not pruned, (x, y, budget)
-                    assert not any(mn.mon_geq(u, x) for u in parents), (x, y, budget)
-                else:
-                    assert mon_add(x, new.path[0]) in parents, (x, y, budget)
+                _check_mon_leq(pres, x, y, budget, new, old)
 
         for _ in range(2):
             w, x, y, z = (_random_elem(rng, verts, 1) for _ in range(4))
@@ -239,6 +268,58 @@ def test_one_search_matches_the_reference(graphs, gen_module, name):
                 continue
             assert mn.verify_certificate(g, new, a, b) and mn.verify_certificate(g, old, a, b)
             assert len(new.elements) == len(old.elements)
+
+
+@pytest.mark.parametrize("name", ["g0", "g1", "g2", "g3"] + [
+    f"{shape}/below-{i}" for shape in ("tower_graph", "regular_graph", "mixed_graph") for i in (0, 1)
+])
+def test_below_matches_the_expansion_closure(graphs, gen_module, name):
+    """`_below(u, b)` is None exactly when the reference expansion-only
+    closure of u, at weight cap sum(b) and exhausted, holds no state <= b,
+    and otherwise a state of it <= b.  u weighs at most 3; b is drawn from
+    a partial closure at weight cap 9, of u plus a small z (where an answer
+    always exists) or of an unrelated state."""
+    g = _graph(name, graphs, gen_module)
+    pres = mn.presentation(g)
+    lower = {v: change for v, change, _, _ in pres._moves if (v, -1) in change}
+    rng = random.Random(name)
+    verts = list(pres.vertices)
+    answers = Counter()
+    for _ in range(40):
+        x = _random_elem(rng, verts, 3)
+        y = mon_add(x, _random_elem(rng, verts, 2)) if rng.random() < 0.5 else _random_elem(rng, verts, 3)
+        u = mn._vector(pres, x)
+        closure = ref._expansion_closure(pres, mn._vector(pres, y), Budget(200, 9))
+        for b in rng.sample(list(closure.parents), min(5, len(closure.parents))):
+            got = mn._below(lower, u, b)
+            reach = ref._expansion_closure(pres, u, Budget(10**6, sum(b)))
+            assert not reach.queue, (x, b)
+            below = [a for a in reach.parents if all(map(le, a, b))]
+            assert (got is None) == (not below), (x, b, got)
+            if got is not None:
+                assert got in reach.parents and all(map(le, got, b)), (x, b, got)
+            answers[got is None] += 1
+    # both answers occur on every graph
+    assert answers[False] and answers[True], answers
+
+
+def test_mon_leq_stops_at_its_first_witness(graphs, gen_module, monkeypatch):
+    """At the default budget each of these needs one expansion of y's
+    closure, where running y's class to the state cap took 820 and 44,768."""
+    expand = mn._Search.expand
+    expanded = []
+
+    def counted(search):
+        expanded.append(search.queue[0])
+        return expand(search)
+
+    monkeypatch.setattr(mn._Search, "expand", counted)
+    tower = _graph("tower_graph/diff-0", graphs, gen_module)
+    for g, x, y in ((graphs["g1"], "q1", "p"), (tower, "p2", "p3")):
+        expanded.clear()
+        res = mn.mon_leq(mn.presentation(g), mn.mon_unit(x), mn.mon_unit(y))
+        assert isinstance(res, Yes), (x, y, res)
+        assert 0 < len(expanded) < 10, (x, y, len(expanded))
 
 
 def test_normal_forms_agree_with_the_search(gen_module):
