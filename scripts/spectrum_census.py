@@ -3,7 +3,7 @@
 
 Enumerates idempotents, semifinite paths, and ultrafilters within bounds,
 reports how traces separate paths, and spot-checks the trace/reconstruction
-round trip.
+round trip.  Exits 1 if two paths share a trace or a reconstruction fails.
 """
 
 import argparse
@@ -26,7 +26,9 @@ def describe(mu) -> str:
     return f"[{len(mu.gamma.steps)} steps -> {mu.p}] {tail}"
 
 
-def census(args: argparse.Namespace) -> None:
+def census(args: argparse.Namespace) -> int:
+    """Print the census; returns the number of trace collisions plus the
+    number of failed reconstructions."""
     g = load_fixture(f"{args.fixture}.sg")
     idems = list(
         lt.enumerate_idempotents(g, Bounds(args.max_depth, args.max_exp, args.max_len))
@@ -68,6 +70,7 @@ def census(args: argparse.Namespace) -> None:
     print("sample ultrafilters:")
     for mu in ultra[:8]:
         print(f"  {describe(mu)}")
+    return collisions + failures
 
 
 def main() -> int:
@@ -76,8 +79,7 @@ def main() -> int:
     ap.add_argument("--max-depth", type=int, default=2)
     ap.add_argument("--max-exp", type=int, default=3)
     ap.add_argument("--max-len", type=int, default=4)
-    census(ap.parse_args())
-    return 0
+    return 1 if census(ap.parse_args()) else 0
 
 
 if __name__ == "__main__":

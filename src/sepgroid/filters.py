@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .graph import SeparatedGraph
-from .lattice import Bounds, EPath, enumerate_cpaths, epath_of, idem_of
-from .lattice import internal_paths, simple_expand
+from .lattice import Bounds, EPath, LatticeError, enumerate_cpaths, epath_of, idem_of
+from .lattice import _cyl_meet, internal_paths, simple_expand
 from .semigroup import (
     CPath,
     Element,
@@ -28,8 +28,7 @@ from .semigroup import (
     cpath_is_prefix,
     cpath_range,
     is_idempotent,
-    is_zero,
-    mul,
+    validate_cpath,
 )
 
 INF = float("inf")
@@ -91,6 +90,10 @@ class SemifinitePath:
 
 
 def validate_path(g: SeparatedGraph, mu: SemifinitePath) -> None:
+    """Check a semifinite path that comes from a caller.  Raises WordError
+    or GraphError for a malformed prefix c-path (semigroup.validate_cpath),
+    FilterError for a prefix ending outside mu.p or a tail that does not fit."""
+    validate_cpath(g, mu.gamma)
     v = cpath_range(g, mu.gamma)
     if g.prime_of_vertex(v) != mu.p:
         raise FilterError(f"prefix ends at {v}, not in {mu.p}")
@@ -159,22 +162,19 @@ def _tail_is_initial(g: SeparatedGraph, gamma: CPath, tail, mu: SemifinitePath) 
     return mu.tail.unrolled(len(lam))[: len(lam)] == lam
 
 
-def reconstruct_path(g: SeparatedGraph, fam, bounds: Bounds | None = None):
+def reconstruct_path(g: SeparatedGraph, fam):
     """The minimal semifinite path whose filter contains the given finite
-    directed family of idempotents."""
-    fam = list(fam)
-    if not fam:
+    directed family of idempotents, each read as an E-path once."""
+    try:
+        mus = [epath_of(g, e) for e in fam]
+    except LatticeError:
+        raise FilterError("family must consist of nonzero idempotents") from None
+    if not mus:
         raise FilterError("empty family")
-    for e in fam:
-        if not is_idempotent(e):
-            raise FilterError("family must consist of nonzero idempotents")
-    for i in range(len(fam)):
-        for j in range(i + 1, len(fam)):
-            if is_zero(mul(g, fam[i], fam[j])):
-                raise FilterError("family is not directed")
-    deepest = max(fam, key=lambda e: len(e.gamma.steps))
-    mu0 = epath_of(g, deepest)
-    same = [epath_of(g, e) for e in fam if e.gamma == deepest.gamma]
+    if any(_cyl_meet(g, mu, rho) is None for i, mu in enumerate(mus) for rho in mus[i + 1 :]):
+        raise FilterError("family is not directed")
+    mu0 = max(mus, key=lambda m: len(m.gamma.steps))
+    same = [m for m in mus if m.gamma == mu0.gamma]
     if g.is_free(mu0.p):
         sup = tuple(max(m.tail[j] for m in same) for j in range(g.k(mu0.p)))
         return SemifinitePath(mu0.gamma, mu0.p, FreeTail(sup))

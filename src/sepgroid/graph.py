@@ -64,17 +64,17 @@ class SeparatedGraph:
     primes: list[FreePrime | RegularPrime]
 
     # Derived lookups, filled in __post_init__.
-    prime_by_name: dict = field(default_factory=dict, repr=False)
-    vertex_prime: dict = field(default_factory=dict, repr=False)
-    edge_by_name: dict = field(default_factory=dict, repr=False)
+    prime_by_name: dict = field(default_factory=dict, init=False, repr=False)
+    vertex_prime: dict = field(default_factory=dict, init=False, repr=False)
+    edge_by_name: dict = field(default_factory=dict, init=False, repr=False)
     # Compiled tables, read directly by hot paths that only see checked names:
     # free prime -> k, edge or connector -> its range, vertex -> its internal
     # out-edges / out-connectors (both empty at a free vertex), and the monoid
     # presentation, which monoid.presentation builds on first use.
-    free_k: dict = field(default_factory=dict, repr=False)
-    edge_rng: dict = field(default_factory=dict, repr=False)
-    out_edges_of: dict = field(default_factory=dict, repr=False)
-    out_connectors_of: dict = field(default_factory=dict, repr=False)
+    free_k: dict = field(default_factory=dict, init=False, repr=False)
+    edge_rng: dict = field(default_factory=dict, init=False, repr=False)
+    out_edges_of: dict = field(default_factory=dict, init=False, repr=False)
+    out_connectors_of: dict = field(default_factory=dict, init=False, repr=False)
     monoid_presentation: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -344,8 +344,7 @@ def validate_adaptable(g: SeparatedGraph) -> list[Violation]:
                 out.append(Violation("regular prime has a vertex", p.name))
                 continue
             for w in p.vertices:
-                deg = len([e for e in p.edges if e.src == w])
-                if deg < 2:
+                if len(g.out_edges_of[w]) < 2:
                     out.append(Violation("|s_Ep^-1(w)| >= 2", f"{p.name}:{w}"))
             if not _strongly_connected(p):
                 out.append(Violation("regular component transitive", p.name))

@@ -19,7 +19,7 @@ from itertools import zip_longest
 
 from .graph import SeparatedGraph
 from .filters import PerTail, SemifinitePath, filter_contains, is_infinite
-from .lattice import CompactOpen, EPath, co_of, first_overlap, top_epath, trusted_idem
+from .lattice import CompactOpen, EPath, co_of, disjoint_union, top_epath, trusted_idem
 from .semigroup import (
     CPath,
     Element,
@@ -215,7 +215,8 @@ def bisection_endpoints(
 
 
 def is_bisection_family(g: SeparatedGraph, fam) -> bool:
+    """Whether the nonzero members have disjoint sources and disjoint ranges."""
     fam = [s for s in fam if not is_zero(s)]
     srcs = [mul(g, star(g, s), s) for s in fam]
     rngs = [mul(g, s, star(g, s)) for s in fam]
-    return first_overlap(g, srcs) is None and first_overlap(g, rngs) is None
+    return disjoint_union(g, srcs) is not None and disjoint_union(g, rngs) is not None

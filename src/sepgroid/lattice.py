@@ -344,13 +344,6 @@ def _meeting_pair(g: SeparatedGraph, mus) -> tuple[int, int] | None:
     return None
 
 
-def first_overlap(g: SeparatedGraph, elems) -> tuple[int, int] | None:
-    """The first pair i < j, in row order, whose cylinders meet; None if
-    the elements are pairwise orthogonal.  The elements must be nonzero
-    idempotents (LatticeError otherwise)."""
-    return _meeting_pair(g, [_epath(e, "element") for e in elems])
-
-
 def disjoint_union(g: SeparatedGraph, elems) -> CompactOpen | None:
     """The union of the cylinders of nonzero idempotents when they are
     pairwise orthogonal, None when two of them meet.  LatticeError unless

@@ -41,7 +41,7 @@ from operator import add, ge, sub
 
 from .graph import FreePrime, SeparatedGraph
 from .lattice import CompactOpen, EPath, co_eq, disjoint_union, epath_children, epath_end
-from .lattice import epath_of, trusted_idem
+from .lattice import LatticeError, epath_of, trusted_idem
 from .semigroup import (
     Element,
     FreeBody,
@@ -49,7 +49,6 @@ from .semigroup import (
     RegBody,
     Triple,
     cpath_range,
-    is_idempotent,
     is_zero,
     mul,
     star,
@@ -616,9 +615,11 @@ def refinement_witness(
 
 def vertex_of_idempotent(g: SeparatedGraph, e: Element) -> str:
     """The vertex representing the cylinder Z(e) in M(E,C)."""
-    if not is_idempotent(e):
-        raise MonoidError("not a nonzero idempotent")
-    return epath_end(g, epath_of(g, e))
+    try:
+        mu = epath_of(g, e)
+    except LatticeError:
+        raise MonoidError("not a nonzero idempotent") from None
+    return epath_end(g, mu)
 
 
 def typ_of(g: SeparatedGraph, a: CompactOpen) -> MonElem:

@@ -473,22 +473,27 @@ def _body_tokens(g: SeparatedGraph, m: Monomial) -> list[str]:
     return toks
 
 
-def element_fields(g: SeparatedGraph, e: Element) -> tuple[str, str, str, str]:
-    """The four canonical fields (gamma, t-part, body, eta-star) as words."""
-    if is_zero(e):
-        raise WordError("Zero has no fields")
+def _field_tokens(g: SeparatedGraph, e: Triple) -> tuple[list[str], ...]:
+    """The token lists of the four canonical fields of a nonzero element."""
     gam = [t for s in e.gamma.steps for t in _step_tokens(g, s, False)]
     tp = _tpart_tokens(e.m, mono_source(g, e.m))
     body = _body_tokens(g, e.m)
     eta = [t for s in reversed(e.eta.steps) for t in _step_tokens(g, s, True)]
-    return (" ".join(gam), " ".join(tp), " ".join(body), " ".join(eta))
+    return gam, tp, body, eta
+
+
+def element_fields(g: SeparatedGraph, e: Element) -> tuple[str, str, str, str]:
+    """The four canonical fields (gamma, t-part, body, eta-star) as words."""
+    if is_zero(e):
+        raise WordError("Zero has no fields")
+    return tuple(" ".join(f) for f in _field_tokens(g, e))
 
 
 def element_to_word(g: SeparatedGraph, e: Element) -> str:
     """Flat word form; parse_word of the result reproduces e."""
     if is_zero(e):
         return "0"
-    toks = [t for f in element_fields(g, e) for t in f.split()]
+    toks = [t for f in _field_tokens(g, e) for t in f]
     if not toks:
         return f"v:{e.gamma.start}"
     return " ".join(toks)

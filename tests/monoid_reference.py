@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 
 from sepgroid import monoid as mn
-from sepgroid.lattice import CompactOpen, co_is_empty, co_of, co_subtract, first_overlap
+from sepgroid.lattice import CompactOpen, co_is_empty, co_of, co_subtract, disjoint_union
 from sepgroid.lattice import simple_expand, trusted_idem
 from sepgroid.monoid import (
     Budget,
@@ -276,7 +276,7 @@ def verify_certificate_by_co_of(
         if mul(g, star(g, s), s) != src or mul(g, s, star(g, s)) != rng:
             return False
     for group, whole in ((cert.sources, a), (cert.ranges, b)):
-        if first_overlap(g, group) is not None:
+        if disjoint_union(g, group) is None:
             return False
         union = co_of(g, *group)
         if not (co_is_empty(co_subtract(g, union, whole)) and co_is_empty(co_subtract(g, whole, union))):

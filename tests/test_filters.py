@@ -10,8 +10,9 @@ from sepgroid.filters import (
     SemifinitePath,
     canonical_periodic,
 )
-from sepgroid.graph import parse_graph
+from sepgroid.graph import GraphError, parse_graph
 from sepgroid.lattice import Bounds
+from sepgroid.semigroup import CPath, FreeStep, WordError
 
 
 def w(g, text):
@@ -34,10 +35,19 @@ def test_validate_paths(g2, g3):
     fl.validate_path(g3, path(g3, "b:p.1.1", PerTail((), ("f1",))))
     with pytest.raises(FilterError):
         fl.validate_path(g3, path(g3, "v:p", RegTail(())))
-    from sepgroid.graph import GraphError
-
     with pytest.raises((FilterError, GraphError)):
         fl.validate_path(g2, path(g2, "v:w", RegTail(("nope",))))
+
+
+def test_validate_path_checks_the_prefix(g3):
+    # g3: free p (k = 1, g(p, 1) = 1) over the regular vertex w of r.  Each
+    # prefix ends in r, so only the c-path check can reject it: a free step
+    # taken from w, a negative loop count, a connector index past g(p, 1).
+    for step, start in ((FreeStep("p", 1, 0, 1), "w"), (FreeStep("p", 1, -2, 1), "p"),
+                        (FreeStep("p", 1, 0, 3), "p")):
+        mu = SemifinitePath(CPath(start, (step,)), "r", RegTail(()))
+        with pytest.raises((WordError, GraphError)):
+            fl.validate_path(g3, mu)
 
 
 def test_validate_path_rejects_a_connector_in_a_regular_tail():
@@ -228,6 +238,35 @@ def test_reconstruct_rejects_bad_families(g2):
     e2 = w(g2, "e:f2 e:f2*")
     with pytest.raises(FilterError):
         fl.reconstruct_path(g2, [e1, e2])  # not directed
+
+
+@pytest.mark.parametrize("shape", ["tower_graph", "regular_graph", "mixed_graph"])
+def test_reconstruct_on_generated_graphs(gen_module, shape, rng):
+    # Within one bound every finite path's own idempotent is in the pool, so
+    # its trace determines it.  A pair is rejected as not directed exactly
+    # when its semigroup product is zero.
+    g = parse_graph(getattr(gen_module, shape)("rec-0").text())
+    bounds = Bounds(1, 1, 2)
+    by_start = {}
+    for e in lt.enumerate_idempotents(g, bounds):
+        by_start.setdefault(e.gamma.start, []).append(e)
+    for v, pool in by_start.items():
+        for mu in fl.enumerate_semifinite(g, v, bounds):
+            if isinstance(mu.tail, PerTail) or INF in getattr(mu.tail, "k", ()):
+                continue  # infinite in some direction: no finite trace
+            fam = [e for e in pool if fl.filter_contains(g, mu, e)]
+            assert fl.reconstruct_path(g, fam) == mu
+    starts = [v for v, pool in by_start.items() if len(pool) > 1]
+    rejected = 0
+    for _ in range(200):
+        e, f = rng.sample(by_start[rng.choice(starts)], 2)
+        if sg.is_zero(sg.mul(g, e, f)):
+            with pytest.raises(FilterError, match="not directed"):
+                fl.reconstruct_path(g, [e, f])
+            rejected += 1
+        else:
+            assert fl.reconstruct_path(g, [e, f]) == fl.reconstruct_path(g, [sg.mul(g, e, f)])
+    assert 0 < rejected < 200
 
 
 # -- ultrafilters --------------------------------------------------------

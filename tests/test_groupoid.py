@@ -3,6 +3,7 @@ import pytest
 from sepgroid import filters as fl, groupoid as gp, lattice as lt, semigroup as sg
 from sepgroid.filters import INF, FreeTail, PerTail, SemifinitePath
 from sepgroid.groupoid import GermWeight, GroupoidError
+from sepgroid.graph import parse_graph
 from sepgroid.lattice import Bounds
 
 from conftest import alphabet, random_word
@@ -201,3 +202,31 @@ def test_bisection_family(g2):
         g2, [w(g2, "e:f1 e:f2*"), w(g2, "e:f2 e:f1*")]
     )
     assert not gp.is_bisection_family(g2, [w(g2, "e:f1"), w(g2, "e:f2")])
+
+
+@pytest.mark.parametrize("shape", ["tower_graph", "regular_graph", "mixed_graph"])
+def test_bisection_family_matches_products_on_generated_graphs(gen_module, shape, rng):
+    # The reference: the sources s*s, and the ranges ss*, multiply pairwise
+    # to zero.
+    g = parse_graph(getattr(gen_module, shape)("bis-0").text())
+    toks = alphabet(g)
+    seen = set()
+    for _ in range(150):
+        fam = []
+        for _ in range(rng.randint(2, 4)):
+            while sg.is_zero(s := w(g, random_word(rng, toks, 4))):
+                pass
+            fam.append(s)
+        ends = (
+            [sg.mul(g, sg.star(g, s), s) for s in fam],
+            [sg.mul(g, s, sg.star(g, s)) for s in fam],
+        )
+        expect = all(
+            sg.is_zero(sg.mul(g, a, b))
+            for es in ends
+            for i, a in enumerate(es)
+            for b in es[i + 1 :]
+        )
+        assert gp.is_bisection_family(g, fam) == expect, fam
+        seen.add(expect)
+    assert seen == {True, False}

@@ -379,7 +379,7 @@ def _check_meets(g, pairs):
         assert lt._cyl_meet(g, rho, mu) == expect, (rho, mu)
         assert lt.meet(g, e, f) == ef
         assert lt.nat_leq(g, e, f) == (ef == e)
-        assert lt.first_overlap(g, [e, f]) == (None if expect is None else (0, 1))
+        assert (lt.disjoint_union(g, [e, f]) is None) == (expect is not None)
         nonzero += expect is not None
     return nonzero
 
