@@ -157,7 +157,7 @@ def parse_path(g: SeparatedGraph, text: str) -> fl.SemifinitePath:
     else:
         raise fl.FilterError("path tail must be free(...) or reg(...)")
     mu = fl.SemifinitePath(gamma, p, tail)
-    fl.validate_path(g, mu)
+    fl.validate_tail(g, mu)  # parse_word has checked the prefix
     return mu
 
 

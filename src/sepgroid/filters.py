@@ -38,7 +38,7 @@ class FilterError(Exception):
     """Raised on malformed paths or filter bases."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeTail:
     """Loop counts at the terminal free prime; entries in Z>=0 or INF."""
 
@@ -49,14 +49,14 @@ class FreeTail:
             raise FilterError(f"bad free tail {self.k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegTail:
     """A finite internal path at the terminal regular prime."""
 
     path: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerTail:
     """prefix . cycle . cycle . ... with s(cycle) = r(cycle) = r(prefix),
     stored in canonical_periodic form, so that two spellings of one
@@ -82,7 +82,7 @@ class PerTail:
 Tail = FreeTail | RegTail | PerTail
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemifinitePath:
     gamma: CPath
     p: str
@@ -94,6 +94,13 @@ def validate_path(g: SeparatedGraph, mu: SemifinitePath) -> None:
     or GraphError for a malformed prefix c-path (semigroup.validate_cpath),
     FilterError for a prefix ending outside mu.p or a tail that does not fit."""
     validate_cpath(g, mu.gamma)
+    validate_tail(g, mu)
+
+
+def validate_tail(g: SeparatedGraph, mu: SemifinitePath) -> None:
+    """The checks of validate_path after the prefix c-path, for a caller
+    whose prefix is already checked (a parsed word's gamma).  Raises
+    FilterError."""
     v = cpath_range(g, mu.gamma)
     if g.prime_of_vertex(v) != mu.p:
         raise FilterError(f"prefix ends at {v}, not in {mu.p}")

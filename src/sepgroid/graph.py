@@ -18,7 +18,7 @@ class GraphError(Exception):
     """Raised on malformed graph files or references to unknown items."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreePrime:
     name: str
     k: int
@@ -27,21 +27,21 @@ class FreePrime:
     targets: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InternalEdge:
     name: str
     src: str
     rng: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegularConnector:
     name: str
     src: str
     rng: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegularPrime:
     name: str
     vertices: tuple[str, ...]
@@ -49,7 +49,7 @@ class RegularPrime:
     connectors: tuple[RegularConnector, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     condition: str
     item: str
@@ -58,7 +58,7 @@ class Violation:
         return f"{self.condition}: {self.item}"
 
 
-@dataclass
+@dataclass(slots=True)
 class SeparatedGraph:
     name: str
     primes: list[FreePrime | RegularPrime]

@@ -39,7 +39,7 @@ class GroupoidError(Exception):
     """Raised on non-composable germs or precondition violations."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GermWeight:
     """(n1, n2): sparse t-exponents and a trimmed length-difference vector."""
 
@@ -70,7 +70,7 @@ def weight_neg(a: GermWeight) -> GermWeight:
     return GermWeight(ttuple({i: -d for i, d in a.n1}), tuple(-x for x in a.n2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Germ:
     x: SemifinitePath
     weight: GermWeight

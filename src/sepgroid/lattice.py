@@ -48,7 +48,7 @@ class LatticeError(Exception):
 # -- E-paths -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EPath:
     """gamma descends into the component of prime p; tail is a vector of
     loop exponents (free p) or an internal path (regular p)."""
@@ -58,7 +58,7 @@ class EPath:
     tail: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bounds:
     """Size limits for finite enumerations of paths and idempotents."""
 
@@ -250,7 +250,7 @@ def expand(g: SeparatedGraph, e: Element, script: Script) -> list[Element]:
 # -- compact opens -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompactOpen:
     """A finite disjoint union of cylinders, canonically sorted."""
 

@@ -62,7 +62,7 @@ class MonoidError(Exception):
 # -- elements ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonElem:
     """A finitely supported vector over the vertices, sorted and sparse."""
 
@@ -141,13 +141,14 @@ def format_monelem(x: MonElem) -> str:
 # -- presentation --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     vertex: str
     rhs: MonElem
     index: int | None  # loop index for free relations
 
 
+# Not slotted: cached_property stores its values in the instance __dict__.
 @dataclass(frozen=True)
 class Presentation:
     relations: tuple[Relation, ...]
@@ -212,7 +213,7 @@ def _elem(pres: Presentation, u: tuple[int, ...]) -> MonElem:
 # -- word problem --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Budget:
     """Limits of one monoid question.  Every closure is capped alone: it
     stops expanding once it holds more than `max_states` states, so its
@@ -228,7 +229,7 @@ class Budget:
     max_weight: int = 40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Yes:
     """`path` is a relation path from x to y for `mon_eq`, and (z,) with
     x + z = y for `mon_leq`."""
@@ -236,12 +237,12 @@ class Yes:
     path: tuple[MonElem, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class No:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unknown:
     """No answer within the budget.  `reason` names the limit that was hit:
     "state cap", "weight cap" or "completion budget".  `equidecompose` also
@@ -287,6 +288,7 @@ def _rule_steps(rules) -> list:
     return [(_sparse(l), _sparse(map(sub, r, l))) for l, r in rules]
 
 
+# Not slotted: cached_property stores its values in the instance __dict__.
 @dataclass(frozen=True)
 class RewritingSystem:
     """Rules (l, r) over the vectors of `Presentation.vertices`, each with l
@@ -369,7 +371,7 @@ def verify_inequality(pres: Presentation, system: RewritingSystem) -> bool:
     return True
 
 
-@dataclass
+@dataclass(slots=True)
 class _Completion:
     """What `complete` has found for one presentation."""
 
@@ -661,7 +663,7 @@ def _connector(g: SeparatedGraph, e1: Element, e2: Element) -> Element:
 # -- equidecomposition ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquidecompCertificate:
     elements: tuple[Element, ...]
     sources: tuple[Element, ...]  # s*s, a partition of A

@@ -7,6 +7,10 @@ implemented through the translation operation m * eta = eta-tilde * phi,
 which pushes a monomial through a c-path and leaves behind a pure-t
 monomial phi.
 
+Values are frozen and slotted (no per-instance __dict__), so elements can be
+shared and hashed.  The steps of a c-path are named tuples, so comparing two
+c-paths is a tuple comparison done in C.
+
 Precondition: the graph is adaptable (graph.validate_adaptable); nothing
 here checks it.
 """
@@ -14,6 +18,7 @@ here checks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import InternalEdge, RegularConnector, SeparatedGraph
 
@@ -24,9 +29,11 @@ class WordError(Exception):
 
 # -- c-paths -------------------------------------------------------------
 
+# Steps compare as plain tuples, which ignore the class: a FreeStep has four
+# fields and a RegularStep three, so the two never compare equal.
 
-@dataclass(frozen=True)
-class FreeStep:
+
+class FreeStep(NamedTuple):
     """alpha(p,i)^m beta(p,i,t): m loops then a connector, at free prime p."""
 
     p: str
@@ -35,8 +42,7 @@ class FreeStep:
     t: int
 
 
-@dataclass(frozen=True)
-class RegularStep:
+class RegularStep(NamedTuple):
     """An internal path (possibly empty) followed by a connector, at regular p."""
 
     p: str
@@ -47,7 +53,7 @@ class RegularStep:
 Step = FreeStep | RegularStep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CPath:
     start: str
     steps: tuple[Step, ...] = ()
@@ -87,11 +93,7 @@ def cpath_concat(g: SeparatedGraph, a: CPath, b: CPath) -> CPath:
 
 
 def cpath_is_prefix(pre: CPath, full: CPath) -> bool:
-    return (
-        pre.start == full.start
-        and len(pre.steps) <= len(full.steps)
-        and full.steps[: len(pre.steps)] == pre.steps
-    )
+    return pre.start == full.start and full.steps[: len(pre.steps)] == pre.steps
 
 
 def cpath_remainder(g: SeparatedGraph, pre: CPath, full: CPath) -> CPath:
@@ -127,13 +129,13 @@ def validate_cpath(g: SeparatedGraph, c: CPath) -> None:
 # -- monomials -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeBody:
     k: tuple[int, ...]
     l: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegBody:
     gamma: tuple[str, ...]
     nu: tuple[str, ...]
@@ -148,7 +150,7 @@ def is_pure_body(b: FreeBody | RegBody) -> bool:
     return not b.gamma and not b.nu
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     p: str
     tpart: tuple[tuple[int, int], ...]  # sorted (index, nonzero exponent)
@@ -224,7 +226,7 @@ def mul_monomials(g: SeparatedGraph, m1: Monomial, m2: Monomial):
 # -- elements ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Zero:
     pass
 
@@ -232,7 +234,7 @@ class Zero:
 ZERO = Zero()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     gamma: CPath
     m: Monomial
@@ -255,7 +257,7 @@ def star(g: SeparatedGraph, e: Element) -> Element:
 def is_idempotent(e: Element) -> bool:
     # s*s shares one c-path object as gamma and eta, so the identity test
     # usually decides before the structural comparison.
-    if is_zero(e) or e.m.tpart:
+    if isinstance(e, Zero) or e.m.tpart:
         return False
     if e.gamma is not e.eta and e.gamma != e.eta:
         return False

@@ -343,6 +343,20 @@ def test_periodic_tails_are_canonical_by_construction(g2):
     assert gp.compose(g2, germ, hand_made_unit) == germ
 
 
+@pytest.mark.parametrize(
+    "shape,tag", [(shape, f"rt-{i}") for shape in ("regular_graph", "mixed_graph") for i in (0, 1, 2)]
+)
+def test_infinite_paths_round_trip_on_generated_graphs(gen_module, shape, tag):
+    g = parse_graph(getattr(gen_module, shape)(tag).text())
+    kinds = set()
+    for v in sorted(g.vertex_prime):
+        for mu in fl.enumerate_infinite(g, v, Bounds(3, 2, 2)):
+            back = cli.parse_path(g, cli.format_path(g, mu))
+            assert back == mu and hash(back) == hash(mu)
+            kinds.add((type(mu.tail).__name__, bool(mu.gamma.steps)))
+    assert kinds == {(kind, deep) for kind in ("FreeTail", "PerTail") for deep in (False, True)}
+
+
 def test_enumerate_canonical_only(g2):
     for mu in fl.enumerate_semifinite(g2, "w", Bounds(1, 2, 3)):
         if isinstance(mu.tail, PerTail):

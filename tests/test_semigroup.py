@@ -1,8 +1,14 @@
+import dataclasses
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepgroid import semigroup as sg
-from sepgroid.semigroup import WordError
+from sepgroid import filters as fl, graph as gr, groupoid as gp, lattice as lt
+from sepgroid import monoid as mn, semigroup as sg
+from sepgroid.graph import parse_graph
+from sepgroid.lattice import Bounds
+from sepgroid.semigroup import FreeStep, RegularStep, WordError
 
 from conftest import alphabet, random_word
 from oracle import ZERO, oracle_nf
@@ -151,3 +157,129 @@ def test_element_fields_reassemble(g3):
     gam, tp, body, eta = sg.element_fields(g3, e)
     flat = " ".join(x for x in (gam, tp, body, eta) if x)
     assert sg.parse_word(g3, flat) == e
+
+
+# -- value layout --------------------------------------------------------
+
+# Values are slotted, and c-path steps are named tuples compared as tuples,
+# in C.  No code indexes, iterates or orders a step: every reader uses its
+# named fields, and sort keys (lattice._step_key) are built from them.
+
+
+def _mixed(gen_module):
+    """A generated graph with regular connectors and a loop at every
+    regular vertex."""
+    return parse_graph(gen_module.mixed_graph("lay-0").text())
+
+
+def _loop_and_connector(g):
+    """(prime, vertex, loop edge, connector) at some regular vertex."""
+    for v, conns in sorted(g.out_connectors_of.items()):
+        loops = [e for e in g.out_edges_of[v] if e.rng == v]
+        if conns and loops:
+            return g.vertex_prime[v], v, loops[0].name, conns[0].name
+    raise AssertionError("no regular vertex with a loop and a connector")
+
+
+def test_values_have_no_instance_dict(g3, gen_module):
+    mixed = _mixed(gen_module)
+    e = sg.parse_word(g3, "a:p.1 b:p.1.1 e:f1 e:f1* b:p.1.1* a:p.1*")
+    mu = lt.epath_of(g3, e)
+    x = fl.SemifinitePath(sg.trivial_cpath("p"), "p", fl.FreeTail((fl.INF,)))
+    y = fl.SemifinitePath(e.gamma, "r", fl.PerTail((), ("f1",)))
+    pres = mn.presentation(g3)
+    free_p, reg_r = g3.prime("p"), g3.prime("r")
+    prime, v, loop, conn = _loop_and_connector(mixed)
+    values = [
+        g3, free_p, reg_r, reg_r.edges[0], mixed.edge(conn), gr.Violation("c", "i"),
+        e, e.gamma, e.gamma.steps[0], e.m, e.m.body, sg.parse_word(g3, "v:p").m.body,
+        sg.ZERO, sg.generator_element(mixed, f"e:{conn}").gamma.steps[0],
+        mu, Bounds(), lt.co_of(g3, e),
+        x.tail, fl.RegTail(()), y.tail, x,
+        gp.GermWeight(), gp.unit(g3, x),
+        mn.mon_unit("p"), pres.relations[0], mn.Budget(), mn.Yes(), mn.No(),
+        mn.Unknown("state cap"), mn._Completion(), mn.EquidecompCertificate((), (), ()),
+    ]
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+    # every dataclass of the package is covered, except the two whose
+    # cached_property needs an instance __dict__
+    mods = (gr, sg, lt, fl, gp, mn)
+    classes = {
+        c for m in mods for _, c in inspect.getmembers(m, inspect.isclass)
+        if c.__module__ == m.__name__ and dataclasses.is_dataclass(c)
+    }
+    assert classes - {type(value) for value in values} == {
+        mn.Presentation, mn.RewritingSystem
+    }
+    assert {FreeStep, RegularStep} <= {type(value) for value in values}
+
+
+def _same_value(steps, expect):
+    assert len({id(s) for s in steps}) == len(steps)  # built separately
+    for s in steps:
+        assert isinstance(s, tuple)  # compared by the tuple code, in C
+        assert s == expect and hash(s) == hash(expect) and type(s) is type(expect)
+    assert set(steps) == {expect}
+
+
+def test_steps_built_by_different_routes_are_equal(g3, gen_module):
+    # g3: free p (k = 1) with one connector into the regular vertex w
+    first = FreeStep("p", 1, 0, 1)
+    looped = FreeStep("p", 1, 1, 1)
+    beta = sg.generator_element(g3, "b:p.1.1")
+    alpha = sg.generator_element(g3, "a:p.1")
+    enumerated = [c.steps[0] for c in lt.enumerate_cpaths(g3, "p", Bounds(1, 1, 0)) if c.steps]
+    children = [
+        [m.gamma.steps[0] for m in lt.epath_children(g3, lt.EPath(sg.trivial_cpath("p"), "p", (n,)), 1)
+         if m.gamma.steps]
+        for n in (0, 1)
+    ]
+    _same_value([beta.gamma.steps[0], enumerated[0], children[0][0]], first)
+    _same_value([sg.translate(g3, alpha.m, beta.gamma)[0].steps[0],
+                 sg.parse_word(g3, "a:p.1 b:p.1.1").gamma.steps[0],
+                 enumerated[1], children[1][0]], looped)
+
+    g = _mixed(gen_module)
+    prime, v, loop, conn = _loop_and_connector(g)
+    bare, through = RegularStep(prime, (), conn), RegularStep(prime, (loop,), conn)
+    gen = sg.generator_element(g, f"e:{conn}")
+    edge = sg.generator_element(g, f"e:{loop}")
+    enumerated = {s: s for c in lt.enumerate_cpaths(g, v, Bounds(1, 0, 1)) for s in c.steps}
+    children = [
+        {m.gamma.steps[0]: m.gamma.steps[0]
+         for m in lt.epath_children(g, lt.EPath(sg.trivial_cpath(v), prime, tail), None)
+         if m.gamma.steps}
+        for tail in ((), (loop,))
+    ]
+    _same_value([gen.gamma.steps[0], enumerated[bare], children[0][bare]], bare)
+    _same_value([sg.translate(g, edge.m, gen.gamma)[0].steps[0],
+                 sg.parse_word(g, f"e:{loop} e:{conn}").gamma.steps[0],
+                 enumerated[through], children[1][through]], through)
+
+
+def test_free_steps_never_equal_regular_steps(gen_module):
+    g = _mixed(gen_module)
+    steps = {s for v in g.vertex_prime for c in lt.enumerate_cpaths(g, v, Bounds(2, 1, 1))
+             for s in c.steps}
+    free = [s for s in steps if isinstance(s, FreeStep)]
+    regular = [s for s in steps if isinstance(s, RegularStep)]
+    assert free and regular
+    for f in free:
+        for r in regular:
+            assert f != r and not f == r
+    assert len(set(free) | set(regular)) == len(free) + len(regular)
+    assert FreeStep("p", 1, 0, 1) != RegularStep("p", 1, 0)
+
+
+GENERATED = [(shape, f"rt-{i}") for shape in ("regular_graph", "mixed_graph") for i in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("shape,tag", GENERATED)
+def test_idempotent_pool_round_trips_on_generated_graphs(gen_module, shape, tag):
+    g = parse_graph(getattr(gen_module, shape)(tag).text())
+    pool = list(lt.enumerate_idempotents(g, Bounds(3, 2, 2)))
+    assert len(set(pool)) == len(pool)
+    for e in pool:
+        back = sg.parse_word(g, sg.element_to_word(g, e))
+        assert back == e and hash(back) == hash(e)
