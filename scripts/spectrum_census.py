@@ -8,28 +8,19 @@ round trip.  Exits 1 if two paths share a trace or a reconstruction fails.
 
 import argparse
 import sys
+from functools import partial
 
-from sepgroid import filters as fl, lattice as lt, semigroup as sg
+from sepgroid import cli, filters as fl, lattice as lt
 from sepgroid import load_fixture
-from sepgroid.filters import INF, FreeTail, PerTail, RegTail
+from sepgroid.filters import INF, PerTail
 from sepgroid.lattice import Bounds
-
-
-def describe(mu) -> str:
-    if isinstance(mu.tail, FreeTail):
-        inner = ",".join("inf" if x == INF else str(x) for x in mu.tail.k)
-        tail = f"free({inner})"
-    elif isinstance(mu.tail, RegTail):
-        tail = f"reg({','.join(mu.tail.path)} ; )"
-    else:
-        tail = f"reg({','.join(mu.tail.prefix)} ; {','.join(mu.tail.cycle)})"
-    return f"[{len(mu.gamma.steps)} steps -> {mu.p}] {tail}"
 
 
 def census(args: argparse.Namespace) -> int:
     """Print the census; returns the number of trace collisions plus the
     number of failed reconstructions."""
     g = load_fixture(f"{args.fixture}.sg")
+    describe = partial(cli.format_path, g)
     idems = list(
         lt.enumerate_idempotents(g, Bounds(args.max_depth, args.max_exp, args.max_len))
     )
@@ -55,11 +46,8 @@ def census(args: argparse.Namespace) -> int:
 
     reconstructed = failures = 0
     for tr, mu in traces.items():
-        finite = isinstance(mu.tail, RegTail) or (
-            isinstance(mu.tail, FreeTail) and INF not in mu.tail.k
-        )
-        if not finite:
-            continue
+        if isinstance(mu.tail, PerTail) or INF in mu.tail:
+            continue  # infinite in some direction: no finite family
         got = fl.reconstruct_path(g, [idems[i] for i in tr])
         reconstructed += 1
         if got != mu:

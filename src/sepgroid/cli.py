@@ -137,25 +137,28 @@ def parse_path(g: SeparatedGraph, text: str) -> fl.SemifinitePath:
     gamma = e.gamma
     v = sg.cpath_range(g, gamma)
     p = g.prime_of_vertex(v)
-    if tail_spec.startswith("free(") and tail_spec.endswith(")"):
+    free = tail_spec.startswith("free(")
+    if not (free or tail_spec.startswith("reg(")) or not tail_spec.endswith(")"):
+        raise fl.FilterError("path tail must be free(...) or reg(...)")
+    # Only the literal shows the tail's kind: validate_tail would take
+    # `free()` at a regular prime for the empty path, and `reg( ; )` at a
+    # point prime (k = 0) for the empty loop-count tail.
+    if free != g.is_free(p):
+        raise fl.FilterError(
+            "regular prime needs a path tail" if free else "free prime needs a loop-count tail"
+        )
+    if free:
         inner = tail_spec[5:-1].strip()
         entries = [] if not inner else [x.strip() for x in inner.split(",")]
         try:
-            k = tuple(fl.INF if x == "inf" else int(x) for x in entries)
+            tail = tuple(fl.INF if x == "inf" else int(x) for x in entries)
         except ValueError:
             raise fl.FilterError(f"bad free tail entries {inner!r}") from None
-        tail = fl.FreeTail(k)
-    elif tail_spec.startswith("reg(") and tail_spec.endswith(")"):
-        inner = tail_spec[4:-1]
-        if ";" in inner:
-            rho_s, cyc_s = inner.split(";", 1)
-        else:
-            rho_s, cyc_s = inner, ""
+    else:
+        rho_s, _, cyc_s = tail_spec[4:-1].partition(";")
         rho = tuple(x.strip() for x in rho_s.split(",") if x.strip())
         cyc = tuple(x.strip() for x in cyc_s.split(",") if x.strip())
-        tail = fl.PerTail(rho, cyc) if cyc else fl.RegTail(rho)
-    else:
-        raise fl.FilterError("path tail must be free(...) or reg(...)")
+        tail = fl.PerTail(rho, cyc) if cyc else rho
     mu = fl.SemifinitePath(gamma, p, tail)
     fl.validate_tail(g, mu)  # parse_word has checked the prefix
     return mu
@@ -164,12 +167,12 @@ def parse_path(g: SeparatedGraph, text: str) -> fl.SemifinitePath:
 def format_path(g: SeparatedGraph, mu: fl.SemifinitePath) -> str:
     toks = [t for s in mu.gamma.steps for t in sg._step_tokens(g, s, False)]
     prefix = " ".join(toks) if toks else f"v:{mu.gamma.start}"
-    if isinstance(mu.tail, fl.FreeTail):
-        inner = ",".join("inf" if x == fl.INF else str(x) for x in mu.tail.k)
+    if mu.p in g.free_k:
+        inner = ",".join("inf" if x == fl.INF else str(x) for x in mu.tail)
         return f"[{prefix}] ; free({inner})"
-    if isinstance(mu.tail, fl.RegTail):
-        return f"[{prefix}] ; reg({','.join(mu.tail.path)} ; )"
-    return f"[{prefix}] ; reg({','.join(mu.tail.prefix)} ; {','.join(mu.tail.cycle)})"
+    per = isinstance(mu.tail, fl.PerTail)
+    rho, cyc = (mu.tail.prefix, mu.tail.cycle) if per else (mu.tail, ())
+    return f"[{prefix}] ; reg({','.join(rho)} ; {','.join(cyc)})"
 
 
 def format_germ(g: SeparatedGraph, germ: gp.Germ) -> str:

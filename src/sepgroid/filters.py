@@ -1,12 +1,15 @@
 """Semifinite and infinite paths and the filter correspondence.
 
 A semifinite path is a descending c-path prefix plus a tail in the terminal
-component: a vector of loop counts (possibly infinite) at a free prime, or a
-finite / eventually-periodic path at a regular prime.  Filters of
-idempotents correspond to semifinite paths via initial segments;
-ultrafilters (equivalently tight filters) correspond to the infinite ones.
-Infinite regular tails are restricted to eventually-periodic paths so that
-membership stays decidable.
+component.  A finite tail is the tail of an E-path (lattice.EPath), a plain
+tuple: at a free prime, one loop count per loop, each an int >= 0 or INF;
+at a regular prime, the names of the internal edges of a finite path.  An
+infinite regular tail is a PerTail, an eventually-periodic path, so that
+membership stays decidable.  Filters of idempotents correspond to
+semifinite paths via initial segments; ultrafilters (equivalently tight
+filters) correspond to the infinite ones.  A tail is checked once, where
+it enters (validate_tail); the paths the library builds are not checked
+again.
 
 Precondition: the graph is adaptable (graph.validate_adaptable), as the
 correspondences above assume; nothing here checks it.
@@ -19,12 +22,11 @@ from itertools import product
 
 from .graph import SeparatedGraph
 from .lattice import Bounds, EPath, LatticeError, enumerate_cpaths, epath_of, idem_of
-from .lattice import _cyl_meet, internal_paths, simple_expand
+from .lattice import _cyl_meet, internal_paths, simple_expand, step_in_tail
 from .semigroup import (
     CPath,
     Element,
     FreeBody,
-    FreeStep,
     cpath_is_prefix,
     cpath_range,
     is_idempotent,
@@ -36,24 +38,6 @@ INF = float("inf")
 
 class FilterError(Exception):
     """Raised on malformed paths or filter bases."""
-
-
-@dataclass(frozen=True, slots=True)
-class FreeTail:
-    """Loop counts at the terminal free prime; entries in Z>=0 or INF."""
-
-    k: tuple
-
-    def __post_init__(self):
-        if not all(x == INF or (isinstance(x, int) and x >= 0) for x in self.k):
-            raise FilterError(f"bad free tail {self.k}")
-
-
-@dataclass(frozen=True, slots=True)
-class RegTail:
-    """A finite internal path at the terminal regular prime."""
-
-    path: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,14 +63,16 @@ class PerTail:
         return self.prefix + self.cycle * reps
 
 
-Tail = FreeTail | RegTail | PerTail
-
-
 @dataclass(frozen=True, slots=True)
 class SemifinitePath:
+    """gamma descends into the component of prime p; tail is a tuple of
+    loop counts, each an int >= 0 or INF (free p), a tuple of internal edge
+    names (regular p), or a PerTail (regular p, infinite).  A finite path
+    is its own E-path: EPath(gamma, p, tail)."""
+
     gamma: CPath
     p: str
-    tail: Tail
+    tail: tuple | PerTail
 
 
 def validate_path(g: SeparatedGraph, mu: SemifinitePath) -> None:
@@ -99,22 +85,23 @@ def validate_path(g: SeparatedGraph, mu: SemifinitePath) -> None:
 
 def validate_tail(g: SeparatedGraph, mu: SemifinitePath) -> None:
     """The checks of validate_path after the prefix c-path, for a caller
-    whose prefix is already checked (a parsed word's gamma).  Raises
-    FilterError."""
+    whose prefix is already checked (a parsed word's gamma): the one check
+    of a path's tail, loop counts included.  Raises FilterError."""
     v = cpath_range(g, mu.gamma)
     if g.prime_of_vertex(v) != mu.p:
         raise FilterError(f"prefix ends at {v}, not in {mu.p}")
     if g.is_free(mu.p):
-        if not isinstance(mu.tail, FreeTail) or len(mu.tail.k) != g.k(mu.p):
+        if not isinstance(mu.tail, tuple) or len(mu.tail) != g.k(mu.p):
             raise FilterError("free prime needs a loop-count tail")
+        if not all(x == INF or (type(x) is int and x >= 0) for x in mu.tail):
+            raise FilterError(f"bad free tail {mu.tail}")
         return
-    if isinstance(mu.tail, FreeTail):
+    if isinstance(mu.tail, PerTail):
+        pieces = (mu.tail.prefix, mu.tail.cycle)
+    elif isinstance(mu.tail, tuple) and all(isinstance(x, str) for x in mu.tail):
+        pieces = (mu.tail,)
+    else:
         raise FilterError("regular prime needs a path tail")
-    pieces = (
-        (mu.tail.path,)
-        if isinstance(mu.tail, RegTail)
-        else (mu.tail.prefix, mu.tail.cycle)
-    )
     at = v
     for i, piece in enumerate(pieces):
         end, n = g.internal_walk(at, piece)
@@ -123,12 +110,6 @@ def validate_tail(g: SeparatedGraph, mu: SemifinitePath) -> None:
         if i == 1 and end != at:  # the cycle of a PerTail
             raise FilterError("cycle does not return to its start")
         at = end
-
-
-def is_infinite(mu: SemifinitePath) -> bool:
-    if isinstance(mu.tail, FreeTail):
-        return all(x == INF for x in mu.tail.k)
-    return isinstance(mu.tail, PerTail)
 
 
 # -- initial segments and filters ----------------------------------------
@@ -157,16 +138,11 @@ def _tail_is_initial(g: SeparatedGraph, gamma: CPath, tail, mu: SemifinitePath) 
     that gamma is a prefix of mu.gamma."""
     n = len(gamma.steps)
     if n < len(mu.gamma.steps):
-        step = mu.gamma.steps[n]
-        if isinstance(step, FreeStep):
-            return tail[step.i - 1] <= step.m
-        return step.path[: len(tail)] == tuple(tail)
+        return step_in_tail(mu.gamma.steps[n], tail)
     if mu.p in g.free_k:
-        return all(a <= b for a, b in zip(tail, mu.tail.k))
-    lam = tuple(tail)
-    if isinstance(mu.tail, RegTail):
-        return mu.tail.path[: len(lam)] == lam
-    return mu.tail.unrolled(len(lam))[: len(lam)] == lam
+        return all(a <= b for a, b in zip(tail, mu.tail))
+    t = mu.tail.unrolled(len(tail)) if isinstance(mu.tail, PerTail) else mu.tail
+    return t[: len(tail)] == tail
 
 
 def reconstruct_path(g: SeparatedGraph, fam):
@@ -184,9 +160,8 @@ def reconstruct_path(g: SeparatedGraph, fam):
     same = [m for m in mus if m.gamma == mu0.gamma]
     if g.is_free(mu0.p):
         sup = tuple(max(m.tail[j] for m in same) for j in range(g.k(mu0.p)))
-        return SemifinitePath(mu0.gamma, mu0.p, FreeTail(sup))
-    longest = max((tuple(m.tail) for m in same), key=len)
-    return SemifinitePath(mu0.gamma, mu0.p, RegTail(longest))
+        return SemifinitePath(mu0.gamma, mu0.p, sup)
+    return SemifinitePath(mu0.gamma, mu0.p, max((m.tail for m in same), key=len))
 
 
 # -- ultrafilters and separation -----------------------------------------
@@ -194,34 +169,35 @@ def reconstruct_path(g: SeparatedGraph, fam):
 
 def is_ultrafilter(g: SeparatedGraph, mu: SemifinitePath) -> bool:
     """True iff the filter of mu is an ultrafilter (equivalently tight),
-    which happens exactly when mu is infinite."""
-    return is_infinite(mu)
+    which happens exactly when mu is infinite: every loop count is INF at a
+    free prime, and the tail is periodic at a regular one."""
+    if mu.p in g.free_k:
+        return all(x == INF for x in mu.tail)
+    return isinstance(mu.tail, PerTail)
 
 
 def separation_witness(g: SeparatedGraph, mu: SemifinitePath):
     """(X, Y) with X inside the filter of mu such that no infinite path's
     filter contains all of X while avoiding all of Y."""
-    if is_infinite(mu):
+    if is_ultrafilter(g, mu):
         raise FilterError("separation witness exists only for non-infinite paths")
-    if isinstance(mu.tail, FreeTail):
-        i0 = next(i for i, x in enumerate(mu.tail.k, start=1) if x != INF)
-        tail0 = tuple(
-            mu.tail.k[j - 1] if j == i0 else 0 for j in range(1, g.k(mu.p) + 1)
-        )
+    if mu.p in g.free_k:
+        i0 = next(i for i, x in enumerate(mu.tail, start=1) if x != INF)
+        tail0 = tuple(x if j == i0 else 0 for j, x in enumerate(mu.tail, start=1))
         x = idem_of(g, EPath(mu.gamma, mu.p, tail0))
         return [x], simple_expand(g, x, i0)
-    x = idem_of(g, EPath(mu.gamma, mu.p, tuple(mu.tail.path)))
+    x = idem_of(g, EPath(mu.gamma, mu.p, mu.tail))
     return [x], simple_expand(g, x)
 
 
 def extend_to_infinite(g: SeparatedGraph, mu: SemifinitePath) -> SemifinitePath:
     """An infinite path whose filter strictly contains that of mu."""
-    if is_infinite(mu):
+    if is_ultrafilter(g, mu):
         raise FilterError("path is already infinite")
-    if isinstance(mu.tail, FreeTail):
-        return SemifinitePath(mu.gamma, mu.p, FreeTail((INF,) * g.k(mu.p)))
-    v = g.path_end(cpath_range(g, mu.gamma), mu.tail.path)
-    return SemifinitePath(mu.gamma, mu.p, PerTail(tuple(mu.tail.path), _cycle_at(g, v)))
+    if mu.p in g.free_k:
+        return SemifinitePath(mu.gamma, mu.p, (INF,) * len(mu.tail))
+    v = g.path_end(cpath_range(g, mu.gamma), mu.tail)
+    return SemifinitePath(mu.gamma, mu.p, PerTail(mu.tail, _cycle_at(g, v)))
 
 
 def _cycle_at(g: SeparatedGraph, v: str) -> tuple[str, ...]:
@@ -268,10 +244,10 @@ def enumerate_semifinite(g: SeparatedGraph, start: str, bounds: Bounds):
         if g.is_free(p):
             choices = list(range(bounds.max_exp + 1)) + [INF]
             for k in product(choices, repeat=g.k(p)):
-                yield SemifinitePath(gamma, p, FreeTail(k))
+                yield SemifinitePath(gamma, p, k)
         else:
             for path in internal_paths(g, v, bounds.max_len):
-                yield SemifinitePath(gamma, p, RegTail(path))
+                yield SemifinitePath(gamma, p, path)
                 end = g.path_end(v, path)
                 for cyc in internal_paths(g, end, bounds.max_len):
                     if cyc and g.path_end(end, cyc) == end:
@@ -281,5 +257,5 @@ def enumerate_semifinite(g: SeparatedGraph, start: str, bounds: Bounds):
 
 def enumerate_infinite(g: SeparatedGraph, start: str, bounds: Bounds):
     for mu in enumerate_semifinite(g, start, bounds):
-        if is_infinite(mu):
+        if is_ultrafilter(g, mu):
             yield mu

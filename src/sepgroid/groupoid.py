@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .graph import SeparatedGraph
-from .filters import PerTail, SemifinitePath, filter_contains, is_infinite
+from .filters import PerTail, SemifinitePath, filter_contains, is_ultrafilter
 from .lattice import CompactOpen, EPath, co_of, disjoint_union, top_epath, trusted_idem
 from .semigroup import (
     CPath,
@@ -133,7 +133,7 @@ def germ_of(g: SeparatedGraph, s: Element, x: SemifinitePath) -> Germ:
     """The germ of s at the infinite path x in its source cylinder."""
     if is_zero(s):
         raise GroupoidError("Zero acts nowhere")
-    if not is_infinite(x):
+    if not is_ultrafilter(g, x):
         raise GroupoidError("germs live over infinite paths")
     if not filter_contains(g, x, mul(g, star(g, s), s)):
         raise GroupoidError("x is not in the source cylinder of s")

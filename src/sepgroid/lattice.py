@@ -131,6 +131,16 @@ def epath_key(g: SeparatedGraph, mu: EPath):
 # -- order, meet, join ---------------------------------------------------
 
 
+def step_in_tail(step, tail: tuple) -> bool:
+    """Whether the c-path step taken after a prefix lies in the cylinder of
+    that prefix's tail: a free step's loop count is at least the tail's
+    count for its loop, and a regular step's internal path starts with the
+    tail."""
+    if isinstance(step, FreeStep):
+        return tail[step.i - 1] <= step.m
+    return step.path[: len(tail)] == tail
+
+
 def _cyl_meet(g: SeparatedGraph, mu: EPath, rho: EPath) -> EPath | None:
     """The E-path of Z(mu) & Z(rho), or None when the cylinders are
     disjoint: the semigroup product of the two idempotents, read off their
@@ -146,10 +156,7 @@ def _cyl_meet(g: SeparatedGraph, mu: EPath, rho: EPath) -> EPath | None:
     if len(b) > n:
         # rho descends past mu's component; its step there must lie in
         # mu's tail cylinder.
-        step = b[n]
-        if isinstance(step, FreeStep):
-            return rho if mu.tail[step.i - 1] <= step.m else None
-        return rho if step.path[: len(mu.tail)] == mu.tail else None
+        return rho if step_in_tail(b[n], mu.tail) else None
     if mu.p in g.free_k:
         return EPath(mu.gamma, mu.p, tuple(map(max, mu.tail, rho.tail)))
     if len(mu.tail) > len(rho.tail):

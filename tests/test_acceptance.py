@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement
 from sepgroid import filters as fl, groupoid as gp, lattice as lt
 from sepgroid import monoid as mn, semigroup as sg
 from sepgroid.graph import parse_graph
-from sepgroid.filters import INF, FreeTail, PerTail, RegTail
+from sepgroid.filters import INF, PerTail
 from sepgroid.lattice import Bounds
 from sepgroid.monoid import Budget, No, Unknown, Yes
 
@@ -157,10 +157,10 @@ def _point_universe(g):
     for v in sorted(g.vertex_prime):
         for mu in fl.enumerate_infinite(g, v, Bounds(2, 3, 3)):
             desc = sg.cpath_edge_len(mu.gamma)
-            if isinstance(mu.tail, FreeTail):
-                desc += len(mu.tail.k)
-            elif isinstance(mu.tail, PerTail):
+            if isinstance(mu.tail, PerTail):
                 desc += len(mu.tail.prefix) + len(mu.tail.cycle)
+            else:
+                desc += len(mu.tail)
             if desc <= 6:
                 paths.append(mu)
     return paths
@@ -240,11 +240,7 @@ def test_criterion_06_filter_correspondence(graphs):
         assert len(set(traces)) == len(traces)
         for mu, tr in zip(paths, traces):
             # reconstruction for finitely generated filters
-            finite = (
-                isinstance(mu.tail, RegTail)
-                or isinstance(mu.tail, FreeTail)
-                and INF not in mu.tail.k
-            )
+            finite = not isinstance(mu.tail, PerTail) and INF not in mu.tail
             if finite:
                 assert fl.reconstruct_path(g, [idems[i] for i in tr]) == mu
             # ultrafilter iff no strict bounded extension
@@ -290,6 +286,7 @@ def test_criterion_07_groupoid_laws(graphs):
             rhs = gp.compose(g, gs, gp.compose(g, gt, gp.inverse(gt)))
             assert lhs == rhs
             for germ, elem in ((gt, t), (gs, s), (gst, st)):
+                fl.validate_path(g, germ.x)  # no constructor checks its tail
                 assert gp.in_bisection(g, germ, elem)
                 assert gp.compose(g, germ, gp.unit(g, germ.y)) == germ
                 assert gp.compose(g, gp.unit(g, germ.x), germ) == germ

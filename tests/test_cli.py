@@ -348,6 +348,14 @@ def test_unexpected_exception_exits_70(capsys, monkeypatch):
     ("filter-contains", G3, "[v:p] ; loops(0)", "v:p"),
     ("filter-contains", G3, "[a:p.1*] ; free(0)", "v:p"),
     ("ultrafilter", G2, "[v:w] reg(f1 ; )"),
+    # a tail literal of the wrong kind for its prime, or a negative loop
+    # count; `free()` at the regular w and `reg( ; )` at g0's point prime
+    # (no loops) give the same empty tuple as a tail of the right kind, so
+    # only the literal's syntax tells them apart
+    ("ultrafilter", G2, "[v:w] ; free()"),
+    ("filter-contains", G3, "[v:p] ; reg( ; )", "v:p"),
+    ("ultrafilter", G3, "[v:p] ; free(-1)"),
+    ("ultrafilter", G0, "[v:p] ; reg( ; )"),
     ("cylinders", G3, "Z(v:p) Z(v:p)"),
     ("cylinders", G3, "Z(v:p"),
     ("typ", G3, "Z(v:p) & )"),

@@ -4,9 +4,7 @@ from sepgroid import cli, filters as fl, groupoid as gp, lattice as lt, semigrou
 from sepgroid.filters import (
     INF,
     FilterError,
-    FreeTail,
     PerTail,
-    RegTail,
     SemifinitePath,
     canonical_periodic,
 )
@@ -29,14 +27,30 @@ def path(g, word, tail):
 
 
 def test_validate_paths(g2, g3):
-    fl.validate_path(g2, path(g2, "v:w", RegTail(("f1", "f2"))))
+    fl.validate_path(g2, path(g2, "v:w", ("f1", "f2")))
     fl.validate_path(g2, path(g2, "v:w", PerTail(("f1",), ("f2",))))
-    fl.validate_path(g3, path(g3, "v:p", FreeTail((2,))))
+    fl.validate_path(g3, path(g3, "v:p", (2,)))
+    fl.validate_path(g3, path(g3, "v:p", (INF,)))
     fl.validate_path(g3, path(g3, "b:p.1.1", PerTail((), ("f1",))))
-    with pytest.raises(FilterError):
-        fl.validate_path(g3, path(g3, "v:p", RegTail(())))
     with pytest.raises((FilterError, GraphError)):
-        fl.validate_path(g2, path(g2, "v:w", RegTail(("nope",))))
+        fl.validate_path(g2, path(g2, "v:w", ("nope",)))
+    # g3's p is free with one loop; w of r is regular.  The loop-count check
+    # sits here, at the input boundary, and in no constructor.
+    for word, tail, msg in (
+        ("v:p", [2], "free prime needs a loop-count tail"),
+        ("v:p", (), "free prime needs a loop-count tail"),
+        ("v:p", (1, 2), "free prime needs a loop-count tail"),
+        ("v:p", PerTail((), ("f1",)), "free prime needs a loop-count tail"),
+        ("v:p", (-1,), r"bad free tail \(-1,\)"),
+        ("v:p", (1.5,), r"bad free tail \(1.5,\)"),
+        ("v:p", ("2",), r"bad free tail \('2',\)"),
+        ("v:p", (True,), r"bad free tail \(True,\)"),  # free(True) would not parse
+        ("b:p.1.1", (2,), "regular prime needs a path tail"),
+        ("b:p.1.1", (INF,), "regular prime needs a path tail"),
+        ("b:p.1.1", ["f1"], "regular prime needs a path tail"),
+    ):
+        with pytest.raises(FilterError, match=f"^{msg}$"):
+            fl.validate_path(g3, path(g3, word, tail))
 
 
 def test_validate_path_checks_the_prefix(g3):
@@ -45,7 +59,7 @@ def test_validate_path_checks_the_prefix(g3):
     # taken from w, a negative loop count, a connector index past g(p, 1).
     for step, start in ((FreeStep("p", 1, 0, 1), "w"), (FreeStep("p", 1, -2, 1), "p"),
                         (FreeStep("p", 1, 0, 3), "p")):
-        mu = SemifinitePath(CPath(start, (step,)), "r", RegTail(()))
+        mu = SemifinitePath(CPath(start, (step,)), "r", ())
         with pytest.raises((WordError, GraphError)):
             fl.validate_path(g3, mu)
 
@@ -56,26 +70,26 @@ def test_validate_path_rejects_a_connector_in_a_regular_tail():
         "edge f1: w -> w\nedge f2: w -> w\nconnector c: w -> s\n"
     )
     fl.validate_path(g, path(g, "v:w", PerTail(("f2",), ("f1", "f2"))))
-    for tail in (RegTail(("c",)), RegTail(("f1", "c")), PerTail(("f1",), ("c",)),
+    for tail in (("c",), ("f1", "c"), PerTail(("f1",), ("c",)),
                  PerTail(("c",), ("f1",))):
         with pytest.raises(FilterError, match="^tail edge c does not continue at w$"):
             fl.validate_path(g, path(g, "v:w", tail))
 
 
-def test_is_infinite(g0, g2, g3):
-    assert fl.is_infinite(path(g3, "v:p", FreeTail((INF,))))
-    assert not fl.is_infinite(path(g3, "v:p", FreeTail((3,))))
-    assert fl.is_infinite(path(g2, "v:w", PerTail((), ("f1",))))
-    assert not fl.is_infinite(path(g2, "v:w", RegTail(("f1",))))
+def test_is_ultrafilter(g0, g2, g3):
+    assert fl.is_ultrafilter(g3, path(g3, "v:p", (INF,)))
+    assert not fl.is_ultrafilter(g3, path(g3, "v:p", (3,)))
+    assert fl.is_ultrafilter(g2, path(g2, "v:w", PerTail((), ("f1",))))
+    assert not fl.is_ultrafilter(g2, path(g2, "v:w", ("f1",)))
     # a point prime has no loops, so the empty tail is vacuously all-infinite
-    assert fl.is_infinite(path(g0, "v:p", FreeTail(())))
+    assert fl.is_ultrafilter(g0, path(g0, "v:p", ()))
 
 
 # -- filter membership ---------------------------------------------------
 
 
 def test_filter_contains_free(g3):
-    x = path(g3, "v:p", FreeTail((INF,)))
+    x = path(g3, "v:p", (INF,))
     assert fl.filter_contains(g3, x, w(g3, "v:p"))
     assert fl.filter_contains(g3, x, w(g3, "a:p.1 a:p.1 a:p.1* a:p.1*"))
     assert not fl.filter_contains(g3, x, w(g3, "b:p.1.1 b:p.1.1*"))
@@ -114,12 +128,12 @@ def _deep_idem(g, mu, depth):
     loops or edges into its tail (all of a finite one).  For idempotents
     whose tails are shorter than `depth`, e lies in the filter of mu iff
     this idempotent is below e."""
-    if isinstance(mu.tail, FreeTail):
-        tail = tuple(min(x, depth) for x in mu.tail.k)
-    elif isinstance(mu.tail, RegTail):
-        tail = mu.tail.path
-    else:
+    if g.is_free(mu.p):
+        tail = tuple(min(x, depth) for x in mu.tail)
+    elif isinstance(mu.tail, PerTail):
         tail = mu.tail.prefix + mu.tail.cycle * depth
+    else:
+        tail = mu.tail
     return lt.idem_of(g, lt.EPath(mu.gamma, mu.p, tail))
 
 
@@ -143,10 +157,10 @@ def test_filter_contains_matches_initial_segment(graphs, gen_module):
             if mu not in deep:
                 deep[mu] = _deep_idem(g, mu, 1 + max(idem_bounds.max_exp, idem_bounds.max_len))
             assert got == lt.nat_leq(g, deep[mu], e), (name, mu, e)
-            if isinstance(mu.tail, FreeTail):
-                seen.add("free-inf" if INF in mu.tail.k else "free")
+            if g.is_free(mu.p):
+                seen.add("free-inf" if INF in mu.tail else "free")
             else:
-                seen.add(type(mu.tail).__name__)
+                seen.add("periodic" if isinstance(mu.tail, PerTail) else "regular")
             n = len(e.gamma.steps)
             if sg.cpath_is_prefix(e.gamma, mu.gamma):
                 seen.add("equal" if n == len(mu.gamma.steps) else "shorter")
@@ -155,12 +169,12 @@ def test_filter_contains_matches_initial_segment(graphs, gen_module):
             elif sg.cpath_is_prefix(mu.gamma, e.gamma):
                 seen.add("longer")
             seen.add(("out", "in")[got])
-    assert seen == {"free", "free-inf", "RegTail", "PerTail", "shorter", "equal",
+    assert seen == {"free", "free-inf", "regular", "periodic", "shorter", "equal",
                     "longer", "free step", "out", "in"}
 
 
 def test_filter_contains_rejects_non_idempotents(g3):
-    mu = path(g3, "v:p", FreeTail((INF,)))
+    mu = path(g3, "v:p", (INF,))
     with pytest.raises(FilterError):
         fl.filter_contains(g3, mu, sg.ZERO)
     with pytest.raises(FilterError):
@@ -221,14 +235,14 @@ def test_reconstruct_inverts_trace(graphs):
         idems = list(lt.enumerate_idempotents(g, Bounds(2, 4, 7)))
         for v in sorted(g.vertex_prime):
             for mu in fl.enumerate_semifinite(g, v, Bounds(1, 2, 2)):
-                if isinstance(mu.tail, FreeTail) and any(
-                    x == INF for x in mu.tail.k
-                ):
+                if g.is_free(mu.p) and any(x == INF for x in mu.tail):
                     continue  # not finitely generated within bounds
                 if isinstance(mu.tail, PerTail):
                     continue
                 fam = [e for e in idems if fl.filter_contains(g, mu, e)]
-                assert fl.reconstruct_path(g, fam) == mu
+                got = fl.reconstruct_path(g, fam)
+                fl.validate_path(g, got)
+                assert got == mu
 
 
 def test_reconstruct_rejects_bad_families(g2):
@@ -252,10 +266,12 @@ def test_reconstruct_on_generated_graphs(gen_module, shape, rng):
         by_start.setdefault(e.gamma.start, []).append(e)
     for v, pool in by_start.items():
         for mu in fl.enumerate_semifinite(g, v, bounds):
-            if isinstance(mu.tail, PerTail) or INF in getattr(mu.tail, "k", ()):
+            if isinstance(mu.tail, PerTail) or INF in mu.tail:
                 continue  # infinite in some direction: no finite trace
             fam = [e for e in pool if fl.filter_contains(g, mu, e)]
-            assert fl.reconstruct_path(g, fam) == mu
+            got = fl.reconstruct_path(g, fam)
+            fl.validate_path(g, got)
+            assert got == mu
     starts = [v for v, pool in by_start.items() if len(pool) > 1]
     rejected = 0
     for _ in range(200):
@@ -265,23 +281,17 @@ def test_reconstruct_on_generated_graphs(gen_module, shape, rng):
                 fl.reconstruct_path(g, [e, f])
             rejected += 1
         else:
-            assert fl.reconstruct_path(g, [e, f]) == fl.reconstruct_path(g, [sg.mul(g, e, f)])
+            got = fl.reconstruct_path(g, [e, f])
+            fl.validate_path(g, got)
+            assert got == fl.reconstruct_path(g, [sg.mul(g, e, f)])
     assert 0 < rejected < 200
 
 
 # -- ultrafilters --------------------------------------------------------
 
 
-def test_ultrafilter_iff_infinite(graphs):
-    for name in ("g2", "g3"):
-        g = graphs[name]
-        for v in sorted(g.vertex_prime):
-            for mu in fl.enumerate_semifinite(g, v, Bounds(1, 2, 2)):
-                assert fl.is_ultrafilter(g, mu) == fl.is_infinite(mu)
-
-
 def test_separation_witness(g3):
-    mu = path(g3, "v:p", FreeTail((2,)))
+    mu = path(g3, "v:p", (2,))
     X, Y = fl.separation_witness(g3, mu)
     for x in X:
         assert fl.filter_contains(g3, mu, x)
@@ -293,10 +303,10 @@ def test_separation_witness(g3):
 
 def test_separation_witness_rejects_infinite(g0, g3):
     with pytest.raises(FilterError):
-        fl.separation_witness(g3, path(g3, "v:p", FreeTail((INF,))))
+        fl.separation_witness(g3, path(g3, "v:p", (INF,)))
     # the point prime's trivial path is already an ultrafilter
     with pytest.raises(FilterError):
-        fl.separation_witness(g0, path(g0, "v:p", FreeTail(())))
+        fl.separation_witness(g0, path(g0, "v:p", ()))
 
 
 def test_extend_to_infinite(graphs):
@@ -304,19 +314,12 @@ def test_extend_to_infinite(graphs):
         g = graphs[name]
         for v in sorted(g.vertex_prime):
             for mu in fl.enumerate_semifinite(g, v, Bounds(1, 2, 2)):
-                if fl.is_infinite(mu):
+                if fl.is_ultrafilter(g, mu):
                     continue
                 nu = fl.extend_to_infinite(g, mu)
-                assert fl.is_infinite(nu)
-                assert fl.is_initial_segment(
-                    g, lt.EPath(mu.gamma, mu.p, _tail_tuple(mu)), nu
-                ) or isinstance(mu.tail, FreeTail)
-
-
-def _tail_tuple(mu):
-    if isinstance(mu.tail, FreeTail):
-        return tuple(0 for _ in mu.tail.k)
-    return tuple(mu.tail.path)
+                fl.validate_path(g, nu)
+                assert fl.is_ultrafilter(g, nu)
+                assert fl.is_initial_segment(g, lt.EPath(mu.gamma, mu.p, mu.tail), nu)
 
 
 # -- canonical periodic form ---------------------------------------------
@@ -339,6 +342,7 @@ def test_periodic_tails_are_canonical_by_construction(g2):
     assert cli.format_path(g2, long_form) == "[v:w] ; reg( ; f2,f1)"
     short_form = cli.parse_path(g2, "[v:w] ; reg( ; f2,f1)")
     germ = gp.germ_of(g2, w(g2, "e:f1"), short_form)
+    fl.validate_path(g2, germ.x)
     hand_made_unit = gp.Germ(long_form, gp.ZERO_WEIGHT, long_form)
     assert gp.compose(g2, germ, hand_made_unit) == germ
 
@@ -353,8 +357,8 @@ def test_infinite_paths_round_trip_on_generated_graphs(gen_module, shape, tag):
         for mu in fl.enumerate_infinite(g, v, Bounds(3, 2, 2)):
             back = cli.parse_path(g, cli.format_path(g, mu))
             assert back == mu and hash(back) == hash(mu)
-            kinds.add((type(mu.tail).__name__, bool(mu.gamma.steps)))
-    assert kinds == {(kind, deep) for kind in ("FreeTail", "PerTail") for deep in (False, True)}
+            kinds.add((g.is_free(mu.p), bool(mu.gamma.steps)))
+    assert kinds == {(free, deep) for free in (False, True) for deep in (False, True)}
 
 
 def test_enumerate_canonical_only(g2):

@@ -185,7 +185,7 @@ def test_values_have_no_instance_dict(g3, gen_module):
     mixed = _mixed(gen_module)
     e = sg.parse_word(g3, "a:p.1 b:p.1.1 e:f1 e:f1* b:p.1.1* a:p.1*")
     mu = lt.epath_of(g3, e)
-    x = fl.SemifinitePath(sg.trivial_cpath("p"), "p", fl.FreeTail((fl.INF,)))
+    x = fl.SemifinitePath(sg.trivial_cpath("p"), "p", (fl.INF,))
     y = fl.SemifinitePath(e.gamma, "r", fl.PerTail((), ("f1",)))
     pres = mn.presentation(g3)
     free_p, reg_r = g3.prime("p"), g3.prime("r")
@@ -195,7 +195,7 @@ def test_values_have_no_instance_dict(g3, gen_module):
         e, e.gamma, e.gamma.steps[0], e.m, e.m.body, sg.parse_word(g3, "v:p").m.body,
         sg.ZERO, sg.generator_element(mixed, f"e:{conn}").gamma.steps[0],
         mu, Bounds(), lt.co_of(g3, e),
-        x.tail, fl.RegTail(()), y.tail, x,
+        y.tail, x,
         gp.GermWeight(), gp.unit(g3, x),
         mn.mon_unit("p"), pres.relations[0], mn.Budget(), mn.Yes(), mn.No(),
         mn.Unknown("state cap"), mn._Completion(), mn.EquidecompCertificate((), (), ()),
