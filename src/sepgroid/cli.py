@@ -149,19 +149,26 @@ def parse_path(g: SeparatedGraph, text: str) -> fl.SemifinitePath:
         )
     if free:
         inner = tail_spec[5:-1].strip()
-        entries = [] if not inner else [x.strip() for x in inner.split(",")]
         try:
-            tail = tuple(fl.INF if x == "inf" else int(x) for x in entries)
+            tail = tuple(fl.INF if x == "inf" else int(x) for x in _tail_entries("free", inner))
         except ValueError:
             raise fl.FilterError(f"bad free tail entries {inner!r}") from None
     else:
         rho_s, _, cyc_s = tail_spec[4:-1].partition(";")
-        rho = tuple(x.strip() for x in rho_s.split(",") if x.strip())
-        cyc = tuple(x.strip() for x in cyc_s.split(",") if x.strip())
+        rho, cyc = _tail_entries("reg", rho_s), _tail_entries("reg", cyc_s)
         tail = fl.PerTail(rho, cyc) if cyc else rho
     mu = fl.SemifinitePath(gamma, p, tail)
     fl.validate_tail(g, mu)  # parse_word has checked the prefix
     return mu
+
+
+def _tail_entries(kind: str, side: str) -> tuple[str, ...]:
+    """One side of a tail literal: blank is the empty tuple, and otherwise
+    every comma-separated entry is nonempty."""
+    entries = tuple(x.strip() for x in side.split(",")) if side.strip() else ()
+    if "" in entries:
+        raise fl.FilterError(f"bad {kind} tail entries {side.strip()!r}")
+    return entries
 
 
 def format_path(g: SeparatedGraph, mu: fl.SemifinitePath) -> str:

@@ -218,14 +218,18 @@ def _cycle_at(g: SeparatedGraph, v: str) -> tuple[str, ...]:
     raise FilterError(f"no internal cycle through {v}")
 
 
+def _primitive_root(cycle: tuple) -> tuple:
+    """The shortest path whose repetition is the cycle."""
+    for d in range(1, len(cycle)):
+        if len(cycle) % d == 0 and cycle == cycle[:d] * (len(cycle) // d):
+            return cycle[:d]
+    return cycle
+
+
 def canonical_periodic(prefix, cycle):
     """Primitive cycle, shortest prefix: the canonical form of an
     eventually-periodic tail."""
-    prefix, cycle = tuple(prefix), tuple(cycle)
-    for d in range(1, len(cycle)):
-        if len(cycle) % d == 0 and cycle == cycle[:d] * (len(cycle) // d):
-            cycle = cycle[:d]
-            break
+    prefix, cycle = tuple(prefix), _primitive_root(tuple(cycle))
     while prefix and prefix[-1] == cycle[-1]:
         prefix = prefix[:-1]
         cycle = cycle[-1:] + cycle[:-1]
@@ -236,8 +240,8 @@ def canonical_periodic(prefix, cycle):
 
 
 def enumerate_semifinite(g: SeparatedGraph, start: str, bounds: Bounds):
-    """All semifinite paths from a vertex within the bounds; eventually
-    periodic tails appear in canonical form only."""
+    """All semifinite paths from a vertex within the bounds; a periodic tail
+    appears only in canonical form, canonicalised once (by PerTail)."""
     for gamma in enumerate_cpaths(g, start, bounds):
         v = cpath_range(g, gamma)
         p = g.prime_of_vertex(v)
@@ -251,7 +255,7 @@ def enumerate_semifinite(g: SeparatedGraph, start: str, bounds: Bounds):
                 end = g.path_end(v, path)
                 for cyc in internal_paths(g, end, bounds.max_len):
                     if cyc and g.path_end(end, cyc) == end:
-                        if canonical_periodic(path, cyc) == (path, cyc):
+                        if _primitive_root(cyc) == cyc and not (path and path[-1] == cyc[-1]):
                             yield SemifinitePath(gamma, p, PerTail(path, cyc))
 
 

@@ -4,7 +4,8 @@ A germ is a triple (x, n, y) of infinite paths ending at the same prime
 with a weight n = (n1, n2): n1 collects t-variable exponents and n2 the
 difference of lengths of the initial segments in a common-tail
 decomposition x = gamma.lam, y = nu.lam.  germ_of reduces a pair (s, x) to
-this form by absorbing the c-path part of x into s; in_bisection checks
+this form by absorbing the c-path part of x into s, which also decides
+whether x lies in the source cylinder of s; in_bisection checks
 membership in the basic open set Z(s) structurally, by stripping prefixes
 and transporting the t-part, independently of germ_of's reduction.
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .graph import SeparatedGraph
-from .filters import PerTail, SemifinitePath, filter_contains, is_ultrafilter
+from .filters import PerTail, SemifinitePath, is_ultrafilter
 from .lattice import CompactOpen, EPath, co_of, disjoint_union, top_epath, trusted_idem
 from .semigroup import (
     CPath,
@@ -130,17 +131,25 @@ def compose(g: SeparatedGraph, g1: Germ, g2: Germ) -> Germ:
 
 
 def germ_of(g: SeparatedGraph, s: Element, x: SemifinitePath) -> Germ:
-    """The germ of s at the infinite path x in its source cylinder."""
+    """The germ of s at the infinite path x in its source cylinder Z(s*s).
+
+    Membership is decided by the absorption, without forming s*s.  Write
+    s = gamma m eta* and let sp be s times the idempotent of the whole
+    cylinder below x.gamma.  Then x lies in Z(s*s) exactly when sp.eta ==
+    x.gamma and, at a regular prime, _strip_tail(x.tail, nu of sp) succeeds:
+    - x.gamma = eta: at a free prime x's loop counts are INF, so they pass;
+      at a regular prime, m's nu is the strip.
+    - eta < x.gamma: translate returns zero exactly when the next step fails
+      step_in_tail; otherwise sp.eta = x.gamma and sp's nu is empty.
+    - any other order: sp.eta != x.gamma, or the product is zero."""
     if is_zero(s):
         raise GroupoidError("Zero acts nowhere")
     if not is_ultrafilter(g, x):
         raise GroupoidError("germs live over infinite paths")
-    if not filter_contains(g, x, mul(g, star(g, s), s)):
-        raise GroupoidError("x is not in the source cylinder of s")
     absorber = trusted_idem(g, top_epath(g, x.gamma, x.p))
     sp = mul(g, s, absorber)
     if is_zero(sp) or sp.eta != x.gamma:
-        raise GroupoidError("absorption failed; x not in the source cylinder")
+        raise GroupoidError("x is not in the source cylinder of s")
     m = sp.m
     n1 = m.tpart
     if isinstance(m.body, FreeBody):
@@ -150,7 +159,7 @@ def germ_of(g: SeparatedGraph, s: Element, x: SemifinitePath) -> Germ:
     else:
         x0 = _strip_tail(x.tail, m.body.nu)
         if x0 is None:
-            raise GroupoidError("x does not extend the body of s")
+            raise GroupoidError("x is not in the source cylinder of s")
         gpart = EPath(sp.gamma, m.p, m.body.gamma)
         npart = EPath(x.gamma, m.p, m.body.nu)
         rx = SemifinitePath(sp.gamma, m.p, _prepend_tail(m.body.gamma, x0))

@@ -6,12 +6,13 @@ Z(f) exactly when f's E-path is an initial segment of e's.  Meets, the
 order, overlaps and differences are read off the E-paths by one rule
 (_cyl_meet) without forming semigroup products; semigroup.mul is the
 reference for that rule only in the tests.  An idempotent a caller passes
-is checked once, where it enters (`_epath`); the covers and disjoint unions
-then read E-paths only and build elements (`trusted_idem`) only for what
-they return.  Compact-open subsets of the path space are finite disjoint
-unions of cylinders Z(mu), kept in a canonical sorted form so that equality
-is decidable.  Subtraction descends by simple expansions directed at the
-subtrahend, which reproduces the explicit cylinder decompositions.
+is checked once, where it enters (`_epath`); the covers, disjoint unions
+and expansion replay (`expand`) then read E-paths only and build elements
+(`trusted_idem`) only for what they return.  Compact-open subsets of the
+path space are finite disjoint unions of cylinders Z(mu), kept in a
+canonical sorted form so that equality is decidable.  Subtraction descends
+by simple expansions directed at the subtrahend, which reproduces the
+explicit cylinder decompositions.
 
 Precondition: the graph is adaptable (graph.validate_adaptable); nothing
 here checks it.
@@ -84,16 +85,19 @@ def idem_of(g: SeparatedGraph, mu: EPath) -> Element:
     """The idempotent of an E-path that comes from a caller.
 
     The E-path is checked in full: its prefix must be a valid c-path ending
-    in the component of mu.p, and its tail a loop-exponent vector of length
-    k(p) or an internal path continuing from the end of the prefix.  Raises
+    in the component of mu.p, and its tail k(p) loop exponents, each an int
+    >= 0, or an internal path continuing from the end of the prefix.  Raises
     LatticeError, WordError or GraphError otherwise.  E-paths the library
     builds itself go through trusted_idem instead."""
     validate_cpath(g, mu.gamma)
     v = cpath_range(g, mu.gamma)
     if g.vertex_prime[v] != mu.p:
         raise LatticeError(f"E-path prefix ends at {v}, not in {mu.p}")
-    if g.is_free(mu.p) and len(mu.tail) != g.k(mu.p):
-        raise LatticeError("free tail length does not match prime")
+    if g.is_free(mu.p):
+        if len(mu.tail) != g.k(mu.p):
+            raise LatticeError("free tail length does not match prime")
+        if not all(type(x) is int and x >= 0 for x in mu.tail):
+            raise LatticeError(f"bad loop exponents {tuple(mu.tail)}")
     e = trusted_idem(g, EPath(mu.gamma, mu.p, tuple(mu.tail)))
     validate_element(g, e)
     return e
@@ -112,17 +116,13 @@ def trusted_idem(g: SeparatedGraph, mu: EPath) -> Element:
     return Triple(mu.gamma, Monomial(mu.p, (), body), mu.gamma)
 
 
-def _step_key(s):
-    if isinstance(s, FreeStep):
-        return (0, s.p, s.i, s.m, s.t)
-    return (1, s.p, s.path, s.connector)
-
-
 def epath_key(g: SeparatedGraph, mu: EPath):
+    # Steps compare as tuples: two prefixes from one start first differ at
+    # steps leaving one vertex, so of one kind, compared field by field.
     return (
         cpath_edge_len(mu.gamma) + (sum(mu.tail) if mu.p in g.free_k else len(mu.tail)),
         mu.gamma.start,
-        tuple(_step_key(s) for s in mu.gamma.steps),
+        mu.gamma.steps,
         mu.p,
         tuple(mu.tail),
     )
@@ -245,13 +245,14 @@ Script = list[tuple[int, int | None]]
 
 
 def expand(g: SeparatedGraph, e: Element, script: Script) -> list[Element]:
-    """Replay a script of (position, choice) simple expansions."""
-    out = [e]
+    """Replay a script of (position, choice) simple expansions of e, read
+    as an E-path once; the pieces become elements at the end."""
+    out = [_epath(e, "e")]
     for pos, choice in script:
         if not 0 <= pos < len(out):
             raise LatticeError(f"script position {pos} out of range")
-        out[pos : pos + 1] = simple_expand(g, out[pos], choice)
-    return out
+        out[pos : pos + 1] = epath_children(g, out[pos], choice)
+    return [trusted_idem(g, mu) for mu in out]
 
 
 # -- compact opens -------------------------------------------------------
@@ -294,9 +295,7 @@ def _direction(g: SeparatedGraph, mu: EPath, target: EPath) -> int:
     """The loop index along which target properly extends mu."""
     n = len(mu.gamma.steps)
     if len(target.gamma.steps) > n:
-        step = target.gamma.steps[n]
-        assert isinstance(step, FreeStep)
-        return step.i
+        return target.gamma.steps[n].i
     for j, (a, b) in enumerate(zip(mu.tail, target.tail), start=1):
         if b > a:
             return j

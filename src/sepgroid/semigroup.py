@@ -5,7 +5,9 @@ Elements are stored as triples gamma * m * eta-star where gamma and eta are
 c-paths descending into the component of the monomial m.  Multiplication is
 implemented through the translation operation m * eta = eta-tilde * phi,
 which pushes a monomial through a c-path and leaves behind a pure-t
-monomial phi.
+monomial phi.  Input is checked where it enters (generator_element,
+validate_element); mul, translate and mul_monomials take operands of valid
+elements, as mul passes them, and check nothing again.
 
 Values are frozen and slotted (no per-instance __dict__), so elements can be
 shared and hashed.  The steps of a c-path are named tuples, so comparing two
@@ -86,19 +88,8 @@ def cpath_edge_len(c: CPath) -> int:
     return sum(step_edge_len(s) for s in c.steps)
 
 
-def cpath_concat(g: SeparatedGraph, a: CPath, b: CPath) -> CPath:
-    if cpath_range(g, a) != b.start:
-        raise WordError(f"cannot concatenate c-paths at {cpath_range(g, a)}/{b.start}")
-    return CPath(a.start, a.steps + b.steps)
-
-
 def cpath_is_prefix(pre: CPath, full: CPath) -> bool:
     return pre.start == full.start and full.steps[: len(pre.steps)] == pre.steps
-
-
-def cpath_remainder(g: SeparatedGraph, pre: CPath, full: CPath) -> CPath:
-    """full = pre . remainder; pre must be a prefix."""
-    return CPath(cpath_range(g, pre), full.steps[len(pre.steps) :])
 
 
 def validate_cpath(g: SeparatedGraph, c: CPath) -> None:
@@ -161,12 +152,8 @@ def ttuple(d: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((i, e) for i, e in d.items() if e != 0))
 
 
-def trivial_monomial(g: SeparatedGraph, v: str) -> Monomial:
-    return t_monomial(g, {}, v)
-
-
 def t_monomial(g: SeparatedGraph, tmap: dict[int, int], base: str) -> Monomial:
-    p = g.prime_of_vertex(base)
+    p = g.vertex_prime[base]
     kp = g.free_k.get(p)
     if kp is not None:
         z = (0,) * kp
@@ -191,11 +178,9 @@ def star_monomial(g: SeparatedGraph, m: Monomial) -> Monomial:
 
 
 def mul_monomials(g: SeparatedGraph, m1: Monomial, m2: Monomial):
-    """Product of two monomials at the same prime; None encodes zero."""
-    if m1.p != m2.p:
-        raise WordError(f"monomial primes differ: {m1.p} vs {m2.p}")
-    if mono_range(g, m1) != mono_source(g, m2):
-        raise WordError("monomial endpoints do not match")
+    """Product of two monomials; None encodes zero.  Precondition, as mul
+    passes them: monomials of valid elements at one prime, with range(m1) =
+    source(m2)."""
     if not m2.tpart:
         tp = m1.tpart
     elif not m1.tpart:
@@ -278,16 +263,11 @@ def _shift_of_steps(g: SeparatedGraph, steps) -> int:
 
 def translate(g: SeparatedGraph, m: Monomial, eta: CPath):
     """Rewrite m . eta as eta-tilde . phi; returns (eta_tilde, phi-dict) or
-    None for zero.  phi is based at the range of eta."""
-    if eta.start != mono_range(g, m):
-        raise WordError("translate: eta does not start at range(m)")
-    if not eta.steps:
-        if not is_pure_body(m.body):
-            raise WordError("translate with trivial path needs a pure-t monomial")
-        return eta, dict(m.tpart)
+    None for zero.  phi is based at the range of eta.  Precondition, as mul
+    and groupoid.in_bisection pass them: m is a valid element's monomial and
+    eta a nonempty valid c-path starting at range(m)."""
     first = eta.steps[0]
     if isinstance(m.body, FreeBody):
-        assert isinstance(first, FreeStep) and first.p == m.p
         i, kp = first.i, g.free_k[m.p]
         k, l = m.body.k, m.body.l
         if l[i - 1] > first.m:
@@ -307,7 +287,6 @@ def translate(g: SeparatedGraph, m: Monomial, eta: CPath):
         phi = {idx + shift: d for idx, d in phi.items() if d != 0}
         eta_tilde = CPath(m.p, (new_first,) + eta.steps[1:])
         return eta_tilde, phi
-    assert isinstance(first, RegularStep) and first.p == m.p
     b = m.body
     if first.path[: len(b.nu)] != b.nu:
         return None
@@ -322,35 +301,36 @@ def translate(g: SeparatedGraph, m: Monomial, eta: CPath):
 
 
 def mul(g: SeparatedGraph, e1: Element, e2: Element) -> Element:
+    """The product of two valid elements.  Endpoints agree by construction:
+    r(eta1) = r(gamma2) when the c-paths are equal; else the remainder
+    starts at the range of the monomial translated through it, and
+    translate's path starts at that monomial's source, where the kept c-path
+    ends.  A pure-t monomial is a unit for the body, so its product with
+    another monomial is never zero."""
     if is_zero(e1) or is_zero(e2):
         return ZERO
     eta1, gamma2 = e1.eta, e2.gamma
     if cpath_is_prefix(gamma2, eta1):
-        if len(gamma2.steps) == len(eta1.steps):
+        n = len(gamma2.steps)
+        if n == len(eta1.steps):
             mm = mul_monomials(g, e1.m, e2.m)
-            if mm is None:
-                return ZERO
-            return Triple(e1.gamma, mm, e2.eta)
-        rem = cpath_remainder(g, gamma2, eta1)
-        tr = translate(g, star_monomial(g, e2.m), rem)
+            return ZERO if mm is None else Triple(e1.gamma, mm, e2.eta)
+        ms = star_monomial(g, e2.m)
+        tr = translate(g, ms, CPath(mono_range(g, ms), eta1.steps[n:]))
         if tr is None:
             return ZERO
         eta_tilde, phi_star = tr
         phi = {i: -d for i, d in phi_star.items()}
-        mm = mul_monomials(g, e1.m, t_monomial(g, phi, cpath_range(g, rem)))
-        if mm is None:
-            return ZERO
-        return Triple(e1.gamma, mm, cpath_concat(g, e2.eta, eta_tilde))
+        mm = mul_monomials(g, e1.m, t_monomial(g, phi, mono_range(g, e1.m)))
+        return Triple(e1.gamma, mm, CPath(e2.eta.start, e2.eta.steps + eta_tilde.steps))
     if cpath_is_prefix(eta1, gamma2):
-        rem = cpath_remainder(g, eta1, gamma2)
+        rem = CPath(mono_range(g, e1.m), gamma2.steps[len(eta1.steps) :])
         tr = translate(g, e1.m, rem)
         if tr is None:
             return ZERO
         gamma_tilde, phi = tr
-        mm = mul_monomials(g, t_monomial(g, phi, cpath_range(g, rem)), e2.m)
-        if mm is None:
-            return ZERO
-        return Triple(cpath_concat(g, e1.gamma, gamma_tilde), mm, e2.eta)
+        mm = mul_monomials(g, t_monomial(g, phi, mono_source(g, e2.m)), e2.m)
+        return Triple(CPath(e1.gamma.start, e1.gamma.steps + gamma_tilde.steps), mm, e2.eta)
     return ZERO
 
 
@@ -374,7 +354,7 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
         v = body
         if v not in g.vertex_prime:
             raise WordError(f"unknown vertex {v!r}")
-        return Triple(trivial_cpath(v), trivial_monomial(g, v), trivial_cpath(v))
+        return Triple(trivial_cpath(v), t_monomial(g, {}, v), trivial_cpath(v))
     if kind == "e":
         name, starred = _split_star(body)
         e = g.edge(name)
@@ -384,7 +364,7 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
             el = Triple(trivial_cpath(e.src), m, trivial_cpath(e.rng))
         else:
             cp = CPath(e.src, (RegularStep(p, (), name),))
-            el = Triple(cp, trivial_monomial(g, e.rng), trivial_cpath(e.rng))
+            el = Triple(cp, t_monomial(g, {}, e.rng), trivial_cpath(e.rng))
         return star(g, el) if starred else el
     if kind == "a":
         spec, starred = _split_star(body)
@@ -409,7 +389,7 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
             raise WordError(f"bad connector token {token!r}") from None
         u = g.beta_target(p, i, t)
         cp = CPath(p, (FreeStep(p, i, 0, t),))
-        el = Triple(cp, trivial_monomial(g, u), trivial_cpath(u))
+        el = Triple(cp, t_monomial(g, {}, u), trivial_cpath(u))
         return star(g, el) if starred else el
     if kind == "t":
         exp = 1

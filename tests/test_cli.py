@@ -93,6 +93,9 @@ def test_filter_and_ultrafilter(capsys):
     assert (code, out) == (1, "no")
     assert run(capsys, "ultrafilter", G2, "[v:w] ; reg(f2 ; f1)")[0] == 0
     assert run(capsys, "ultrafilter", G2, "[v:w] ; reg(f2 ; )")[0] == 1
+    # a blank side of a reg(...) literal is the empty path
+    assert run(capsys, "ultrafilter", G2, "[v:w] ; reg( ; f2)")[0] == 0
+    assert run(capsys, "ultrafilter", G2, "[v:w] ; reg( ; )")[0] == 1
     assert run(capsys, "ultrafilter", G0, "[v:p] ; free()")[0] == 0
 
 
@@ -360,6 +363,9 @@ def test_unexpected_exception_exits_70(capsys, monkeypatch):
     ("cylinders", G3, "Z(v:p"),
     ("typ", G3, "Z(v:p) & )"),
     ("equidecompose", G3, "Z(v:p)", "(Z(v:p)"),
+    # a blank entry in a nonblank side of either tail syntax
+    ("ultrafilter", G2, "[v:w] ; reg(f1,,f2 ; ,f1,)"),
+    ("ultrafilter", G3, "[v:p] ; free(1,,2)"),
 ])
 def test_malformed_literals_are_parse_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -111,6 +111,30 @@ def test_germ_of_acts_through_connector(g3):
     assert germ.weight == GermWeight((), (1,))
 
 
+@pytest.mark.parametrize("name", ["g2", "g3", "ger-0", "ger-1", "ger-2"])
+def test_germ_of_raises_exactly_outside_the_source_cylinder(graphs, gen_module, rng, name):
+    # germ_of decides x in Z(s*s) by its absorption alone; the reference is
+    # the filter of x against the product s*s.
+    g = graphs.get(name) or parse_graph(gen_module.mixed_graph(name).text())
+    toks = alphabet(g)
+    paths = infinite_paths(g)
+    seen = set()
+    for _ in range(60):
+        s = w(g, random_word(rng, toks, 4))
+        if sg.is_zero(s):
+            continue
+        ss = sg.mul(g, sg.star(g, s), s)
+        for x in rng.sample(paths, min(len(paths), 25)):
+            inside = fl.filter_contains(g, x, ss)
+            if inside:
+                germ_of(g, s, x)
+            else:
+                with pytest.raises(GroupoidError, match="source cylinder"):
+                    gp.germ_of(g, s, x)
+            seen.add(inside)
+    assert seen == {True, False}
+
+
 def test_germ_of_requires_infinite(g3):
     x = path(g3, "v:p", (2,))
     with pytest.raises(GroupoidError):

@@ -527,6 +527,12 @@ def test_public_idem_of_rejects_malformed_epaths(g1, g3):
     below = lt.epath_of(g3, w(g3, "b:p.1.1 b:p.1.1*"))
     with pytest.raises(LatticeError, match="not in p"):
         lt.idem_of(g3, lt.EPath(below.gamma, "p", (0,)))
+    # a loop exponent is an int >= 0; a float, a string or a bool would
+    # make an element that element_to_word or validate_element trips on
+    at_p = lt.epath_of(g3, w(g3, "v:p"))
+    for tail in ((1.5,), ("2",), (True,), (-1,)):
+        with pytest.raises(LatticeError, match="bad loop exponents"):
+            lt.idem_of(g3, lt.EPath(at_p.gamma, "p", tail))
 
 
 # -- helpers -------------------------------------------------------------

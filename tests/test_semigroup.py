@@ -144,12 +144,28 @@ def test_parse_rejects_garbage(g1):
             sg.parse_word(g1, bad)
 
 
-def test_validate_element(graphs, rng):
-    for g in graphs.values():
-        toks = alphabet(g)
+def test_validate_element(graphs, gen_module, rng):
+    # mul and star check nothing of their operands, so their results must
+    # be valid whenever the operands are: parsed words (each a fold of mul),
+    # their stars, s*s, ss* and products of neighbours.  On the generated
+    # graphs the benchmark's word stream makes products often nonzero.
+    streams = [(g, lambda toks=alphabet(g): random_word(rng, toks, 5)) for g in graphs.values()]
+    for shape in ("tower_graph", "regular_graph", "mixed_graph"):
+        spec = getattr(gen_module, shape)("val-0")
+        streams.append((parse_graph(spec.text()), gen_module.WordStream(spec, rng).next))
+    for g, next_word in streams:
+        prev, mixed = None, 0
         for _ in range(100):
-            e = sg.parse_word(g, random_word(rng, toks, 5))
-            sg.validate_element(g, e)
+            e = sg.parse_word(g, next_word())
+            es = sg.star(g, e)
+            products = [es, sg.mul(g, es, e), sg.mul(g, e, es)]
+            if prev is not None:
+                products += [sg.mul(g, prev, e), sg.mul(g, e, prev), sg.mul(g, es, prev)]
+                mixed += sum(not sg.is_zero(x) for x in products[3:])
+            for x in [e, *products]:
+                sg.validate_element(g, x)
+            prev = e
+        assert mixed > 0
 
 
 def test_element_fields_reassemble(g3):
@@ -162,8 +178,10 @@ def test_element_fields_reassemble(g3):
 # -- value layout --------------------------------------------------------
 
 # Values are slotted, and c-path steps are named tuples compared as tuples,
-# in C.  No code indexes, iterates or orders a step: every reader uses its
-# named fields, and sort keys (lattice._step_key) are built from them.
+# in C.  No code indexes or iterates a step: every reader uses its named
+# fields.  Sort keys (lattice.epath_key) order steps as tuples, which is
+# safe because two prefixes from one start first differ at steps that leave
+# the same vertex, so of one kind.
 
 
 def _mixed(gen_module):
