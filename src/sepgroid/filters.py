@@ -26,7 +26,6 @@ from .lattice import _cyl_meet, internal_paths, simple_expand, step_in_tail
 from .semigroup import (
     CPath,
     Element,
-    FreeBody,
     cpath_is_prefix,
     cpath_range,
     is_idempotent,
@@ -124,13 +123,12 @@ def is_initial_segment(g: SeparatedGraph, mu_p: EPath, mu: SemifinitePath) -> bo
 def filter_contains(g: SeparatedGraph, mu: SemifinitePath, e: Element) -> bool:
     """True iff the filter of mu contains the nonzero idempotent e.  The
     E-path of e is read off its fields: the prefix is e.gamma and the tail
-    the body's loop exponents or internal path."""
+    the body's left tail."""
     if not is_idempotent(e):
         raise FilterError("filter membership is defined for nonzero idempotents")
     if not cpath_is_prefix(e.gamma, mu.gamma):
         return False
-    b = e.m.body
-    return _tail_is_initial(g, e.gamma, b.k if isinstance(b, FreeBody) else b.gamma, mu)
+    return _tail_is_initial(g, e.gamma, e.m.body.left, mu)
 
 
 def _tail_is_initial(g: SeparatedGraph, gamma: CPath, tail, mu: SemifinitePath) -> bool:

@@ -22,13 +22,10 @@ from .graph import SeparatedGraph
 from .filters import PerTail, SemifinitePath, is_ultrafilter
 from .lattice import CompactOpen, EPath, co_of, disjoint_union, top_epath, trusted_idem
 from .semigroup import (
-    CPath,
     Element,
-    FreeBody,
     cpath_edge_len,
     cpath_is_prefix,
     is_zero,
-    mono_range,
     mul,
     star,
     translate,
@@ -151,20 +148,16 @@ def germ_of(g: SeparatedGraph, s: Element, x: SemifinitePath) -> Germ:
     if is_zero(sp) or sp.eta != x.gamma:
         raise GroupoidError("x is not in the source cylinder of s")
     m = sp.m
-    n1 = m.tpart
-    if isinstance(m.body, FreeBody):
-        gpart = EPath(sp.gamma, m.p, m.body.k)
-        npart = EPath(x.gamma, m.p, m.body.l)
+    left, right = m.body.left, m.body.right
+    if m.p in g.free_k:
         rx = SemifinitePath(sp.gamma, m.p, x.tail)
     else:
-        x0 = _strip_tail(x.tail, m.body.nu)
+        x0 = _strip_tail(x.tail, right)
         if x0 is None:
             raise GroupoidError("x is not in the source cylinder of s")
-        gpart = EPath(sp.gamma, m.p, m.body.gamma)
-        npart = EPath(x.gamma, m.p, m.body.nu)
-        rx = SemifinitePath(sp.gamma, m.p, _prepend_tail(m.body.gamma, x0))
-    weight = GermWeight(n1, _n2_of(g, gpart, npart))
-    return Germ(rx, weight, x)
+        rx = SemifinitePath(sp.gamma, m.p, _prepend_tail(left, x0))
+    n2 = _n2_of(g, EPath(sp.gamma, m.p, left), EPath(x.gamma, m.p, right))
+    return Germ(rx, GermWeight(m.tpart, n2), x)
 
 
 # -- membership in basic opens -------------------------------------------
@@ -184,26 +177,20 @@ def in_bisection(g: SeparatedGraph, germ: Germ, s: Element) -> bool:
     if not xs and not ys:
         if x.p != m.p or y.p != m.p:
             return False
-        if isinstance(m.body, FreeBody):
-            gpart = EPath(x.gamma, m.p, m.body.k)
-            npart = EPath(y.gamma, m.p, m.body.l)
-        else:
-            x0 = _strip_tail(y.tail, m.body.nu)
-            if x0 is None:
+        left, right = m.body.left, m.body.right
+        if m.p not in g.free_k:
+            x0 = _strip_tail(y.tail, right)
+            if x0 is None or x != SemifinitePath(x.gamma, m.p, _prepend_tail(left, x0)):
                 return False
-            expected = SemifinitePath(x.gamma, m.p, _prepend_tail(m.body.gamma, x0))
-            if x != expected:
-                return False
-            gpart = EPath(x.gamma, m.p, m.body.gamma)
-            npart = EPath(y.gamma, m.p, m.body.nu)
-        return germ.weight == GermWeight(m.tpart, _n2_of(g, gpart, npart))
+        n2 = _n2_of(g, EPath(x.gamma, m.p, left), EPath(y.gamma, m.p, right))
+        return germ.weight == GermWeight(m.tpart, n2)
     if not ys:
         return False
-    tr = translate(g, m, CPath(mono_range(g, m), ys))
+    tr = translate(g, m, ys)
     if tr is None:
         return False
     eta_tilde, phi = tr
-    if xs != eta_tilde.steps:
+    if xs != eta_tilde:
         return False
     if x.p != y.p or x.tail != y.tail:
         return False

@@ -8,7 +8,9 @@ order, overlaps and differences are read off the E-paths by one rule
 reference for that rule only in the tests.  An idempotent a caller passes
 is checked once, where it enters (`_epath`); the covers, disjoint unions
 and expansion replay (`expand`) then read E-paths only and build elements
-(`trusted_idem`) only for what they return.  Compact-open subsets of the
+(`trusted_idem`, `trusted_isometry`) only for what they return.  An
+element's body is the tails of two E-paths: an idempotent's E-path is its
+gamma, its prime and its body's left tail.  Compact-open subsets of the
 path space are finite disjoint unions of cylinders Z(mu), kept in a
 canonical sorted form so that equality is decidable.  Subtraction descends
 by simple expansions directed at the subtrahend, which reproduces the
@@ -25,12 +27,11 @@ from itertools import product
 
 from .graph import SeparatedGraph
 from .semigroup import (
+    Body,
     CPath,
     Element,
-    FreeBody,
     FreeStep,
     Monomial,
-    RegBody,
     RegularStep,
     ZERO,
     Triple,
@@ -77,8 +78,7 @@ def _epath(e: Element, name: str) -> EPath:
     idempotent."""
     if not is_idempotent(e):
         raise LatticeError(f"{name} is not a nonzero idempotent")
-    b = e.m.body
-    return EPath(e.gamma, e.m.p, b.k if isinstance(b, FreeBody) else b.gamma)
+    return EPath(e.gamma, e.m.p, e.m.body.left)
 
 
 def idem_of(g: SeparatedGraph, mu: EPath) -> Element:
@@ -105,15 +105,17 @@ def idem_of(g: SeparatedGraph, mu: EPath) -> Element:
 
 def trusted_idem(g: SeparatedGraph, mu: EPath) -> Element:
     """The idempotent of an E-path the library built itself, without any
-    check.  The caller guarantees what idem_of would check: gamma is a valid
-    c-path ending in the component of mu.p, and mu.tail is a tuple that is a
-    valid tail there.  A malformed E-path gives a malformed element."""
-    if mu.p in g.free_k:
-        body = FreeBody(mu.tail, mu.tail)
-    else:
-        v = cpath_range(g, mu.gamma)
-        body = RegBody(mu.tail, mu.tail, v, v)
-    return Triple(mu.gamma, Monomial(mu.p, (), body), mu.gamma)
+    check: trusted_isometry from Z(mu) onto itself."""
+    return trusted_isometry(g, mu, mu)
+
+
+def trusted_isometry(g: SeparatedGraph, mu: EPath, rho: EPath) -> Element:
+    """The partial isometry s with s s* the idempotent of mu and s* s that
+    of rho, without any check.  The caller guarantees what idem_of would
+    check of both E-paths, and that they end at one type vertex (epath_end).
+    A malformed E-path gives a malformed element.  When mu is rho, gamma and
+    eta are one object, which is_idempotent tests first."""
+    return Triple(mu.gamma, Monomial(mu.p, (), Body(mu.tail, rho.tail)), rho.gamma)
 
 
 def epath_key(g: SeparatedGraph, mu: EPath):
@@ -179,10 +181,9 @@ def join_free(g: SeparatedGraph, e: Element, f: Element) -> Element:
     _epath(f, "f")
     if e.gamma != f.gamma or e.m.p != f.m.p:
         raise LatticeError("join_free needs identical prefixes at one prime")
-    if not isinstance(e.m.body, FreeBody):
+    if e.m.p not in g.free_k:
         raise LatticeError("join_free is defined at free primes only")
-    k = tuple(min(a, b) for a, b in zip(e.m.body.k, f.m.body.k))
-    return Triple(e.gamma, Monomial(e.m.p, (), FreeBody(k, k)), e.gamma)
+    return trusted_idem(g, EPath(e.gamma, e.m.p, tuple(map(min, e.m.body.left, f.m.body.left))))
 
 
 # -- expansions ----------------------------------------------------------

@@ -41,18 +41,8 @@ from operator import add, ge, sub
 
 from .graph import FreePrime, SeparatedGraph
 from .lattice import CompactOpen, EPath, co_eq, disjoint_union, epath_children, epath_end
-from .lattice import LatticeError, epath_of, trusted_idem
-from .semigroup import (
-    Element,
-    FreeBody,
-    Monomial,
-    RegBody,
-    Triple,
-    cpath_range,
-    is_zero,
-    mul,
-    star,
-)
+from .lattice import LatticeError, epath_of, trusted_idem, trusted_isometry
+from .semigroup import Element, is_zero, mul, star
 
 
 class MonoidError(Exception):
@@ -617,11 +607,14 @@ def refinement_witness(
 
 def vertex_of_idempotent(g: SeparatedGraph, e: Element) -> str:
     """The vertex representing the cylinder Z(e) in M(E,C)."""
+    return epath_end(g, _idem_epath(g, e))
+
+
+def _idem_epath(g: SeparatedGraph, e: Element) -> EPath:
     try:
-        mu = epath_of(g, e)
+        return epath_of(g, e)
     except LatticeError:
         raise MonoidError("not a nonzero idempotent") from None
-    return epath_end(g, mu)
 
 
 def typ_of(g: SeparatedGraph, a: CompactOpen) -> MonElem:
@@ -631,33 +624,14 @@ def typ_of(g: SeparatedGraph, a: CompactOpen) -> MonElem:
 def connect_idempotents(g: SeparatedGraph, e1: Element, e2: Element) -> Element:
     """s with s s* = e1 and s* s = e2; the idempotents must have the same
     type vertex."""
-    v1 = vertex_of_idempotent(g, e1)
-    v2 = vertex_of_idempotent(g, e2)
+    mu1, mu2 = _idem_epath(g, e1), _idem_epath(g, e2)
+    v1, v2 = epath_end(g, mu1), epath_end(g, mu2)
     if v1 != v2:
         raise MonoidError(f"type vertices differ: {v1} vs {v2}")
-    s = _connector(g, e1, e2)
+    s = trusted_isometry(g, mu1, mu2)
     if mul(g, s, star(g, s)) != e1 or mul(g, star(g, s), s) != e2:
         raise MonoidError("connector construction failed")
     return s
-
-
-def _connector(g: SeparatedGraph, e1: Element, e2: Element) -> Element:
-    """connect_idempotents without its checks: the caller guarantees that
-    e1 and e2 are nonzero idempotents of one type vertex."""
-    if isinstance(e1.m.body, FreeBody):
-        m = Monomial(e1.m.p, (), FreeBody(e1.m.body.k, e2.m.body.k))
-    else:
-        m = Monomial(
-            e1.m.p,
-            (),
-            RegBody(
-                e1.m.body.gamma,
-                e2.m.body.gamma,
-                cpath_range(g, e1.gamma),
-                cpath_range(g, e2.gamma),
-            ),
-        )
-    return Triple(e1.gamma, m, e2.gamma)
 
 
 # -- equidecomposition ---------------------------------------------------
@@ -716,11 +690,13 @@ def equidecompose(
     for mu in _replay(g, b, reach_b, t):
         by_vertex.setdefault(epath_end(g, mu), []).append(mu)
     fin_a = _replay(g, a, reach_a, t)
-    sources = [trusted_idem(g, mu) for mu in fin_a]
-    ranges = [trusted_idem(g, by_vertex[epath_end(g, mu)].pop()) for mu in fin_a]
+    fin_b = [by_vertex[epath_end(g, mu)].pop() for mu in fin_a]
     # verify_certificate below checks s s* and s* s of every piece.
-    elements = [_connector(g, eb, ea) for ea, eb in zip(sources, ranges)]
-    cert = EquidecompCertificate(tuple(elements), tuple(sources), tuple(ranges))
+    cert = EquidecompCertificate(
+        tuple(trusted_isometry(g, rho, mu) for mu, rho in zip(fin_a, fin_b)),
+        tuple(trusted_idem(g, mu) for mu in fin_a),
+        tuple(trusted_idem(g, rho) for rho in fin_b),
+    )
     if not verify_certificate(g, cert, a, b):
         raise MonoidError("constructed certificate failed verification")
     return cert

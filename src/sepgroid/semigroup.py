@@ -2,12 +2,17 @@
 adaptable separated graph.
 
 Elements are stored as triples gamma * m * eta-star where gamma and eta are
-c-paths descending into the component of the monomial m.  Multiplication is
-implemented through the translation operation m * eta = eta-tilde * phi,
-which pushes a monomial through a c-path and leaves behind a pure-t
-monomial phi.  Input is checked where it enters (generator_element,
-validate_element); mul, translate and mul_monomials take operands of valid
-elements, as mul passes them, and check nothing again.
+c-paths descending into the component of the prime of the monomial m.  A
+monomial is a t-part and a body; the body is the tail of one E-path times
+the star of another (lattice.EPath): two loop-exponent vectors at a free
+prime (alpha^k (alpha^l)*), two internal paths at a regular one
+(gamma_m nu_m*).  The body stores no endpoints: its tails start where gamma
+and eta end.  Multiplication is implemented through the translation
+operation m * eta = eta-tilde * phi, which pushes a monomial through the
+steps of a c-path and leaves behind a pure-t monomial phi.  Input is
+checked where it enters (generator_element, validate_element); mul,
+translate and mul_monomials take operands of valid elements, as mul passes
+them, and check nothing again.
 
 Values are frozen and slotted (no per-instance __dict__), so elements can be
 shared and hashed.  The steps of a c-path are named tuples, so comparing two
@@ -121,66 +126,47 @@ def validate_cpath(g: SeparatedGraph, c: CPath) -> None:
 
 
 @dataclass(frozen=True, slots=True)
-class FreeBody:
-    k: tuple[int, ...]
-    l: tuple[int, ...]
+class Body:
+    """left * right-star for two E-path tails at the monomial's prime: loop
+    exponents (k(p) ints >= 0) at a free prime, internal paths at a regular
+    one.  left starts at r(gamma) and right at r(eta) of the triple."""
+
+    left: tuple
+    right: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class RegBody:
-    gamma: tuple[str, ...]
-    nu: tuple[str, ...]
-    src: str  # s(gamma)
-    rng: str  # s(nu)
-
-
-def is_pure_body(b: FreeBody | RegBody) -> bool:
+def is_pure_body(b: Body) -> bool:
     """Whether the body is trivial, so that its monomial is a pure t-monomial."""
-    if isinstance(b, FreeBody):
-        return not any(b.k) and not any(b.l)
-    return not b.gamma and not b.nu
+    return all(x == 0 for x in b.left + b.right)
 
 
 @dataclass(frozen=True, slots=True)
 class Monomial:
     p: str
     tpart: tuple[tuple[int, int], ...]  # sorted (index, nonzero exponent)
-    body: FreeBody | RegBody
+    body: Body
 
 
 def ttuple(d: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((i, e) for i, e in d.items() if e != 0))
 
 
-def t_monomial(g: SeparatedGraph, tmap: dict[int, int], base: str) -> Monomial:
-    p = g.vertex_prime[base]
-    kp = g.free_k.get(p)
-    if kp is not None:
-        z = (0,) * kp
-        return Monomial(p, ttuple(tmap), FreeBody(z, z))
-    return Monomial(p, ttuple(tmap), RegBody((), (), base, base))
-
-
-def mono_source(g: SeparatedGraph, m: Monomial) -> str:
-    return m.p if isinstance(m.body, FreeBody) else m.body.src
-
-
-def mono_range(g: SeparatedGraph, m: Monomial) -> str:
-    return m.p if isinstance(m.body, FreeBody) else m.body.rng
+def t_monomial(g: SeparatedGraph, tmap: dict[int, int], p: str) -> Monomial:
+    """The pure t-monomial at prime p: its tails are k(p) zeros at a free
+    prime and empty at a regular one."""
+    z = (0,) * g.free_k.get(p, 0)
+    return Monomial(p, ttuple(tmap), Body(z, z))
 
 
 def star_monomial(g: SeparatedGraph, m: Monomial) -> Monomial:
     neg = tuple((i, -d) for i, d in m.tpart)
-    if isinstance(m.body, FreeBody):
-        return Monomial(m.p, neg, FreeBody(m.body.l, m.body.k))
-    b = m.body
-    return Monomial(m.p, neg, RegBody(b.nu, b.gamma, b.rng, b.src))
+    return Monomial(m.p, neg, Body(m.body.right, m.body.left))
 
 
 def mul_monomials(g: SeparatedGraph, m1: Monomial, m2: Monomial):
     """Product of two monomials; None encodes zero.  Precondition, as mul
-    passes them: monomials of valid elements at one prime, with range(m1) =
-    source(m2)."""
+    passes them: monomials of valid elements at prime p, with m1's right
+    tail and m2's left tail starting at one vertex (both p when it is free)."""
     if not m2.tpart:
         tp = m1.tpart
     elif not m1.tpart:
@@ -190,22 +176,17 @@ def mul_monomials(g: SeparatedGraph, m1: Monomial, m2: Monomial):
         for i, d in m2.tpart:
             t[i] = t.get(i, 0) + d
         tp = ttuple(t)
-    if isinstance(m1.body, FreeBody):
-        k1, l1 = m1.body.k, m1.body.l
-        k2, l2 = m2.body.k, m2.body.l
+    k1, l1 = m1.body.left, m1.body.right
+    k2, l2 = m2.body.left, m2.body.right
+    if m1.p in g.free_k:
         k3 = tuple(max(a, a + c - b) for a, b, c in zip(k1, l1, k2))
         l3 = tuple(max(d, d + b - c) for b, c, d in zip(l1, k2, l2))
-        return Monomial(m1.p, tp, FreeBody(k3, l3))
-    b1, b2 = m1.body, m2.body
-    if b2.gamma[: len(b1.nu)] == b1.nu:
-        gamma = b1.gamma + b2.gamma[len(b1.nu) :]
-        nu = b2.nu
-    elif b1.nu[: len(b2.gamma)] == b2.gamma:
-        gamma = b1.gamma
-        nu = b2.nu + b1.nu[len(b2.gamma) :]
-    else:
-        return None
-    return Monomial(m1.p, tp, RegBody(gamma, nu, b1.src, b2.rng))
+        return Monomial(m1.p, tp, Body(k3, l3))
+    if k2[: len(l1)] == l1:
+        return Monomial(m1.p, tp, Body(k1 + k2[len(l1) :], l2))
+    if l1[: len(k2)] == k2:
+        return Monomial(m1.p, tp, Body(k1, l2 + l1[len(k2) :]))
+    return None
 
 
 # -- elements ------------------------------------------------------------
@@ -246,10 +227,7 @@ def is_idempotent(e: Element) -> bool:
         return False
     if e.gamma is not e.eta and e.gamma != e.eta:
         return False
-    b = e.m.body
-    if isinstance(b, FreeBody):
-        return b.k == b.l
-    return b.gamma == b.nu
+    return e.m.body.left == e.m.body.right
 
 
 # -- translation ---------------------------------------------------------
@@ -261,15 +239,17 @@ def _shift_of_steps(g: SeparatedGraph, steps) -> int:
     return sum(free_k[s.p] - 1 for s in steps if isinstance(s, FreeStep))
 
 
-def translate(g: SeparatedGraph, m: Monomial, eta: CPath):
-    """Rewrite m . eta as eta-tilde . phi; returns (eta_tilde, phi-dict) or
-    None for zero.  phi is based at the range of eta.  Precondition, as mul
-    and groupoid.in_bisection pass them: m is a valid element's monomial and
-    eta a nonempty valid c-path starting at range(m)."""
-    first = eta.steps[0]
-    if isinstance(m.body, FreeBody):
+def translate(g: SeparatedGraph, m: Monomial, steps: tuple[Step, ...]):
+    """Rewrite m . eta as eta-tilde . phi for the steps of a c-path eta;
+    returns (the steps of eta_tilde, phi-dict) or None for zero.  phi is
+    based at the range of eta.  Precondition, as mul and
+    groupoid.in_bisection pass them: m is a valid element's monomial and
+    steps nonempty and valid from where m's right tail starts.  eta_tilde
+    starts where m's left tail does."""
+    first = steps[0]
+    k, l = m.body.left, m.body.right
+    if isinstance(first, FreeStep):
         i, kp = first.i, g.free_k[m.p]
-        k, l = m.body.k, m.body.l
         if l[i - 1] > first.m:
             return None
         new_first = FreeStep(m.p, i, k[i - 1] + first.m - l[i - 1], first.t)
@@ -283,18 +263,15 @@ def translate(g: SeparatedGraph, m: Monomial, eta: CPath):
             if diff:
                 idx = j if j < i else j - 1  # {1..k} minus i, renumbered
                 phi[idx] = phi.get(idx, 0) + diff
-        shift = _shift_of_steps(g, eta.steps[1:])
+        shift = _shift_of_steps(g, steps[1:])
         phi = {idx + shift: d for idx, d in phi.items() if d != 0}
-        eta_tilde = CPath(m.p, (new_first,) + eta.steps[1:])
-        return eta_tilde, phi
-    b = m.body
-    if first.path[: len(b.nu)] != b.nu:
+        return (new_first,) + steps[1:], phi
+    if first.path[: len(l)] != l:
         return None
-    new_first = RegularStep(m.p, b.gamma + first.path[len(b.nu) :], first.connector)
-    shift = _shift_of_steps(g, eta.steps[1:])
+    new_first = RegularStep(m.p, k + first.path[len(l) :], first.connector)
+    shift = _shift_of_steps(g, steps[1:])
     phi = {i + shift: d for i, d in m.tpart}
-    eta_tilde = CPath(b.src, (new_first,) + eta.steps[1:])
-    return eta_tilde, phi
+    return (new_first,) + steps[1:], phi
 
 
 # -- the product ---------------------------------------------------------
@@ -303,10 +280,10 @@ def translate(g: SeparatedGraph, m: Monomial, eta: CPath):
 def mul(g: SeparatedGraph, e1: Element, e2: Element) -> Element:
     """The product of two valid elements.  Endpoints agree by construction:
     r(eta1) = r(gamma2) when the c-paths are equal; else the remainder
-    starts at the range of the monomial translated through it, and
-    translate's path starts at that monomial's source, where the kept c-path
-    ends.  A pure-t monomial is a unit for the body, so its product with
-    another monomial is never zero."""
+    starts where the right tail of the monomial translated through it
+    starts, and translate's steps start where its left tail starts, at the
+    end of the kept c-path.  A pure-t monomial is a unit for the body, so
+    its product with another monomial is never zero."""
     if is_zero(e1) or is_zero(e2):
         return ZERO
     eta1, gamma2 = e1.eta, e2.gamma
@@ -315,22 +292,20 @@ def mul(g: SeparatedGraph, e1: Element, e2: Element) -> Element:
         if n == len(eta1.steps):
             mm = mul_monomials(g, e1.m, e2.m)
             return ZERO if mm is None else Triple(e1.gamma, mm, e2.eta)
-        ms = star_monomial(g, e2.m)
-        tr = translate(g, ms, CPath(mono_range(g, ms), eta1.steps[n:]))
+        tr = translate(g, star_monomial(g, e2.m), eta1.steps[n:])
         if tr is None:
             return ZERO
         eta_tilde, phi_star = tr
         phi = {i: -d for i, d in phi_star.items()}
-        mm = mul_monomials(g, e1.m, t_monomial(g, phi, mono_range(g, e1.m)))
-        return Triple(e1.gamma, mm, CPath(e2.eta.start, e2.eta.steps + eta_tilde.steps))
+        mm = mul_monomials(g, e1.m, t_monomial(g, phi, e1.m.p))
+        return Triple(e1.gamma, mm, CPath(e2.eta.start, e2.eta.steps + eta_tilde))
     if cpath_is_prefix(eta1, gamma2):
-        rem = CPath(mono_range(g, e1.m), gamma2.steps[len(eta1.steps) :])
-        tr = translate(g, e1.m, rem)
+        tr = translate(g, e1.m, gamma2.steps[len(eta1.steps) :])
         if tr is None:
             return ZERO
         gamma_tilde, phi = tr
-        mm = mul_monomials(g, t_monomial(g, phi, mono_source(g, e2.m)), e2.m)
-        return Triple(CPath(e1.gamma.start, e1.gamma.steps + gamma_tilde.steps), mm, e2.eta)
+        mm = mul_monomials(g, t_monomial(g, phi, e2.m.p), e2.m)
+        return Triple(CPath(e1.gamma.start, e1.gamma.steps + gamma_tilde), mm, e2.eta)
     return ZERO
 
 
@@ -354,17 +329,17 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
         v = body
         if v not in g.vertex_prime:
             raise WordError(f"unknown vertex {v!r}")
-        return Triple(trivial_cpath(v), t_monomial(g, {}, v), trivial_cpath(v))
+        return Triple(trivial_cpath(v), t_monomial(g, {}, g.vertex_prime[v]), trivial_cpath(v))
     if kind == "e":
         name, starred = _split_star(body)
         e = g.edge(name)
         p = g.prime_of_vertex(e.src)
         if isinstance(e, InternalEdge):
-            m = Monomial(p, (), RegBody((name,), (), e.src, e.rng))
+            m = Monomial(p, (), Body((name,), ()))
             el = Triple(trivial_cpath(e.src), m, trivial_cpath(e.rng))
         else:
             cp = CPath(e.src, (RegularStep(p, (), name),))
-            el = Triple(cp, t_monomial(g, {}, e.rng), trivial_cpath(e.rng))
+            el = Triple(cp, t_monomial(g, {}, g.vertex_prime[e.rng]), trivial_cpath(e.rng))
         return star(g, el) if starred else el
     if kind == "a":
         spec, starred = _split_star(body)
@@ -377,7 +352,7 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
         if not 1 <= j <= kp:
             raise WordError(f"loop index {j} out of range at {p!r}")
         k = tuple(1 if x == j else 0 for x in range(1, kp + 1))
-        m = Monomial(p, (), FreeBody(k, (0,) * kp))
+        m = Monomial(p, (), Body(k, (0,) * kp))
         el = Triple(trivial_cpath(p), m, trivial_cpath(p))
         return star(g, el) if starred else el
     if kind == "b":
@@ -389,7 +364,7 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
             raise WordError(f"bad connector token {token!r}") from None
         u = g.beta_target(p, i, t)
         cp = CPath(p, (FreeStep(p, i, 0, t),))
-        el = Triple(cp, t_monomial(g, {}, u), trivial_cpath(u))
+        el = Triple(cp, t_monomial(g, {}, g.vertex_prime[u]), trivial_cpath(u))
         return star(g, el) if starred else el
     if kind == "t":
         exp = 1
@@ -402,7 +377,7 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
             raise WordError(f"bad t token {token!r}") from None
         if v not in g.vertex_prime or i < 1:
             raise WordError(f"bad t token {token!r}")
-        m = t_monomial(g, {i: exp}, v)
+        m = t_monomial(g, {i: exp}, g.vertex_prime[v])
         return Triple(trivial_cpath(v), m, trivial_cpath(v))
     raise WordError(f"bad token {token!r}")
 
@@ -443,22 +418,22 @@ def _tpart_tokens(m: Monomial, base: str) -> list[str]:
 
 def _body_tokens(g: SeparatedGraph, m: Monomial) -> list[str]:
     b = m.body
-    if isinstance(b, FreeBody):
+    if m.p in g.free_k:
         out = []
-        for j, kj in enumerate(b.k, start=1):
+        for j, kj in enumerate(b.left, start=1):
             out.extend([f"a:{m.p}.{j}"] * kj)
-        for j, lj in enumerate(b.l, start=1):
+        for j, lj in enumerate(b.right, start=1):
             out.extend([f"a:{m.p}.{j}*"] * lj)
         return out
-    toks = [f"e:{name}" for name in b.gamma]
-    toks.extend(f"e:{name}*" for name in reversed(b.nu))
+    toks = [f"e:{name}" for name in b.left]
+    toks.extend(f"e:{name}*" for name in reversed(b.right))
     return toks
 
 
 def _field_tokens(g: SeparatedGraph, e: Triple) -> tuple[list[str], ...]:
     """The token lists of the four canonical fields of a nonzero element."""
     gam = [t for s in e.gamma.steps for t in _step_tokens(g, s, False)]
-    tp = _tpart_tokens(e.m, mono_source(g, e.m))
+    tp = _tpart_tokens(e.m, cpath_range(g, e.gamma))
     body = _body_tokens(g, e.m)
     eta = [t for s in reversed(e.eta.steps) for t in _step_tokens(g, s, True)]
     return gam, tp, body, eta
@@ -482,32 +457,40 @@ def element_to_word(g: SeparatedGraph, e: Element) -> str:
 
 
 def validate_element(g: SeparatedGraph, e: Element) -> None:
-    """Structural invariants of a triple; raises WordError on violation."""
+    """Structural invariants of a triple; raises WordError on violation.
+    gamma and eta end in the monomial's prime; the body's tails have the
+    prime's shape, and at a regular prime run from r(gamma) and r(eta) to
+    one vertex; t-part indices and exponents are ints."""
     if is_zero(e):
         return
     validate_cpath(g, e.gamma)
     validate_cpath(g, e.eta)
-    if cpath_range(g, e.gamma) != mono_source(g, e.m):
-        raise WordError("r(gamma) != source(m)")
-    if cpath_range(g, e.eta) != mono_range(g, e.m):
-        raise WordError("r(eta) != range(m)")
-    b = e.m.body
-    if isinstance(b, FreeBody):
-        if not g.is_free(e.m.p) or len(b.k) != g.k(e.m.p) or len(b.l) != g.k(e.m.p):
+    m = e.m
+    ends = cpath_range(g, e.gamma), cpath_range(g, e.eta)
+    if any(g.vertex_prime[v] != m.p for v in ends):
+        raise WordError(f"gamma or eta ends outside {m.p!r}")
+    left, right = m.body.left, m.body.right
+    if type(left) is not tuple or type(right) is not tuple:
+        raise WordError("body tails must be tuples")
+    kp = g.free_k.get(m.p)
+    if kp is not None:
+        if len(left) != kp or len(right) != kp:
             raise WordError("free body does not match prime")
-        if any(x < 0 for x in b.k + b.l):
-            raise WordError("negative exponent")
+        if not all(type(x) is int and x >= 0 for x in left + right):
+            raise WordError("loop exponents must be ints >= 0")
     else:
-        if g.is_free(e.m.p):
-            raise WordError("regular body at free prime")
+        if not all(type(x) is str for x in left + right):
+            raise WordError("regular body needs internal paths")
         mids = []
-        for path, src in ((b.gamma, b.src), (b.nu, b.rng)):
+        for path, src in zip((left, right), ends):
             mid, n = g.internal_walk(src, path)
             if n < len(path):
                 raise WordError(f"bad body path at {path[n]}")
             mids.append(mid)
         if mids[0] != mids[1]:
             raise WordError("r(gamma_m) != r(nu_m)")
-    for i, d in e.m.tpart:
-        if i < 1 or d == 0:
+    prev = 0  # indices increase strictly, as ttuple sorts them
+    for i, d in m.tpart:
+        if type(i) is not int or type(d) is not int or i <= prev or d == 0:
             raise WordError("bad t-part entry")
+        prev = i

@@ -490,8 +490,8 @@ def test_equidecompose_verifies_every_connector(g3, monkeypatch):
     # is the one check of s s* and s* s.
     a, b = co(g3, "v:p"), co(g3, "a:p.1 a:p.1*")
     assert isinstance(mn.equidecompose(g3, a, b), mn.EquidecompCertificate)
-    real = mn._connector
-    monkeypatch.setattr(mn, "_connector", lambda g, e1, e2: sg.star(g, real(g, e1, e2)))
+    real = mn.trusted_isometry
+    monkeypatch.setattr(mn, "trusted_isometry", lambda g, mu, rho: sg.star(g, real(g, mu, rho)))
     with pytest.raises(MonoidError, match="failed verification"):
         mn.equidecompose(g3, a, b)
 

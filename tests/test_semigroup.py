@@ -168,6 +168,61 @@ def test_validate_element(graphs, gen_module, rng):
         assert mixed > 0
 
 
+def _at(v, m, eta=None):
+    return sg.Triple(sg.trivial_cpath(v), m, sg.trivial_cpath(eta or v))
+
+
+def test_validate_element_rejects_ends_outside_the_prime(gen_module):
+    # rbv0 lies in rb: the body, whose tails start at r(gamma) and r(eta),
+    # carries no endpoint that could show it
+    g = parse_graph(gen_module.regular_graph("p3").text())
+    empty = sg.Body((), ())
+    assert g.vertex_prime["rbv0"] == "rb" and g.vertex_prime["rav0"] == "ra"
+    sg.validate_element(g, _at("rav0", sg.Monomial("ra", (), empty)))
+    for bad in (_at("rbv0", sg.Monomial("ra", (), empty)),
+                _at("rav0", sg.Monomial("ra", (), empty), "rbv0"),
+                _at("rbv0", sg.Monomial("ra", (), empty), "rav0")):
+        with pytest.raises(WordError, match="ends outside"):
+            sg.validate_element(g, bad)
+
+
+def test_validate_element_rejects_tails_of_the_wrong_shape(g3):
+    # g3: free p (k = 1), regular r at w with loops f1 and f2
+    sg.validate_element(g3, _at("p", sg.Monomial("p", (), sg.Body((2,), (1,)))))
+    sg.validate_element(g3, _at("w", sg.Monomial("r", (), sg.Body(("f1",), ("f2",)))))
+    bad = [
+        _at("w", sg.Monomial("r", (), sg.Body((0,), (0,)))),  # loop exponents at r
+        _at("w", sg.Monomial("r", (), sg.Body(("f1",), (1,)))),
+        _at("w", sg.Monomial("r", (), sg.Body(["f1"], ["f1"]))),  # not a tuple
+        _at("p", sg.Monomial("p", (), sg.Body(("f1",), ("f1",)))),  # a path at p
+        _at("p", sg.Monomial("p", (), sg.Body((), ()))),  # k(p) = 1 exponents
+        _at("p", sg.Monomial("p", (), sg.Body((1, 0), (1, 0)))),
+        _at("p", sg.Monomial("p", (), sg.Body((-1,), (0,)))),
+    ]
+    for e in bad:
+        with pytest.raises(WordError):
+            sg.validate_element(g3, e)
+
+
+def test_validate_element_takes_int_exponents_only(g3):
+    # each of these made element_to_word raise TypeError, or print a word
+    # that parses to another value
+    zero = sg.Body((0,), (0,))
+    for e in (
+        _at("p", sg.Monomial("p", (), sg.Body((1.5,), (1.5,)))),
+        _at("p", sg.Monomial("p", (), sg.Body((True,), (True,)))),
+        _at("p", sg.Monomial("p", ((1, 1.5),), zero)),
+        _at("p", sg.Monomial("p", ((1.0, 1),), zero)),
+        _at("p", sg.Monomial("p", ((True, 1),), zero)),
+        # unsorted or repeated indices print a word that parses to another value
+        _at("p", sg.Monomial("p", ((2, 1), (1, 1)), zero)),
+        _at("p", sg.Monomial("p", ((1, 1), (1, 1)), zero)),
+    ):
+        with pytest.raises(WordError):
+            sg.validate_element(g3, e)
+    sg.validate_element(g3, _at("p", sg.Monomial("p", ((1, -2),), zero)))
+
+
 def test_element_fields_reassemble(g3):
     e = sg.parse_word(g3, "a:p.1 b:p.1.1 e:f1 e:f2* e:f1* b:p.1.1*")
     gam, tp, body, eta = sg.element_fields(g3, e)
@@ -254,7 +309,7 @@ def test_steps_built_by_different_routes_are_equal(g3, gen_module):
         for n in (0, 1)
     ]
     _same_value([beta.gamma.steps[0], enumerated[0], children[0][0]], first)
-    _same_value([sg.translate(g3, alpha.m, beta.gamma)[0].steps[0],
+    _same_value([sg.translate(g3, alpha.m, beta.gamma.steps)[0][0],
                  sg.parse_word(g3, "a:p.1 b:p.1.1").gamma.steps[0],
                  enumerated[1], children[1][0]], looped)
 
@@ -271,7 +326,7 @@ def test_steps_built_by_different_routes_are_equal(g3, gen_module):
         for tail in ((), (loop,))
     ]
     _same_value([gen.gamma.steps[0], enumerated[bare], children[0][bare]], bare)
-    _same_value([sg.translate(g, edge.m, gen.gamma)[0].steps[0],
+    _same_value([sg.translate(g, edge.m, gen.gamma.steps)[0][0],
                  sg.parse_word(g, f"e:{loop} e:{conn}").gamma.steps[0],
                  enumerated[through], children[1][through]], through)
 
