@@ -39,7 +39,7 @@ from .semigroup import (
     cpath_range,
     is_idempotent,
     validate_cpath,
-    validate_element,
+    validate_tail_end,
 )
 
 
@@ -84,23 +84,19 @@ def _epath(e: Element, name: str) -> EPath:
 def idem_of(g: SeparatedGraph, mu: EPath) -> Element:
     """The idempotent of an E-path that comes from a caller.
 
-    The E-path is checked in full: its prefix must be a valid c-path ending
-    in the component of mu.p, and its tail k(p) loop exponents, each an int
-    >= 0, or an internal path continuing from the end of the prefix.  Raises
-    LatticeError, WordError or GraphError otherwise.  E-paths the library
+    The E-path is checked in full, each part once: its prefix must be a
+    valid c-path ending in the component of mu.p, and its tail k(p) loop
+    exponents, each an int >= 0, or an internal path continuing from the
+    end of the prefix (validate_tail_end).  Raises LatticeError, WordError
+    or GraphError otherwise.  E-paths the library
     builds itself go through trusted_idem instead."""
     validate_cpath(g, mu.gamma)
     v = cpath_range(g, mu.gamma)
     if g.vertex_prime[v] != mu.p:
         raise LatticeError(f"E-path prefix ends at {v}, not in {mu.p}")
-    if g.is_free(mu.p):
-        if len(mu.tail) != g.k(mu.p):
-            raise LatticeError("free tail length does not match prime")
-        if not all(type(x) is int and x >= 0 for x in mu.tail):
-            raise LatticeError(f"bad loop exponents {tuple(mu.tail)}")
-    e = trusted_idem(g, EPath(mu.gamma, mu.p, tuple(mu.tail)))
-    validate_element(g, e)
-    return e
+    tail = tuple(mu.tail)
+    validate_tail_end(g, mu.p, v, tail, LatticeError)
+    return trusted_idem(g, EPath(mu.gamma, mu.p, tail))
 
 
 def trusted_idem(g: SeparatedGraph, mu: EPath) -> Element:

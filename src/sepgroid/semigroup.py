@@ -10,9 +10,16 @@ prime (alpha^k (alpha^l)*), two internal paths at a regular one
 and eta end.  Multiplication is implemented through the translation
 operation m * eta = eta-tilde * phi, which pushes a monomial through the
 steps of a c-path and leaves behind a pure-t monomial phi.  Input is
-checked where it enters (generator_element, validate_element); mul,
-translate and mul_monomials take operands of valid elements, as mul passes
-them, and check nothing again.
+checked where it enters (parse_word, generator_element, validate_element);
+mul, translate and mul_monomials take operands of valid elements, as mul
+passes them, and check nothing again.
+
+A descending c-path word is its own normal form, so parse_word reads a
+word's opening c-path gamma and closing eta* as steps, checks each once
+with validate_cpath and builds gamma . 1 . r(gamma) and its star directly;
+generator_element and mul fold only the tokens between them.  When a run
+is not a c-path the whole word is folded, so the value and every error,
+in its order, are the token-by-token fold's.
 
 Values are frozen and slotted (no per-instance __dict__), so elements can be
 shared and hashed.  The steps of a c-path are named tuples, so comparing two
@@ -98,6 +105,8 @@ def cpath_is_prefix(pre: CPath, full: CPath) -> bool:
 
 
 def validate_cpath(g: SeparatedGraph, c: CPath) -> None:
+    if type(c.steps) is not tuple:
+        raise WordError("c-path steps must be a tuple")
     at = c.start
     g.prime_of_vertex(at)
     for s in c.steps:
@@ -382,14 +391,86 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
     raise WordError(f"bad token {token!r}")
 
 
+def _read_cpath(g: SeparatedGraph, tokens) -> tuple[CPath | None, int]:
+    """Read the whole c-path steps that open tokens, written unstarred as
+    _step_tokens writes them: (the c-path or None, the tokens it spans).
+    Only syntax and names are looked up here; validate_cpath checks the
+    result, and raises when the steps are not a c-path."""
+    steps = []
+    start, used = None, 0
+    loop, m = None, 0  # the (p, i) and count of the a-tokens read so far
+    path = []  # the internal edges read so far
+    for n, tok in enumerate(tokens, start=1):
+        if tok.endswith("*"):
+            break
+        kind, _, spec = tok.partition(":")
+        if kind == "e" and loop is None:
+            e = g.edge_by_name.get(spec)
+            if e is None:
+                break
+            if isinstance(e, InternalEdge):
+                path.append(e)
+                continue
+            src = path[0].src if path else e.src
+            steps.append(RegularStep(g.vertex_prime[src], tuple(x.name for x in path), spec))
+            path = []
+        elif kind in ("a", "b") and not path:
+            try:
+                if kind == "a":
+                    p, i = spec.rsplit(".", 1)
+                    i = int(i)
+                else:
+                    p, i, t = spec.rsplit(".", 2)
+                    i, t = int(i), int(t)
+            except ValueError:
+                break
+            if p not in g.free_k or loop not in (None, (p, i)):
+                break
+            if kind == "a":
+                loop, m = (p, i), m + 1
+                continue
+            steps.append(FreeStep(p, i, m, t))
+            src, loop, m = p, None, 0
+        else:
+            break
+        if not used:
+            start = src
+        used = n
+    if not steps:
+        return None, 0
+    c = CPath(start, tuple(steps))
+    validate_cpath(g, c)
+    return c, used
+
+
 def parse_word(g: SeparatedGraph, text: str) -> Element:
-    """Parse a whitespace-separated generator word and normalize it."""
+    """Parse a whitespace-separated generator word and normalize it.  The
+    opening c-path and the closing starred one are read as steps, and only
+    the tokens between them are folded (see the module docstring)."""
     tokens = text.split()
     if not tokens:
         raise WordError("empty word")
-    out = generator_element(g, tokens[0])
-    for tok in tokens[1:]:
-        out = mul(g, out, generator_element(g, tok))
+    try:
+        gamma, i = _read_cpath(g, tokens)
+        j = len(tokens)
+        while j > i and tokens[j - 1].endswith("*"):
+            j -= 1
+        eta, n = _read_cpath(g, [t[:-1] for t in reversed(tokens[j:])])
+        j = len(tokens) - n
+    except WordError:  # a run is not a c-path
+        gamma = eta = None
+        i, j = 0, len(tokens)
+    out = None
+    if gamma is not None:
+        v = cpath_range(g, gamma)
+        out = Triple(gamma, t_monomial(g, {}, g.vertex_prime[v]), trivial_cpath(v))
+    for tok in tokens[i:j]:
+        el = generator_element(g, tok)
+        out = el if out is None else mul(g, out, el)
+    if eta is not None:
+        v = cpath_range(g, eta)
+        el = Triple(trivial_cpath(v), t_monomial(g, {}, g.vertex_prime[v]), eta)
+        out = el if out is None else mul(g, out, el)
     return out
 
 
@@ -456,11 +537,33 @@ def element_to_word(g: SeparatedGraph, e: Element) -> str:
     return " ".join(toks)
 
 
+def validate_tail_end(g: SeparatedGraph, p: str, v: str, tail, error=WordError) -> str:
+    """The one check of an E-path tail at prime p that starts at v, in p:
+    a tuple of k(p) ints >= 0 at a free prime (else error), internal edges
+    walking from v at a regular one (else WordError).  Returns the vertex
+    the tail ends at, p itself at a free prime."""
+    if type(tail) is not tuple:
+        raise WordError("tails must be tuples")
+    kp = g.free_k.get(p)
+    if kp is not None:
+        if len(tail) != kp:
+            raise error("free tail length does not match prime")
+        if not all(type(x) is int and x >= 0 for x in tail):
+            raise error(f"bad loop exponents {tail}")
+        return v
+    if not all(type(x) is str for x in tail):
+        raise WordError("regular tail needs internal paths")
+    end, n = g.internal_walk(v, tail)
+    if n < len(tail):
+        raise WordError(f"bad body path at {tail[n]}")
+    return end
+
+
 def validate_element(g: SeparatedGraph, e: Element) -> None:
     """Structural invariants of a triple; raises WordError on violation.
-    gamma and eta end in the monomial's prime; the body's tails have the
-    prime's shape, and at a regular prime run from r(gamma) and r(eta) to
-    one vertex; t-part indices and exponents are ints."""
+    gamma and eta end in the monomial's prime; the body's tails pass
+    validate_tail_end from r(gamma) and r(eta) and end at one vertex;
+    the t-part is a tuple of int indices and exponents."""
     if is_zero(e):
         return
     validate_cpath(g, e.gamma)
@@ -469,26 +572,11 @@ def validate_element(g: SeparatedGraph, e: Element) -> None:
     ends = cpath_range(g, e.gamma), cpath_range(g, e.eta)
     if any(g.vertex_prime[v] != m.p for v in ends):
         raise WordError(f"gamma or eta ends outside {m.p!r}")
-    left, right = m.body.left, m.body.right
-    if type(left) is not tuple or type(right) is not tuple:
-        raise WordError("body tails must be tuples")
-    kp = g.free_k.get(m.p)
-    if kp is not None:
-        if len(left) != kp or len(right) != kp:
-            raise WordError("free body does not match prime")
-        if not all(type(x) is int and x >= 0 for x in left + right):
-            raise WordError("loop exponents must be ints >= 0")
-    else:
-        if not all(type(x) is str for x in left + right):
-            raise WordError("regular body needs internal paths")
-        mids = []
-        for path, src in zip((left, right), ends):
-            mid, n = g.internal_walk(src, path)
-            if n < len(path):
-                raise WordError(f"bad body path at {path[n]}")
-            mids.append(mid)
-        if mids[0] != mids[1]:
-            raise WordError("r(gamma_m) != r(nu_m)")
+    left = validate_tail_end(g, m.p, ends[0], m.body.left)
+    if left != validate_tail_end(g, m.p, ends[1], m.body.right):
+        raise WordError("r(gamma_m) != r(nu_m)")
+    if type(m.tpart) is not tuple:
+        raise WordError("t-part must be a tuple")
     prev = 0  # indices increase strictly, as ttuple sorts them
     for i, d in m.tpart:
         if type(i) is not int or type(d) is not int or i <= prev or d == 0:

@@ -216,18 +216,24 @@ def normal_form(g: SeparatedGraph, tokens):
         raise WordError("empty word")
     if len(word) == 1 and word[0][0] == "t" and word[0][3] == 0:
         return (("v", word[0][1]),)
+    # Every pair left of `start` is irreducible.  A pair rewrite at idx
+    # changes only the pairs from idx - 1 on, so the scan resumes there and
+    # still finds the leftmost redex; the whole-word rules rescan from 0.
+    start = 0
     for _ in range(ITER_CAP):
         changed = False
-        for idx in range(len(word) - 1):
+        for idx in range(start, len(word) - 1):
             res = _pair_rule(g, word[idx], word[idx + 1])
             if res is None:
                 continue
             if res == ZERO:
                 return ZERO
             word[idx : idx + 2] = res
+            start = max(0, idx - 1)
             changed = True
             break
         if not changed:
+            start = 0
             run = _run_rule(g, word)
             if run is not None:
                 word = run

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -356,3 +357,125 @@ def test_idempotent_pool_round_trips_on_generated_graphs(gen_module, shape, tag)
     for e in pool:
         back = sg.parse_word(g, sg.element_to_word(g, e))
         assert back == e and hash(back) == hash(e)
+
+
+def test_validate_takes_tuples_only(g3):
+    # a list hashes with TypeError, after printing as a valid word
+    zero = sg.Body((0,), (0,))
+    with pytest.raises(WordError, match="t-part"):
+        sg.validate_element(g3, _at("p", sg.Monomial("p", [(1, 1)], zero)))
+    with pytest.raises(WordError, match="steps"):
+        sg.validate_cpath(g3, sg.CPath("p", [FreeStep("p", 1, 0, 1)]))
+    sg.validate_cpath(g3, sg.CPath("p", (FreeStep("p", 1, 0, 1),)))
+
+
+# -- parse_word against the plain fold ------------------------------------
+
+# parse_word reads the opening and closing c-paths of a word as steps and
+# folds only the tokens between them; the reference here folds every token.
+
+
+def _fold(g, text):
+    tokens = text.split()
+    if not tokens:
+        raise WordError("empty word")
+    out = sg.generator_element(g, tokens[0])
+    for tok in tokens[1:]:
+        out = sg.mul(g, out, sg.generator_element(g, tok))
+    return out
+
+
+def _outcome(parse, g, text):
+    try:
+        return parse(g, text)
+    except (WordError, gr.GraphError) as ex:
+        return type(ex), str(ex)
+
+
+def _assert_parses_as_fold(g, text):
+    expect = _outcome(_fold, g, text)
+    got = _outcome(sg.parse_word, g, text)
+    assert got == expect, text
+
+
+def _reader_words(g, rng):
+    """element_to_word of idempotents and of random products."""
+    idems = list(lt.enumerate_idempotents(g, Bounds(2, 1, 2)))
+    elems = rng.sample(idems, min(len(idems), 40))
+    toks = alphabet(g)
+    for _ in range(40):
+        e = _fold(g, random_word(rng, toks, 6))
+        if not sg.is_zero(e):
+            elems.append(e)
+    for _ in range(40):
+        a, b = rng.choice(elems), rng.choice(elems)
+        elems.append(sg.mul(g, a, sg.star(g, b)))
+    return [sg.element_to_word(g, e) for e in elems]
+
+
+def test_parse_word_equals_the_fold(graphs, gen_module):
+    rng = random.Random(21)
+    gs = list(graphs.values()) + [
+        parse_graph(getattr(gen_module, shape)("pw-0").text())
+        for shape in ("tower_graph", "regular_graph", "mixed_graph")
+    ]
+    read = total = 0
+    for g in gs:
+        words = _reader_words(g, rng)
+        texts = list(words)
+        for _ in range(60):
+            texts.append(" ".join(rng.choice(words) for _ in range(rng.randint(2, 3))))
+        for w in list(texts):
+            toks = w.split()
+            shuffled = rng.sample(toks, len(toks))
+            cut = rng.randint(1, len(toks))
+            texts += [" ".join(shuffled), " ".join(toks[:cut]), " ".join(toks[cut - 1:])]
+        total += len(texts)
+        for text in texts:
+            _assert_parses_as_fold(g, text)
+            try:
+                read += sg._read_cpath(g, text.split())[1] > 0
+            except WordError:
+                pass  # not a c-path: parse_word folded every token
+    assert 10 * read > total  # the reader, not only the fold, made these values
+
+
+def test_parse_word_edge_cases(g3, gen_module):
+    # g3: free p (k = 1), one connector b:p.1.1 into w, loops f1 and f2 at w
+    cases = [
+        "a:p.1 a:p.1",  # a run of a: without its b:
+        "a:p.1 a:p.1 t:p.1 b:p.1.1",
+        "a:p.1 a:p.1* b:p.1.1",  # a starred token inside the opening run
+        "b:p.1.1 e:f1* e:f1",
+        "b:p.1.1 b:p.1.1",  # non-composable steps: zero
+        "a:p.1 b:p.1.1 a:p.1 b:p.1.1 e:f1",
+        "e:f1* b:p.1.1* b:p.1.1*",
+        "a:p.1 b:p.1.1 e:nope",  # an unknown name inside a run
+        "a:p.1 a:q.1 b:p.1.1",
+        "a:p.1 b:p.1.9 e:f1",
+        "a:p.2 b:p.2.1",
+        "b:p.1.1 e:nope*",
+        "b:p.x.1 b:p.1.1*",
+        "v:x",
+        "b:p.1.1 v:x",
+        "v:x b:p.1.1*",
+        "a:p.1 b:p.1.1 e:f1* e:f1 b:p.1.1* a:p.1*",
+        "a:p.1 b:p.1.1 e:f1* e:f2 b:p.1.1*",
+        "b:p.1.1 b:p.1.1* a:p.1 a:p.1*",
+        "a:p.1 b:p.1.1 b:p.1.1** a:p.1*",
+    ]
+    for text in cases:
+        _assert_parses_as_fold(g3, text)
+    assert sg.parse_word(g3, "b:p.1.1 b:p.1.1") == sg.ZERO
+    g = _mixed(gen_module)
+    prime, v, loop, conn = _loop_and_connector(g)
+    for text in (
+        f"e:{loop} e:{conn}",
+        f"e:{loop} e:{loop}",  # internal edges without their connector
+        f"e:{loop} e:{conn} e:{conn}",
+        f"e:{conn}* e:{loop}*",
+        f"e:{loop} e:{conn} e:{conn}* e:{loop}*",
+        f"e:{loop} e:{conn}* e:{loop}*",
+        f"e:{loop} e:nope e:{conn}",
+    ):
+        _assert_parses_as_fold(g, text)
