@@ -132,7 +132,7 @@ def parse_path(g: SeparatedGraph, text: str) -> fl.SemifinitePath:
         raise fl.FilterError("path literal needs `; <tail>`")
     tail_spec = rest[1:].strip()
     e = sg.parse_word(g, word)
-    if sg.is_zero(e) or e.eta.steps or e.m.tpart or not sg.is_pure_body(e.m.body):
+    if sg.is_zero(e) or e.eta.steps or e.m != sg.t_monomial(g, {}, e.m.p):
         raise fl.FilterError("path prefix word must denote a descending path")
     gamma = e.gamma
     v = sg.cpath_range(g, gamma)

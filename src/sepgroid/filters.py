@@ -123,12 +123,12 @@ def is_initial_segment(g: SeparatedGraph, mu_p: EPath, mu: SemifinitePath) -> bo
 def filter_contains(g: SeparatedGraph, mu: SemifinitePath, e: Element) -> bool:
     """True iff the filter of mu contains the nonzero idempotent e.  The
     E-path of e is read off its fields: the prefix is e.gamma and the tail
-    the body's left tail."""
+    the monomial's left tail, e.m.left."""
     if not is_idempotent(e):
         raise FilterError("filter membership is defined for nonzero idempotents")
     if not cpath_is_prefix(e.gamma, mu.gamma):
         return False
-    return _tail_is_initial(g, e.gamma, e.m.body.left, mu)
+    return _tail_is_initial(g, e.gamma, e.m.left, mu)
 
 
 def _tail_is_initial(g: SeparatedGraph, gamma: CPath, tail, mu: SemifinitePath) -> bool:

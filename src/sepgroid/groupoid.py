@@ -28,8 +28,9 @@ from .semigroup import (
     is_zero,
     mul,
     star,
+    tpart_add,
+    tpart_neg,
     translate,
-    ttuple,
 )
 
 
@@ -39,7 +40,8 @@ class GroupoidError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class GermWeight:
-    """(n1, n2): sparse t-exponents and a trimmed length-difference vector."""
+    """(n1, n2): a t-part (semigroup.tpart_add) and a trimmed length-difference
+    vector."""
 
     n1: tuple[tuple[int, int], ...] = ()
     n2: tuple[int, ...] = ()
@@ -58,14 +60,11 @@ def _padded_sum(a, b, sign: int = 1) -> tuple[int, ...]:
 
 
 def weight_add(a: GermWeight, b: GermWeight) -> GermWeight:
-    n1 = dict(a.n1)
-    for i, d in b.n1:
-        n1[i] = n1.get(i, 0) + d
-    return GermWeight(ttuple(n1), _padded_sum(a.n2, b.n2))
+    return GermWeight(tpart_add(a.n1, b.n1), _padded_sum(a.n2, b.n2))
 
 
 def weight_neg(a: GermWeight) -> GermWeight:
-    return GermWeight(ttuple({i: -d for i, d in a.n1}), tuple(-x for x in a.n2))
+    return GermWeight(tpart_neg(a.n1), tuple(-x for x in a.n2))
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,7 +147,7 @@ def germ_of(g: SeparatedGraph, s: Element, x: SemifinitePath) -> Germ:
     if is_zero(sp) or sp.eta != x.gamma:
         raise GroupoidError("x is not in the source cylinder of s")
     m = sp.m
-    left, right = m.body.left, m.body.right
+    left, right = m.left, m.right
     if m.p in g.free_k:
         rx = SemifinitePath(sp.gamma, m.p, x.tail)
     else:
@@ -177,7 +176,7 @@ def in_bisection(g: SeparatedGraph, germ: Germ, s: Element) -> bool:
     if not xs and not ys:
         if x.p != m.p or y.p != m.p:
             return False
-        left, right = m.body.left, m.body.right
+        left, right = m.left, m.right
         if m.p not in g.free_k:
             x0 = _strip_tail(y.tail, right)
             if x0 is None or x != SemifinitePath(x.gamma, m.p, _prepend_tail(left, x0)):
@@ -196,7 +195,7 @@ def in_bisection(g: SeparatedGraph, germ: Germ, s: Element) -> bool:
         return False
     gpart = top_epath(g, x.gamma, x.p)
     npart = top_epath(g, y.gamma, y.p)
-    return germ.weight == GermWeight(ttuple(phi), _n2_of(g, gpart, npart))
+    return germ.weight == GermWeight(phi, _n2_of(g, gpart, npart))
 
 
 # -- bisections ----------------------------------------------------------

@@ -9,12 +9,12 @@ reference for that rule only in the tests.  An idempotent a caller passes
 is checked once, where it enters (`_epath`); the covers, disjoint unions
 and expansion replay (`expand`) then read E-paths only and build elements
 (`trusted_idem`, `trusted_isometry`) only for what they return.  An
-element's body is the tails of two E-paths: an idempotent's E-path is its
-gamma, its prime and its body's left tail.  Compact-open subsets of the
-path space are finite disjoint unions of cylinders Z(mu), kept in a
-canonical sorted form so that equality is decidable.  Subtraction descends
-by simple expansions directed at the subtrahend, which reproduces the
-explicit cylinder decompositions.
+element's monomial holds the tails of two E-paths: an idempotent's E-path
+is its gamma, its monomial's prime and its monomial's left tail.
+Compact-open subsets of the path space are finite disjoint unions of
+cylinders Z(mu), kept in a canonical sorted form so that equality is
+decidable.  Subtraction descends by simple expansions directed at the
+subtrahend, which reproduces the explicit cylinder decompositions.
 
 Precondition: the graph is adaptable (graph.validate_adaptable); nothing
 here checks it.
@@ -27,7 +27,6 @@ from itertools import product
 
 from .graph import SeparatedGraph
 from .semigroup import (
-    Body,
     CPath,
     Element,
     FreeStep,
@@ -78,7 +77,7 @@ def _epath(e: Element, name: str) -> EPath:
     idempotent."""
     if not is_idempotent(e):
         raise LatticeError(f"{name} is not a nonzero idempotent")
-    return EPath(e.gamma, e.m.p, e.m.body.left)
+    return EPath(e.gamma, e.m.p, e.m.left)
 
 
 def idem_of(g: SeparatedGraph, mu: EPath) -> Element:
@@ -111,7 +110,7 @@ def trusted_isometry(g: SeparatedGraph, mu: EPath, rho: EPath) -> Element:
     check of both E-paths, and that they end at one type vertex (epath_end).
     A malformed E-path gives a malformed element.  When mu is rho, gamma and
     eta are one object, which is_idempotent tests first."""
-    return Triple(mu.gamma, Monomial(mu.p, (), Body(mu.tail, rho.tail)), rho.gamma)
+    return Triple(mu.gamma, Monomial(mu.p, (), mu.tail, rho.tail), rho.gamma)
 
 
 def epath_key(g: SeparatedGraph, mu: EPath):
@@ -179,7 +178,7 @@ def join_free(g: SeparatedGraph, e: Element, f: Element) -> Element:
         raise LatticeError("join_free needs identical prefixes at one prime")
     if e.m.p not in g.free_k:
         raise LatticeError("join_free is defined at free primes only")
-    return trusted_idem(g, EPath(e.gamma, e.m.p, tuple(map(min, e.m.body.left, f.m.body.left))))
+    return trusted_idem(g, EPath(e.gamma, e.m.p, tuple(map(min, e.m.left, f.m.left))))
 
 
 # -- expansions ----------------------------------------------------------

@@ -3,15 +3,16 @@ adaptable separated graph.
 
 Elements are stored as triples gamma * m * eta-star where gamma and eta are
 c-paths descending into the component of the prime of the monomial m.  A
-monomial is a t-part and a body; the body is the tail of one E-path times
-the star of another (lattice.EPath): two loop-exponent vectors at a free
-prime (alpha^k (alpha^l)*), two internal paths at a regular one
-(gamma_m nu_m*).  The body stores no endpoints: its tails start where gamma
-and eta end.  Multiplication is implemented through the translation
+monomial is its prime, a t-part and two E-path tails (lattice.EPath), left
+times right-star: two loop-exponent vectors at a free prime (alpha^k
+(alpha^l)*), two internal paths at a regular one (gamma_m nu_m*).  The
+tails store no endpoints: they start where gamma and eta end.  A t-part is
+a sorted sparse tuple of (index, exponent), added by tpart_add and negated
+by tpart_neg.  Multiplication is implemented through the translation
 operation m * eta = eta-tilde * phi, which pushes a monomial through the
-steps of a c-path and leaves behind a pure-t monomial phi.  Input is
-checked where it enters (parse_word, generator_element, validate_element);
-mul, translate and mul_monomials take operands of valid elements, as mul
+steps of a c-path and leaves behind a t-part phi.  Input is checked where
+it enters (parse_word, generator_element, validate_element); mul,
+translate and mul_monomials take operands of valid elements, as mul
 passes them, and check nothing again.
 
 A descending c-path word is its own normal form, so parse_word reads a
@@ -135,66 +136,63 @@ def validate_cpath(g: SeparatedGraph, c: CPath) -> None:
 
 
 @dataclass(frozen=True, slots=True)
-class Body:
-    """left * right-star for two E-path tails at the monomial's prime: loop
-    exponents (k(p) ints >= 0) at a free prime, internal paths at a regular
-    one.  left starts at r(gamma) and right at r(eta) of the triple."""
-
-    left: tuple
-    right: tuple
-
-
-def is_pure_body(b: Body) -> bool:
-    """Whether the body is trivial, so that its monomial is a pure t-monomial."""
-    return all(x == 0 for x in b.left + b.right)
-
-
-@dataclass(frozen=True, slots=True)
 class Monomial:
+    """A t-part times left * right-star for two E-path tails at prime p:
+    loop exponents (k(p) ints >= 0) at a free prime, internal paths at a
+    regular one.  left starts at r(gamma) and right at r(eta) of the
+    triple."""
+
     p: str
     tpart: tuple[tuple[int, int], ...]  # sorted (index, nonzero exponent)
-    body: Body
+    left: tuple
+    right: tuple
 
 
 def ttuple(d: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((i, e) for i, e in d.items() if e != 0))
 
 
+def tpart_add(a, b) -> tuple[tuple[int, int], ...]:
+    """The sum of two t-parts (sorted sparse tuples, as ttuple builds)."""
+    if not b:
+        return a
+    if not a:
+        return b
+    t = dict(a)
+    for i, d in b:
+        t[i] = t.get(i, 0) + d
+    return ttuple(t)
+
+
+def tpart_neg(a) -> tuple[tuple[int, int], ...]:
+    return tuple((i, -d) for i, d in a)
+
+
 def t_monomial(g: SeparatedGraph, tmap: dict[int, int], p: str) -> Monomial:
     """The pure t-monomial at prime p: its tails are k(p) zeros at a free
     prime and empty at a regular one."""
     z = (0,) * g.free_k.get(p, 0)
-    return Monomial(p, ttuple(tmap), Body(z, z))
+    return Monomial(p, ttuple(tmap), z, z)
 
 
 def star_monomial(g: SeparatedGraph, m: Monomial) -> Monomial:
-    neg = tuple((i, -d) for i, d in m.tpart)
-    return Monomial(m.p, neg, Body(m.body.right, m.body.left))
+    return Monomial(m.p, tpart_neg(m.tpart), m.right, m.left)
 
 
 def mul_monomials(g: SeparatedGraph, m1: Monomial, m2: Monomial):
     """Product of two monomials; None encodes zero.  Precondition, as mul
     passes them: monomials of valid elements at prime p, with m1's right
     tail and m2's left tail starting at one vertex (both p when it is free)."""
-    if not m2.tpart:
-        tp = m1.tpart
-    elif not m1.tpart:
-        tp = m2.tpart
-    else:
-        t = dict(m1.tpart)
-        for i, d in m2.tpart:
-            t[i] = t.get(i, 0) + d
-        tp = ttuple(t)
-    k1, l1 = m1.body.left, m1.body.right
-    k2, l2 = m2.body.left, m2.body.right
+    tp = tpart_add(m1.tpart, m2.tpart)
+    k1, l1, k2, l2 = m1.left, m1.right, m2.left, m2.right
     if m1.p in g.free_k:
         k3 = tuple(max(a, a + c - b) for a, b, c in zip(k1, l1, k2))
         l3 = tuple(max(d, d + b - c) for b, c, d in zip(l1, k2, l2))
-        return Monomial(m1.p, tp, Body(k3, l3))
+        return Monomial(m1.p, tp, k3, l3)
     if k2[: len(l1)] == l1:
-        return Monomial(m1.p, tp, Body(k1 + k2[len(l1) :], l2))
+        return Monomial(m1.p, tp, k1 + k2[len(l1) :], l2)
     if l1[: len(k2)] == k2:
-        return Monomial(m1.p, tp, Body(k1, l2 + l1[len(k2) :]))
+        return Monomial(m1.p, tp, k1, l2 + l1[len(k2) :])
     return None
 
 
@@ -236,7 +234,7 @@ def is_idempotent(e: Element) -> bool:
         return False
     if e.gamma is not e.eta and e.gamma != e.eta:
         return False
-    return e.m.body.left == e.m.body.right
+    return e.m.left == e.m.right
 
 
 # -- translation ---------------------------------------------------------
@@ -250,37 +248,32 @@ def _shift_of_steps(g: SeparatedGraph, steps) -> int:
 
 def translate(g: SeparatedGraph, m: Monomial, steps: tuple[Step, ...]):
     """Rewrite m . eta as eta-tilde . phi for the steps of a c-path eta;
-    returns (the steps of eta_tilde, phi-dict) or None for zero.  phi is
-    based at the range of eta.  Precondition, as mul and
+    returns (the steps of eta_tilde, the t-part phi) or None for zero.  phi
+    is based at the range of eta.  Precondition, as mul and
     groupoid.in_bisection pass them: m is a valid element's monomial and
     steps nonempty and valid from where m's right tail starts.  eta_tilde
     starts where m's left tail does."""
     first = steps[0]
-    k, l = m.body.left, m.body.right
+    k, l = m.left, m.right
+    shift = _shift_of_steps(g, steps[1:])
     if isinstance(first, FreeStep):
         i, kp = first.i, g.free_k[m.p]
         if l[i - 1] > first.m:
             return None
         new_first = FreeStep(m.p, i, k[i - 1] + first.m - l[i - 1], first.t)
-        phi: dict[int, int] = {}
-        for i0, d in m.tpart:
-            phi[i0 + kp - 1] = phi.get(i0 + kp - 1, 0) + d
-        for j in range(1, kp + 1):
-            if j == i:
-                continue
-            diff = k[j - 1] - l[j - 1]
-            if diff:
-                idx = j if j < i else j - 1  # {1..k} minus i, renumbered
-                phi[idx] = phi.get(idx, 0) + diff
-        shift = _shift_of_steps(g, steps[1:])
-        phi = {idx + shift: d for idx, d in phi.items() if d != 0}
-        return (new_first,) + steps[1:], phi
+        # the loops other than i take the indices 1..k-1, and m's t-part
+        # moves up past them
+        loops = tuple(
+            ((j if j < i else j - 1) + shift, k[j - 1] - l[j - 1])
+            for j in range(1, kp + 1)
+            if j != i and k[j - 1] != l[j - 1]
+        )
+        moved = tuple((i0 + kp - 1 + shift, d) for i0, d in m.tpart)
+        return (new_first,) + steps[1:], loops + moved
     if first.path[: len(l)] != l:
         return None
     new_first = RegularStep(m.p, k + first.path[len(l) :], first.connector)
-    shift = _shift_of_steps(g, steps[1:])
-    phi = {i + shift: d for i, d in m.tpart}
-    return (new_first,) + steps[1:], phi
+    return (new_first,) + steps[1:], tuple((i + shift, d) for i, d in m.tpart)
 
 
 # -- the product ---------------------------------------------------------
@@ -291,8 +284,9 @@ def mul(g: SeparatedGraph, e1: Element, e2: Element) -> Element:
     r(eta1) = r(gamma2) when the c-paths are equal; else the remainder
     starts where the right tail of the monomial translated through it
     starts, and translate's steps start where its left tail starts, at the
-    end of the kept c-path.  A pure-t monomial is a unit for the body, so
-    its product with another monomial is never zero."""
+    end of the kept c-path.  A pure-t monomial is a unit for the tails, so
+    a translation leaves the kept monomial's tails as they are and adds its
+    t-part to the kept one's."""
     if is_zero(e1) or is_zero(e2):
         return ZERO
     eta1, gamma2 = e1.eta, e2.gamma
@@ -305,15 +299,16 @@ def mul(g: SeparatedGraph, e1: Element, e2: Element) -> Element:
         if tr is None:
             return ZERO
         eta_tilde, phi_star = tr
-        phi = {i: -d for i, d in phi_star.items()}
-        mm = mul_monomials(g, e1.m, t_monomial(g, phi, e1.m.p))
+        m = e1.m
+        mm = Monomial(m.p, tpart_add(m.tpart, tpart_neg(phi_star)), m.left, m.right)
         return Triple(e1.gamma, mm, CPath(e2.eta.start, e2.eta.steps + eta_tilde))
     if cpath_is_prefix(eta1, gamma2):
         tr = translate(g, e1.m, gamma2.steps[len(eta1.steps) :])
         if tr is None:
             return ZERO
         gamma_tilde, phi = tr
-        mm = mul_monomials(g, t_monomial(g, phi, e2.m.p), e2.m)
+        m = e2.m
+        mm = Monomial(m.p, tpart_add(phi, m.tpart), m.left, m.right)
         return Triple(CPath(e1.gamma.start, e1.gamma.steps + gamma_tilde), mm, e2.eta)
     return ZERO
 
@@ -325,6 +320,18 @@ def _split_star(body: str) -> tuple[str, bool]:
     if body.endswith("*"):
         return body[:-1], True
     return body, False
+
+
+def _read_spec(spec: str, n: int, error: str) -> tuple:
+    """The name and the n ints of a `name.int[.int]` token spec; raises
+    WordError(error) when it does not parse."""
+    name, *nums = spec.rsplit(".", n)
+    try:
+        if len(nums) == n:
+            return (name, *map(int, nums))
+    except ValueError:
+        pass
+    raise WordError(error)
 
 
 def generator_element(g: SeparatedGraph, token: str) -> Element:
@@ -344,7 +351,7 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
         e = g.edge(name)
         p = g.prime_of_vertex(e.src)
         if isinstance(e, InternalEdge):
-            m = Monomial(p, (), Body((name,), ()))
+            m = Monomial(p, (), (name,), ())
             el = Triple(trivial_cpath(e.src), m, trivial_cpath(e.rng))
         else:
             cp = CPath(e.src, (RegularStep(p, (), name),))
@@ -352,25 +359,17 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
         return star(g, el) if starred else el
     if kind == "a":
         spec, starred = _split_star(body)
-        try:
-            p, j = spec.rsplit(".", 1)
-            j = int(j)
-        except ValueError:
-            raise WordError(f"bad loop token {token!r}") from None
+        p, j = _read_spec(spec, 1, f"bad loop token {token!r}")
         kp = g.k(p)
         if not 1 <= j <= kp:
             raise WordError(f"loop index {j} out of range at {p!r}")
         k = tuple(1 if x == j else 0 for x in range(1, kp + 1))
-        m = Monomial(p, (), Body(k, (0,) * kp))
+        m = Monomial(p, (), k, (0,) * kp)
         el = Triple(trivial_cpath(p), m, trivial_cpath(p))
         return star(g, el) if starred else el
     if kind == "b":
         spec, starred = _split_star(body)
-        try:
-            p, i, t = spec.rsplit(".", 2)
-            i, t = int(i), int(t)
-        except ValueError:
-            raise WordError(f"bad connector token {token!r}") from None
+        p, i, t = _read_spec(spec, 2, f"bad connector token {token!r}")
         u = g.beta_target(p, i, t)
         cp = CPath(p, (FreeStep(p, i, 0, t),))
         el = Triple(cp, t_monomial(g, {}, g.vertex_prime[u]), trivial_cpath(u))
@@ -379,11 +378,7 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
         exp = 1
         if body.endswith("^-1"):
             body, exp = body[:-3], -1
-        try:
-            v, i = body.rsplit(".", 1)
-            i = int(i)
-        except ValueError:
-            raise WordError(f"bad t token {token!r}") from None
+        v, i = _read_spec(body, 1, f"bad t token {token!r}")
         if v not in g.vertex_prime or i < 1:
             raise WordError(f"bad t token {token!r}")
         m = t_monomial(g, {i: exp}, g.vertex_prime[v])
@@ -416,20 +411,15 @@ def _read_cpath(g: SeparatedGraph, tokens) -> tuple[CPath | None, int]:
             path = []
         elif kind in ("a", "b") and not path:
             try:
-                if kind == "a":
-                    p, i = spec.rsplit(".", 1)
-                    i = int(i)
-                else:
-                    p, i, t = spec.rsplit(".", 2)
-                    i, t = int(i), int(t)
-            except ValueError:
+                p, i, *t = _read_spec(spec, 1 if kind == "a" else 2, tok)
+            except WordError:
                 break
             if p not in g.free_k or loop not in (None, (p, i)):
                 break
             if kind == "a":
                 loop, m = (p, i), m + 1
                 continue
-            steps.append(FreeStep(p, i, m, t))
+            steps.append(FreeStep(p, i, m, t[0]))
             src, loop, m = p, None, 0
         else:
             break
@@ -498,16 +488,15 @@ def _tpart_tokens(m: Monomial, base: str) -> list[str]:
 
 
 def _body_tokens(g: SeparatedGraph, m: Monomial) -> list[str]:
-    b = m.body
     if m.p in g.free_k:
         out = []
-        for j, kj in enumerate(b.left, start=1):
+        for j, kj in enumerate(m.left, start=1):
             out.extend([f"a:{m.p}.{j}"] * kj)
-        for j, lj in enumerate(b.right, start=1):
+        for j, lj in enumerate(m.right, start=1):
             out.extend([f"a:{m.p}.{j}*"] * lj)
         return out
-    toks = [f"e:{name}" for name in b.left]
-    toks.extend(f"e:{name}*" for name in reversed(b.right))
+    toks = [f"e:{name}" for name in m.left]
+    toks.extend(f"e:{name}*" for name in reversed(m.right))
     return toks
 
 
@@ -561,7 +550,7 @@ def validate_tail_end(g: SeparatedGraph, p: str, v: str, tail, error=WordError) 
 
 def validate_element(g: SeparatedGraph, e: Element) -> None:
     """Structural invariants of a triple; raises WordError on violation.
-    gamma and eta end in the monomial's prime; the body's tails pass
+    gamma and eta end in the monomial's prime; the monomial's tails pass
     validate_tail_end from r(gamma) and r(eta) and end at one vertex;
     the t-part is a tuple of int indices and exponents."""
     if is_zero(e):
@@ -572,8 +561,8 @@ def validate_element(g: SeparatedGraph, e: Element) -> None:
     ends = cpath_range(g, e.gamma), cpath_range(g, e.eta)
     if any(g.vertex_prime[v] != m.p for v in ends):
         raise WordError(f"gamma or eta ends outside {m.p!r}")
-    left = validate_tail_end(g, m.p, ends[0], m.body.left)
-    if left != validate_tail_end(g, m.p, ends[1], m.body.right):
+    left = validate_tail_end(g, m.p, ends[0], m.left)
+    if left != validate_tail_end(g, m.p, ends[1], m.right):
         raise WordError("r(gamma_m) != r(nu_m)")
     if type(m.tpart) is not tuple:
         raise WordError("t-part must be a tuple")

@@ -207,10 +207,26 @@ def _run_rule(g: SeparatedGraph, word):
     return None
 
 
+# _pair_rule is a pure function of (graph, token, token), so its results
+# are kept per graph.  Each entry holds its graph, so that no other graph
+# can take over its id; a memo grows with the token pairs of the words
+# rewritten on its graph.
+_PAIR_MEMOS: dict[int, tuple[SeparatedGraph, dict]] = {}
+_UNSEEN = object()
+
+
+def _pair_memo(g: SeparatedGraph) -> dict:
+    held = _PAIR_MEMOS.get(id(g))
+    if held is None:
+        held = _PAIR_MEMOS[id(g)] = (g, {})
+    return held[1]
+
+
 def normal_form(g: SeparatedGraph, tokens):
     """Rewrite to an irreducible word, or ZERO."""
     if tokens == ZERO:
         return ZERO
+    memo = _pair_memo(g)
     word = list(tokens)
     if not word:
         raise WordError("empty word")
@@ -223,7 +239,13 @@ def normal_form(g: SeparatedGraph, tokens):
     for _ in range(ITER_CAP):
         changed = False
         for idx in range(start, len(word) - 1):
-            res = _pair_rule(g, word[idx], word[idx + 1])
+            pair = word[idx], word[idx + 1]
+            res = memo.get(pair, _UNSEEN)
+            if res is _UNSEEN:
+                res = _pair_rule(g, *pair)
+                if isinstance(res, list):  # shared from here on, so frozen
+                    res = tuple(res)
+                memo[pair] = res
             if res is None:
                 continue
             if res == ZERO:
