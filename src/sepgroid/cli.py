@@ -118,7 +118,7 @@ def format_compact_open(g: SeparatedGraph, a: lt.CompactOpen) -> str:
     )
 
 
-def parse_path(g: SeparatedGraph, text: str) -> fl.SemifinitePath:
+def parse_path(g: SeparatedGraph, text: str) -> lt.EPath:
     """`[<word>] ; free(k1,...|inf entries)` or `[<word>] ; reg(rho ; c)`."""
     text = text.strip()
     if not text.startswith("["):
@@ -157,7 +157,7 @@ def parse_path(g: SeparatedGraph, text: str) -> fl.SemifinitePath:
         rho_s, _, cyc_s = tail_spec[4:-1].partition(";")
         rho, cyc = _tail_entries("reg", rho_s), _tail_entries("reg", cyc_s)
         tail = fl.PerTail(rho, cyc) if cyc else rho
-    mu = fl.SemifinitePath(gamma, p, tail)
+    mu = lt.EPath(gamma, p, tail)
     fl.validate_tail(g, mu)  # parse_word has checked the prefix
     return mu
 
@@ -171,9 +171,8 @@ def _tail_entries(kind: str, side: str) -> tuple[str, ...]:
     return entries
 
 
-def format_path(g: SeparatedGraph, mu: fl.SemifinitePath) -> str:
-    toks = [t for s in mu.gamma.steps for t in sg._step_tokens(g, s, False)]
-    prefix = " ".join(toks) if toks else f"v:{mu.gamma.start}"
+def format_path(g: SeparatedGraph, mu: lt.EPath) -> str:
+    prefix = " ".join(sg.cpath_tokens(mu.gamma)) or f"v:{mu.gamma.start}"
     if mu.p in g.free_k:
         inner = ",".join("inf" if x == fl.INF else str(x) for x in mu.tail)
         return f"[{prefix}] ; free({inner})"

@@ -1,15 +1,16 @@
 """Semifinite and infinite paths and the filter correspondence.
 
-A semifinite path is a descending c-path prefix plus a tail in the terminal
-component.  A finite tail is the tail of an E-path (lattice.EPath), a plain
-tuple: at a free prime, one loop count per loop, each an int >= 0 or INF;
-at a regular prime, the names of the internal edges of a finite path.  An
-infinite regular tail is a PerTail, an eventually-periodic path, so that
-membership stays decidable.  Filters of idempotents correspond to
-semifinite paths via initial segments; ultrafilters (equivalently tight
-filters) correspond to the infinite ones.  A tail is checked once, where
-it enters (validate_tail); the paths the library builds are not checked
-again.
+A semifinite path is a lattice.EPath, a descending c-path prefix plus a
+tail in the terminal component, which may go on for ever: at a free prime,
+one loop count per loop, each an int >= 0 or INF; at a regular prime, the
+names of the internal edges of a finite path, or a PerTail, an
+eventually-periodic infinite path, so that membership stays decidable.  A
+finite semifinite path is the E-path of an idempotent.  Filters of
+idempotents correspond to semifinite paths via initial segments;
+ultrafilters (equivalently tight filters) correspond to the infinite ones.
+A path is checked once, where it enters (validate_path, validate_tail),
+by the E-path rules of semigroup plus what an infinite tail adds; the
+paths the library builds are not checked again.
 
 Precondition: the graph is adaptable (graph.validate_adaptable), as the
 correspondences above assume; nothing here checks it.
@@ -22,14 +23,16 @@ from itertools import product
 
 from .graph import SeparatedGraph
 from .lattice import Bounds, EPath, LatticeError, enumerate_cpaths, epath_of, idem_of
-from .lattice import _cyl_meet, internal_paths, simple_expand, step_in_tail
+from .lattice import _cyl_meet, internal_paths, simple_expand
 from .semigroup import (
     CPath,
     Element,
     cpath_is_prefix,
     cpath_range,
     is_idempotent,
+    step_in_tail,
     validate_cpath,
+    validate_tail_end,
 )
 
 INF = float("inf")
@@ -62,65 +65,44 @@ class PerTail:
         return self.prefix + self.cycle * reps
 
 
-@dataclass(frozen=True, slots=True)
-class SemifinitePath:
-    """gamma descends into the component of prime p; tail is a tuple of
-    loop counts, each an int >= 0 or INF (free p), a tuple of internal edge
-    names (regular p), or a PerTail (regular p, infinite).  A finite path
-    is its own E-path: EPath(gamma, p, tail)."""
-
-    gamma: CPath
-    p: str
-    tail: tuple | PerTail
-
-
-def validate_path(g: SeparatedGraph, mu: SemifinitePath) -> None:
-    """Check a semifinite path that comes from a caller.  Raises WordError
-    or GraphError for a malformed prefix c-path (semigroup.validate_cpath),
-    FilterError for a prefix ending outside mu.p or a tail that does not fit."""
-    validate_cpath(g, mu.gamma)
+def validate_path(g: SeparatedGraph, mu: EPath) -> None:
+    """Check a semifinite path that comes from a caller: its prefix c-path
+    (semigroup.validate_cpath), then validate_tail.  Raises FilterError, or
+    GraphError for a name the graph lacks."""
+    validate_cpath(g, mu.gamma, FilterError)
     validate_tail(g, mu)
 
 
-def validate_tail(g: SeparatedGraph, mu: SemifinitePath) -> None:
+def validate_tail(g: SeparatedGraph, mu: EPath) -> None:
     """The checks of validate_path after the prefix c-path, for a caller
-    whose prefix is already checked (a parsed word's gamma): the one check
-    of a path's tail, loop counts included.  Raises FilterError."""
-    v = cpath_range(g, mu.gamma)
-    if g.prime_of_vertex(v) != mu.p:
-        raise FilterError(f"prefix ends at {v}, not in {mu.p}")
-    if g.is_free(mu.p):
-        if not isinstance(mu.tail, tuple) or len(mu.tail) != g.k(mu.p):
-            raise FilterError("free prime needs a loop-count tail")
-        if not all(x == INF or (type(x) is int and x >= 0) for x in mu.tail):
-            raise FilterError(f"bad free tail {mu.tail}")
-        return
-    if isinstance(mu.tail, PerTail):
-        pieces = (mu.tail.prefix, mu.tail.cycle)
-    elif isinstance(mu.tail, tuple) and all(isinstance(x, str) for x in mu.tail):
-        pieces = (mu.tail,)
-    else:
-        raise FilterError("regular prime needs a path tail")
-    at = v
-    for i, piece in enumerate(pieces):
-        end, n = g.internal_walk(at, piece)
-        if n < len(piece):
-            raise FilterError(f"tail edge {piece[n]} does not continue at {end}")
-        if i == 1 and end != at:  # the cycle of a PerTail
+    whose prefix is already checked (a parsed word's gamma): the E-path
+    tail rules of semigroup.validate_tail_end, which also check that the
+    prefix ends in mu.p, and what a semifinite path adds to them.  A loop
+    count may be INF, and a regular tail may be a PerTail whose prefix and
+    cycle each pass validate_tail_end and whose cycle returns to its start.
+    Raises FilterError, or GraphError for an edge the graph lacks."""
+    v, tail = cpath_range(g, mu.gamma), mu.tail
+    if mu.p in g.free_k:
+        if type(tail) is tuple:  # an INF count passes where 0 does
+            tail = tuple(0 if x == INF else x for x in tail)
+    elif isinstance(tail, PerTail):
+        v = validate_tail_end(g, mu.p, v, tail.prefix, FilterError)
+        if validate_tail_end(g, mu.p, v, tail.cycle, FilterError) != v:
             raise FilterError("cycle does not return to its start")
-        at = end
+        return
+    validate_tail_end(g, mu.p, v, tail, FilterError)
 
 
 # -- initial segments and filters ----------------------------------------
 
 
-def is_initial_segment(g: SeparatedGraph, mu_p: EPath, mu: SemifinitePath) -> bool:
+def is_initial_segment(g: SeparatedGraph, mu_p: EPath, mu: EPath) -> bool:
     return cpath_is_prefix(mu_p.gamma, mu.gamma) and _tail_is_initial(
         g, mu_p.gamma, mu_p.tail, mu
     )
 
 
-def filter_contains(g: SeparatedGraph, mu: SemifinitePath, e: Element) -> bool:
+def filter_contains(g: SeparatedGraph, mu: EPath, e: Element) -> bool:
     """True iff the filter of mu contains the nonzero idempotent e.  The
     E-path of e is read off its fields: the prefix is e.gamma and the tail
     the monomial's left tail, e.m.left."""
@@ -131,7 +113,7 @@ def filter_contains(g: SeparatedGraph, mu: SemifinitePath, e: Element) -> bool:
     return _tail_is_initial(g, e.gamma, e.m.left, mu)
 
 
-def _tail_is_initial(g: SeparatedGraph, gamma: CPath, tail, mu: SemifinitePath) -> bool:
+def _tail_is_initial(g: SeparatedGraph, gamma: CPath, tail, mu: EPath) -> bool:
     """Whether the E-path (gamma, tail) is an initial segment of mu, given
     that gamma is a prefix of mu.gamma."""
     n = len(gamma.steps)
@@ -158,14 +140,14 @@ def reconstruct_path(g: SeparatedGraph, fam):
     same = [m for m in mus if m.gamma == mu0.gamma]
     if g.is_free(mu0.p):
         sup = tuple(max(m.tail[j] for m in same) for j in range(g.k(mu0.p)))
-        return SemifinitePath(mu0.gamma, mu0.p, sup)
-    return SemifinitePath(mu0.gamma, mu0.p, max((m.tail for m in same), key=len))
+        return EPath(mu0.gamma, mu0.p, sup)
+    return EPath(mu0.gamma, mu0.p, max((m.tail for m in same), key=len))
 
 
 # -- ultrafilters and separation -----------------------------------------
 
 
-def is_ultrafilter(g: SeparatedGraph, mu: SemifinitePath) -> bool:
+def is_ultrafilter(g: SeparatedGraph, mu: EPath) -> bool:
     """True iff the filter of mu is an ultrafilter (equivalently tight),
     which happens exactly when mu is infinite: every loop count is INF at a
     free prime, and the tail is periodic at a regular one."""
@@ -174,7 +156,7 @@ def is_ultrafilter(g: SeparatedGraph, mu: SemifinitePath) -> bool:
     return isinstance(mu.tail, PerTail)
 
 
-def separation_witness(g: SeparatedGraph, mu: SemifinitePath):
+def separation_witness(g: SeparatedGraph, mu: EPath):
     """(X, Y) with X inside the filter of mu such that no infinite path's
     filter contains all of X while avoiding all of Y."""
     if is_ultrafilter(g, mu):
@@ -184,18 +166,18 @@ def separation_witness(g: SeparatedGraph, mu: SemifinitePath):
         tail0 = tuple(x if j == i0 else 0 for j, x in enumerate(mu.tail, start=1))
         x = idem_of(g, EPath(mu.gamma, mu.p, tail0))
         return [x], simple_expand(g, x, i0)
-    x = idem_of(g, EPath(mu.gamma, mu.p, mu.tail))
+    x = idem_of(g, mu)
     return [x], simple_expand(g, x)
 
 
-def extend_to_infinite(g: SeparatedGraph, mu: SemifinitePath) -> SemifinitePath:
+def extend_to_infinite(g: SeparatedGraph, mu: EPath) -> EPath:
     """An infinite path whose filter strictly contains that of mu."""
     if is_ultrafilter(g, mu):
         raise FilterError("path is already infinite")
     if mu.p in g.free_k:
-        return SemifinitePath(mu.gamma, mu.p, (INF,) * len(mu.tail))
+        return EPath(mu.gamma, mu.p, (INF,) * len(mu.tail))
     v = g.path_end(cpath_range(g, mu.gamma), mu.tail)
-    return SemifinitePath(mu.gamma, mu.p, PerTail(mu.tail, _cycle_at(g, v)))
+    return EPath(mu.gamma, mu.p, PerTail(mu.tail, _cycle_at(g, v)))
 
 
 def _cycle_at(g: SeparatedGraph, v: str) -> tuple[str, ...]:
@@ -246,15 +228,15 @@ def enumerate_semifinite(g: SeparatedGraph, start: str, bounds: Bounds):
         if g.is_free(p):
             choices = list(range(bounds.max_exp + 1)) + [INF]
             for k in product(choices, repeat=g.k(p)):
-                yield SemifinitePath(gamma, p, k)
+                yield EPath(gamma, p, k)
         else:
             for path in internal_paths(g, v, bounds.max_len):
-                yield SemifinitePath(gamma, p, path)
+                yield EPath(gamma, p, path)
                 end = g.path_end(v, path)
                 for cyc in internal_paths(g, end, bounds.max_len):
                     if cyc and g.path_end(end, cyc) == end:
                         if _primitive_root(cyc) == cyc and not (path and path[-1] == cyc[-1]):
-                            yield SemifinitePath(gamma, p, PerTail(path, cyc))
+                            yield EPath(gamma, p, PerTail(path, cyc))
 
 
 def enumerate_infinite(g: SeparatedGraph, start: str, bounds: Bounds):

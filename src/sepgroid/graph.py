@@ -11,7 +11,6 @@ reachability and validated against the declared structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 
 class GraphError(Exception):
@@ -394,24 +393,3 @@ def _strongly_connected(p: RegularPrime) -> bool:
 
     v0 = p.vertices[0]
     return len(reach(v0, adj)) == len(p.vertices) == len(reach(v0, radj))
-
-
-# -- derived structure ---------------------------------------------------
-
-
-def component_leq(g: SeparatedGraph, p: str, q: str) -> bool:
-    """True iff q <= p in (I, <=), i.e. E_q is reachable from E_p."""
-    g.prime(p), g.prime(q)
-    return q in g.downset(p)
-
-
-def hereditary_subsets(g: SeparatedGraph) -> list[frozenset[str]]:
-    """All downward closed subsets of I, sorted by cardinality then name."""
-    names = [p.name for p in g.primes]
-    out = []
-    for r in range(len(names) + 1):
-        for combo in combinations(names, r):
-            s = set(combo)
-            if all(g.downset(p) <= s for p in combo):
-                out.append(frozenset(s))
-    return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .graph import SeparatedGraph
-from .filters import PerTail, SemifinitePath, is_ultrafilter
+from .filters import PerTail, is_ultrafilter
 from .lattice import CompactOpen, EPath, co_of, disjoint_union, top_epath, trusted_idem
 from .semigroup import (
     Element,
@@ -69,9 +69,9 @@ def weight_neg(a: GermWeight) -> GermWeight:
 
 @dataclass(frozen=True, slots=True)
 class Germ:
-    x: SemifinitePath
+    x: EPath
     weight: GermWeight
-    y: SemifinitePath
+    y: EPath
 
 
 # -- periodic tails (PerTail keeps them canonical) ------------------------
@@ -109,7 +109,7 @@ def _n2_of(g: SeparatedGraph, gpart: EPath, npart: EPath) -> tuple[int, ...]:
 # -- groupoid structure --------------------------------------------------
 
 
-def unit(g: SeparatedGraph, x: SemifinitePath) -> Germ:
+def unit(g: SeparatedGraph, x: EPath) -> Germ:
     return Germ(x, ZERO_WEIGHT, x)
 
 
@@ -126,7 +126,7 @@ def compose(g: SeparatedGraph, g1: Germ, g2: Germ) -> Germ:
 # -- germ_of -------------------------------------------------------------
 
 
-def germ_of(g: SeparatedGraph, s: Element, x: SemifinitePath) -> Germ:
+def germ_of(g: SeparatedGraph, s: Element, x: EPath) -> Germ:
     """The germ of s at the infinite path x in its source cylinder Z(s*s).
 
     Membership is decided by the absorption, without forming s*s.  Write
@@ -149,12 +149,12 @@ def germ_of(g: SeparatedGraph, s: Element, x: SemifinitePath) -> Germ:
     m = sp.m
     left, right = m.left, m.right
     if m.p in g.free_k:
-        rx = SemifinitePath(sp.gamma, m.p, x.tail)
+        rx = EPath(sp.gamma, m.p, x.tail)
     else:
         x0 = _strip_tail(x.tail, right)
         if x0 is None:
             raise GroupoidError("x is not in the source cylinder of s")
-        rx = SemifinitePath(sp.gamma, m.p, _prepend_tail(left, x0))
+        rx = EPath(sp.gamma, m.p, _prepend_tail(left, x0))
     n2 = _n2_of(g, EPath(sp.gamma, m.p, left), EPath(x.gamma, m.p, right))
     return Germ(rx, GermWeight(m.tpart, n2), x)
 
@@ -179,7 +179,7 @@ def in_bisection(g: SeparatedGraph, germ: Germ, s: Element) -> bool:
         left, right = m.left, m.right
         if m.p not in g.free_k:
             x0 = _strip_tail(y.tail, right)
-            if x0 is None or x != SemifinitePath(x.gamma, m.p, _prepend_tail(left, x0)):
+            if x0 is None or x != EPath(x.gamma, m.p, _prepend_tail(left, x0)):
                 return False
         n2 = _n2_of(g, EPath(x.gamma, m.p, left), EPath(y.gamma, m.p, right))
         return germ.weight == GermWeight(m.tpart, n2)

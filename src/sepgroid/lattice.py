@@ -2,12 +2,14 @@
 
 Nonzero idempotents correspond bijectively to E-paths (a descending c-path
 prefix plus a finite tail in the terminal component), and Z(e) lies in
-Z(f) exactly when f's E-path is an initial segment of e's.  Meets, the
-order, overlaps and differences are read off the E-paths by one rule
-(_cyl_meet) without forming semigroup products; semigroup.mul is the
+Z(f) exactly when f's E-path is an initial segment of e's.  EPath is the
+one path value: the semifinite paths of the filters module are EPaths too.
+Meets, the order, overlaps and differences are read off the E-paths by one
+rule (_cyl_meet) without forming semigroup products; semigroup.mul is the
 reference for that rule only in the tests.  An idempotent a caller passes
-is checked once, where it enters (`_epath`); the covers, disjoint unions
-and expansion replay (`expand`) then read E-paths only and build elements
+is checked once, where it enters (`_epath`), and an E-path a caller passes
+by semigroup.validate_epath (`idem_of`); the covers, disjoint unions and
+expansion replay (`expand`) then read E-paths only and build elements
 (`trusted_idem`, `trusted_isometry`) only for what they return.  An
 element's monomial holds the tails of two E-paths: an idempotent's E-path
 is its gamma, its monomial's prime and its monomial's left tail.
@@ -37,8 +39,8 @@ from .semigroup import (
     cpath_edge_len,
     cpath_range,
     is_idempotent,
-    validate_cpath,
-    validate_tail_end,
+    step_in_tail,
+    validate_epath,
 )
 
 
@@ -51,8 +53,11 @@ class LatticeError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class EPath:
-    """gamma descends into the component of prime p; tail is a vector of
-    loop exponents (free p) or an internal path (regular p)."""
+    """A path: gamma descends into the component of prime p, and tail is a
+    tuple of loop exponents (free p) or an internal path (regular p).  It
+    is the E-path of an idempotent, and a semifinite path of the filters
+    module, whose loop counts may also be INF and whose regular tail may be
+    an infinite filters.PerTail."""
 
     gamma: CPath
     p: str
@@ -81,21 +86,12 @@ def _epath(e: Element, name: str) -> EPath:
 
 
 def idem_of(g: SeparatedGraph, mu: EPath) -> Element:
-    """The idempotent of an E-path that comes from a caller.
-
-    The E-path is checked in full, each part once: its prefix must be a
-    valid c-path ending in the component of mu.p, and its tail k(p) loop
-    exponents, each an int >= 0, or an internal path continuing from the
-    end of the prefix (validate_tail_end).  Raises LatticeError, WordError
-    or GraphError otherwise.  E-paths the library
-    builds itself go through trusted_idem instead."""
-    validate_cpath(g, mu.gamma)
-    v = cpath_range(g, mu.gamma)
-    if g.vertex_prime[v] != mu.p:
-        raise LatticeError(f"E-path prefix ends at {v}, not in {mu.p}")
-    tail = tuple(mu.tail)
-    validate_tail_end(g, mu.p, v, tail, LatticeError)
-    return trusted_idem(g, EPath(mu.gamma, mu.p, tail))
+    """The idempotent of an E-path that comes from a caller, checked in full
+    by semigroup.validate_epath.  Raises LatticeError, or GraphError for a
+    name the graph lacks.  E-paths the library builds itself go through
+    trusted_idem instead."""
+    validate_epath(g, mu.gamma, mu.p, mu.tail, LatticeError)
+    return trusted_idem(g, mu)
 
 
 def trusted_idem(g: SeparatedGraph, mu: EPath) -> Element:
@@ -126,16 +122,6 @@ def epath_key(g: SeparatedGraph, mu: EPath):
 
 
 # -- order, meet, join ---------------------------------------------------
-
-
-def step_in_tail(step, tail: tuple) -> bool:
-    """Whether the c-path step taken after a prefix lies in the cylinder of
-    that prefix's tail: a free step's loop count is at least the tail's
-    count for its loop, and a regular step's internal path starts with the
-    tail."""
-    if isinstance(step, FreeStep):
-        return tail[step.i - 1] <= step.m
-    return step.path[: len(tail)] == tail
 
 
 def _cyl_meet(g: SeparatedGraph, mu: EPath, rho: EPath) -> EPath | None:

@@ -15,6 +15,12 @@ it enters (parse_word, generator_element, validate_element); mul,
 translate and mul_monomials take operands of valid elements, as mul
 passes them, and check nothing again.
 
+The path rules are written here once, each raising its caller's error
+class: validate_cpath checks a prefix, validate_tail_end a finite tail
+from where the prefix ends, and validate_epath both, the one check of an
+E-path.  step_in_tail is the one step rule, which translate, the
+cylinder meet and the filter test share.
+
 A descending c-path word is its own normal form, so parse_word reads a
 word's opening c-path gamma and closing eta* as steps, checks each once
 with validate_cpath and builds gamma . 1 . r(gamma) and its star directly;
@@ -105,9 +111,11 @@ def cpath_is_prefix(pre: CPath, full: CPath) -> bool:
     return pre.start == full.start and full.steps[: len(pre.steps)] == pre.steps
 
 
-def validate_cpath(g: SeparatedGraph, c: CPath) -> None:
+def validate_cpath(g: SeparatedGraph, c: CPath, error=WordError) -> None:
+    """Raises error unless c is a c-path of g (GraphError for a vertex or
+    an edge g lacks)."""
     if type(c.steps) is not tuple:
-        raise WordError("c-path steps must be a tuple")
+        raise error("c-path steps must be a tuple")
     at = c.start
     g.prime_of_vertex(at)
     for s in c.steps:
@@ -115,21 +123,31 @@ def validate_cpath(g: SeparatedGraph, c: CPath) -> None:
         if isinstance(s, FreeStep):
             kp = g.free_k.get(p)
             if p != s.p or kp is None:
-                raise WordError(f"free step at {s.p} does not start at {at}")
+                raise error(f"free step at {s.p} does not start at {at}")
             if not (1 <= s.i <= kp and 0 <= s.m and 1 <= s.t <= g.g(p, s.i)):
-                raise WordError(f"bad free step {s}")
+                raise error(f"bad free step {s}")
         else:
             if p in g.free_k:
-                raise WordError(f"regular step starting at free vertex {at}")
+                raise error(f"regular step starting at free vertex {at}")
             if p != s.p:
-                raise WordError(f"regular step at {s.p} does not start at {at}")
+                raise error(f"regular step at {s.p} does not start at {at}")
             pos, n = g.internal_walk(at, s.path)
             if n < len(s.path):
-                raise WordError(f"bad internal path at {s.path[n]}")
+                raise error(f"bad internal path at {s.path[n]}")
             conn = g.edge(s.connector)
             if not isinstance(conn, RegularConnector) or conn.src != pos:
-                raise WordError(f"bad connector {s.connector}")
+                raise error(f"bad connector {s.connector}")
         at = step_range(g, s)
+
+
+def step_in_tail(step: Step, tail: tuple) -> bool:
+    """The one step rule: whether the c-path step taken after a prefix lies
+    in the cylinder of that prefix's tail.  A free step's loop count is at
+    least the tail's count for its loop, and a regular step's internal path
+    starts with the tail."""
+    if isinstance(step, FreeStep):
+        return tail[step.i - 1] <= step.m
+    return step.path[: len(tail)] == tail
 
 
 # -- monomials -----------------------------------------------------------
@@ -255,11 +273,11 @@ def translate(g: SeparatedGraph, m: Monomial, steps: tuple[Step, ...]):
     starts where m's left tail does."""
     first = steps[0]
     k, l = m.left, m.right
+    if not step_in_tail(first, l):
+        return None
     shift = _shift_of_steps(g, steps[1:])
     if isinstance(first, FreeStep):
         i, kp = first.i, g.free_k[m.p]
-        if l[i - 1] > first.m:
-            return None
         new_first = FreeStep(m.p, i, k[i - 1] + first.m - l[i - 1], first.t)
         # the loops other than i take the indices 1..k-1, and m's t-part
         # moves up past them
@@ -270,8 +288,6 @@ def translate(g: SeparatedGraph, m: Monomial, steps: tuple[Step, ...]):
         )
         moved = tuple((i0 + kp - 1 + shift, d) for i0, d in m.tpart)
         return (new_first,) + steps[1:], loops + moved
-    if first.path[: len(l)] != l:
-        return None
     new_first = RegularStep(m.p, k + first.path[len(l) :], first.connector)
     return (new_first,) + steps[1:], tuple((i + shift, d) for i, d in m.tpart)
 
@@ -388,7 +404,7 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
 
 def _read_cpath(g: SeparatedGraph, tokens) -> tuple[CPath | None, int]:
     """Read the whole c-path steps that open tokens, written unstarred as
-    _step_tokens writes them: (the c-path or None, the tokens it spans).
+    cpath_tokens writes them: (the c-path or None, the tokens it spans).
     Only syntax and names are looked up here; validate_cpath checks the
     result, and raises when the steps are not a c-path."""
     steps = []
@@ -467,16 +483,18 @@ def parse_word(g: SeparatedGraph, text: str) -> Element:
 # -- serialization -------------------------------------------------------
 
 
-def _step_tokens(g: SeparatedGraph, s: Step, starred: bool) -> list[str]:
-    if isinstance(s, FreeStep):
-        a = [f"a:{s.p}.{s.i}"] * s.m
-        b = [f"b:{s.p}.{s.i}.{s.t}"]
-        toks = a + b
-    else:
-        toks = [f"e:{name}" for name in s.path] + [f"e:{s.connector}"]
-    if starred:
-        return [t + "*" for t in reversed(toks)]
-    return toks
+def cpath_tokens(c: CPath) -> list[str]:
+    """The forward tokens of a c-path's steps, none for a trivial one; a
+    c-path's star is these reversed and starred."""
+    out = []
+    for s in c.steps:
+        if isinstance(s, FreeStep):
+            out += [f"a:{s.p}.{s.i}"] * s.m
+            out.append(f"b:{s.p}.{s.i}.{s.t}")
+        else:
+            out += [f"e:{name}" for name in s.path]
+            out.append(f"e:{s.connector}")
+    return out
 
 
 def _tpart_tokens(m: Monomial, base: str) -> list[str]:
@@ -502,11 +520,9 @@ def _body_tokens(g: SeparatedGraph, m: Monomial) -> list[str]:
 
 def _field_tokens(g: SeparatedGraph, e: Triple) -> tuple[list[str], ...]:
     """The token lists of the four canonical fields of a nonzero element."""
-    gam = [t for s in e.gamma.steps for t in _step_tokens(g, s, False)]
     tp = _tpart_tokens(e.m, cpath_range(g, e.gamma))
-    body = _body_tokens(g, e.m)
-    eta = [t for s in reversed(e.eta.steps) for t in _step_tokens(g, s, True)]
-    return gam, tp, body, eta
+    eta = [t + "*" for t in reversed(cpath_tokens(e.eta))]
+    return cpath_tokens(e.gamma), tp, _body_tokens(g, e.m), eta
 
 
 def element_fields(g: SeparatedGraph, e: Element) -> tuple[str, str, str, str]:
@@ -527,42 +543,47 @@ def element_to_word(g: SeparatedGraph, e: Element) -> str:
 
 
 def validate_tail_end(g: SeparatedGraph, p: str, v: str, tail, error=WordError) -> str:
-    """The one check of an E-path tail at prime p that starts at v, in p:
-    a tuple of k(p) ints >= 0 at a free prime (else error), internal edges
-    walking from v at a regular one (else WordError).  Returns the vertex
-    the tail ends at, p itself at a free prime."""
-    if type(tail) is not tuple:
-        raise WordError("tails must be tuples")
+    """The one check of an E-path tail at prime p that starts at v: v lies
+    in p, and the tail is a tuple of k(p) ints >= 0 at a free prime, of
+    internal edges walking from v at a regular one.  Raises error, or
+    GraphError for an edge g lacks; returns the vertex the tail ends at, p
+    itself at a free prime."""
+    if g.vertex_prime[v] != p:
+        raise error(f"prefix ends at {v}, not in {p}")
     kp = g.free_k.get(p)
     if kp is not None:
-        if len(tail) != kp:
-            raise error("free tail length does not match prime")
-        if not all(type(x) is int and x >= 0 for x in tail):
-            raise error(f"bad loop exponents {tail}")
+        if type(tail) is not tuple or len(tail) != kp:
+            raise error("free prime needs a loop-count tail")
+        for x in tail:
+            if type(x) is not int or x < 0:
+                raise error(f"bad loop count {x!r}")
         return v
-    if not all(type(x) is str for x in tail):
-        raise WordError("regular tail needs internal paths")
+    if type(tail) is not tuple or not all(type(x) is str for x in tail):
+        raise error("regular prime needs a path tail")
     end, n = g.internal_walk(v, tail)
     if n < len(tail):
-        raise WordError(f"bad body path at {tail[n]}")
+        raise error(f"tail edge {tail[n]} does not continue at {end}")
     return end
+
+
+def validate_epath(g: SeparatedGraph, gamma: CPath, p: str, tail, error=WordError) -> str:
+    """The one check of an E-path (gamma, p, tail) from a caller: gamma is a
+    c-path (validate_cpath) and tail passes validate_tail_end from its end.
+    Raises error, or GraphError for a name g lacks; returns where the tail
+    ends."""
+    validate_cpath(g, gamma, error)
+    return validate_tail_end(g, p, cpath_range(g, gamma), tail, error)
 
 
 def validate_element(g: SeparatedGraph, e: Element) -> None:
     """Structural invariants of a triple; raises WordError on violation.
-    gamma and eta end in the monomial's prime; the monomial's tails pass
-    validate_tail_end from r(gamma) and r(eta) and end at one vertex;
-    the t-part is a tuple of int indices and exponents."""
+    (gamma, p, left) and (eta, p, right) pass validate_epath, with p the
+    monomial's prime, and their tails end at one vertex; the t-part is a
+    tuple of int indices and exponents."""
     if is_zero(e):
         return
-    validate_cpath(g, e.gamma)
-    validate_cpath(g, e.eta)
     m = e.m
-    ends = cpath_range(g, e.gamma), cpath_range(g, e.eta)
-    if any(g.vertex_prime[v] != m.p for v in ends):
-        raise WordError(f"gamma or eta ends outside {m.p!r}")
-    left = validate_tail_end(g, m.p, ends[0], m.left)
-    if left != validate_tail_end(g, m.p, ends[1], m.right):
+    if validate_epath(g, e.gamma, m.p, m.left) != validate_epath(g, e.eta, m.p, m.right):
         raise WordError("r(gamma_m) != r(nu_m)")
     if type(m.tpart) is not tuple:
         raise WordError("t-part must be a tuple")

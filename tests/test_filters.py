@@ -5,12 +5,11 @@ from sepgroid.filters import (
     INF,
     FilterError,
     PerTail,
-    SemifinitePath,
     canonical_periodic,
 )
 from sepgroid.graph import GraphError, parse_graph
-from sepgroid.lattice import Bounds
-from sepgroid.semigroup import CPath, FreeStep, WordError
+from sepgroid.lattice import Bounds, EPath
+from sepgroid.semigroup import CPath, FreeStep
 
 
 def w(g, text):
@@ -20,13 +19,13 @@ def w(g, text):
 def path(g, word, tail):
     e = sg.parse_word(g, word)
     v = sg.cpath_range(g, e.gamma)
-    return SemifinitePath(e.gamma, g.prime_of_vertex(v), tail)
+    return EPath(e.gamma, g.prime_of_vertex(v), tail)
 
 
 # -- validation and infiniteness -----------------------------------------
 
 
-def test_validate_paths(g2, g3):
+def test_validate_paths(g1, g2, g3):
     fl.validate_path(g2, path(g2, "v:w", ("f1", "f2")))
     fl.validate_path(g2, path(g2, "v:w", PerTail(("f1",), ("f2",))))
     fl.validate_path(g3, path(g3, "v:p", (2,)))
@@ -41,26 +40,34 @@ def test_validate_paths(g2, g3):
         ("v:p", (), "free prime needs a loop-count tail"),
         ("v:p", (1, 2), "free prime needs a loop-count tail"),
         ("v:p", PerTail((), ("f1",)), "free prime needs a loop-count tail"),
-        ("v:p", (-1,), r"bad free tail \(-1,\)"),
-        ("v:p", (1.5,), r"bad free tail \(1.5,\)"),
-        ("v:p", ("2",), r"bad free tail \('2',\)"),
-        ("v:p", (True,), r"bad free tail \(True,\)"),  # free(True) would not parse
+        ("v:p", (-1,), "bad loop count -1"),
+        ("v:p", (1.5,), r"bad loop count 1\.5"),
+        ("v:p", ("2",), "bad loop count '2'"),
+        ("v:p", (True,), "bad loop count True"),  # free(True) would not parse
         ("b:p.1.1", (2,), "regular prime needs a path tail"),
         ("b:p.1.1", (INF,), "regular prime needs a path tail"),
         ("b:p.1.1", ["f1"], "regular prime needs a path tail"),
     ):
         with pytest.raises(FilterError, match=f"^{msg}$"):
             fl.validate_path(g3, path(g3, word, tail))
+    # an INF count passes the E-path rules as 0 would; the error names the
+    # entry that fails them (g1's p has two loops)
+    fl.validate_path(g1, path(g1, "v:p", (INF, 0)))
+    with pytest.raises(FilterError, match="^bad loop count -1$"):
+        fl.validate_path(g1, path(g1, "v:p", (INF, -1)))
 
 
 def test_validate_path_checks_the_prefix(g3):
     # g3: free p (k = 1, g(p, 1) = 1) over the regular vertex w of r.  Each
     # prefix ends in r, so only the c-path check can reject it: a free step
     # taken from w, a negative loop count, a connector index past g(p, 1).
-    for step, start in ((FreeStep("p", 1, 0, 1), "w"), (FreeStep("p", 1, -2, 1), "p"),
-                        (FreeStep("p", 1, 0, 3), "p")):
-        mu = SemifinitePath(CPath(start, (step,)), "r", ())
-        with pytest.raises((WordError, GraphError)):
+    for step, start, msg in (
+        (FreeStep("p", 1, 0, 1), "w", "free step at p does not start at w"),
+        (FreeStep("p", 1, -2, 1), "p", r"bad free step FreeStep\(p='p', i=1, m=-2, t=1\)"),
+        (FreeStep("p", 1, 0, 3), "p", r"bad free step FreeStep\(p='p', i=1, m=0, t=3\)"),
+    ):
+        mu = EPath(CPath(start, (step,)), "r", ())
+        with pytest.raises(FilterError, match=f"^{msg}$"):
             fl.validate_path(g3, mu)
 
 

@@ -6,8 +6,6 @@ from sepgroid.graph import (
     FreePrime,
     GraphError,
     RegularPrime,
-    component_leq,
-    hereditary_subsets,
     parse_graph,
     validate_adaptable,
 )
@@ -125,16 +123,9 @@ def test_adaptable_graphs_have_their_components_as_sccs():
 
 
 def test_component_order(g3):
-    assert component_leq(g3, "p", "r")
-    assert not component_leq(g3, "r", "p")
-
-
-def test_hereditary_subsets(g3):
-    hs = hereditary_subsets(g3)
-    assert frozenset() in hs
-    assert frozenset({"r"}) in hs
-    assert frozenset({"p", "r"}) in hs
-    assert frozenset({"p"}) not in hs
+    # r lies below p: E_r is reachable from E_p, and not the other way
+    assert g3.downset("p") == {"p", "r"}
+    assert g3.downset("r") == {"r"}
 
 
 def test_parse_rejects_bad_graph():

@@ -1,10 +1,10 @@
 import pytest
 
 from sepgroid import filters as fl, groupoid as gp, lattice as lt, semigroup as sg
-from sepgroid.filters import INF, PerTail, SemifinitePath
+from sepgroid.filters import INF, PerTail
 from sepgroid.groupoid import GermWeight, GroupoidError
 from sepgroid.graph import parse_graph
-from sepgroid.lattice import Bounds
+from sepgroid.lattice import Bounds, EPath
 
 from conftest import alphabet, random_word
 
@@ -16,7 +16,7 @@ def w(g, text):
 def path(g, word, tail):
     e = sg.parse_word(g, word)
     v = sg.cpath_range(g, e.gamma)
-    return SemifinitePath(e.gamma, g.prime_of_vertex(v), tail)
+    return EPath(e.gamma, g.prime_of_vertex(v), tail)
 
 
 def germ_of(g, s, x):

@@ -210,6 +210,25 @@ def test_oracle_agreement_on_generated_graphs(gen_module, shape, tag):
     assert nonzero > 100
 
 
+# A regular prime above a free prime with two loops, so that a free step
+# with another loop follows a regular step: translate's regular branch then
+# moves a t-part to new indices.  No fixture has this shape.
+REG_OVER_FREE = (
+    "graph rq\nregular r\nvertex w\nedge f1: w -> w\nedge f2: w -> w\n"
+    "connector c: w -> q\nfree q k=2\nX 1 -> z\nX 2 -> z\nfree z k=0\n"
+)
+
+
+def test_translate_shifts_the_t_part_through_a_regular_step():
+    # t:w.1 crosses the connector c and then b:q.1.1, whose free step
+    # leaves k(q) - 1 = 1 other loop below it, so its index moves up by one
+    g = parse_graph(REG_OVER_FREE)
+    word = "b:q.1.1* e:c* t:w.1^-1"
+    e = sg.parse_word(g, word)
+    assert sg.element_to_word(g, e) == "t:z.2^-1 b:q.1.1* e:c*"
+    assert oracle_nf(g, sg.element_to_word(g, e)) == oracle_nf(g, word) != ZERO
+
+
 def _at(v, m, eta=None):
     return sg.Triple(sg.trivial_cpath(v), m, sg.trivial_cpath(eta or v))
 
@@ -223,7 +242,7 @@ def test_validate_element_rejects_ends_outside_the_prime(gen_module):
     for bad in (_at("rbv0", sg.Monomial("ra", (), (), ())),
                 _at("rav0", sg.Monomial("ra", (), (), ()), "rbv0"),
                 _at("rbv0", sg.Monomial("ra", (), (), ()), "rav0")):
-        with pytest.raises(WordError, match="ends outside"):
+        with pytest.raises(WordError, match="^prefix ends at rbv0, not in ra$"):
             sg.validate_element(g, bad)
 
 
@@ -298,8 +317,8 @@ def test_values_have_no_instance_dict(g3, gen_module):
     mixed = _mixed(gen_module)
     e = sg.parse_word(g3, "a:p.1 b:p.1.1 e:f1 e:f1* b:p.1.1* a:p.1*")
     mu = lt.epath_of(g3, e)
-    x = fl.SemifinitePath(sg.trivial_cpath("p"), "p", (fl.INF,))
-    y = fl.SemifinitePath(e.gamma, "r", fl.PerTail((), ("f1",)))
+    x = lt.EPath(sg.trivial_cpath("p"), "p", (fl.INF,))
+    y = lt.EPath(e.gamma, "r", fl.PerTail((), ("f1",)))
     pres = mn.presentation(g3)
     free_p, reg_r = g3.prime("p"), g3.prime("r")
     prime, v, loop, conn = _loop_and_connector(mixed)
