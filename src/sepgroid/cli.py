@@ -134,16 +134,14 @@ def parse_path(g: SeparatedGraph, text: str) -> lt.EPath:
     e = sg.parse_word(g, word)
     if sg.is_zero(e) or e.eta.steps or e.m != sg.t_monomial(g, {}, e.m.p):
         raise fl.FilterError("path prefix word must denote a descending path")
-    gamma = e.gamma
-    v = sg.cpath_range(g, gamma)
-    p = g.prime_of_vertex(v)
+    gamma, p = e.gamma, e.m.p
     free = tail_spec.startswith("free(")
     if not (free or tail_spec.startswith("reg(")) or not tail_spec.endswith(")"):
         raise fl.FilterError("path tail must be free(...) or reg(...)")
     # Only the literal shows the tail's kind: validate_tail would take
     # `free()` at a regular prime for the empty path, and `reg( ; )` at a
     # point prime (k = 0) for the empty loop-count tail.
-    if free != g.is_free(p):
+    if free != (p in g.free_k):
         raise fl.FilterError(
             "regular prime needs a path tail" if free else "free prime needs a loop-count tail"
         )

@@ -23,7 +23,7 @@ from itertools import product
 
 from .graph import SeparatedGraph
 from .lattice import Bounds, EPath, LatticeError, enumerate_cpaths, epath_of, idem_of
-from .lattice import _cyl_meet, internal_paths, simple_expand
+from .lattice import _cyl_meet, _internal_paths, simple_expand
 from .semigroup import (
     CPath,
     Element,
@@ -127,21 +127,22 @@ def _tail_is_initial(g: SeparatedGraph, gamma: CPath, tail, mu: EPath) -> bool:
 
 def reconstruct_path(g: SeparatedGraph, fam):
     """The minimal semifinite path whose filter contains the given finite
-    directed family of idempotents, each read as an E-path once."""
+    directed family of idempotents: the meet of their E-paths' cylinders,
+    folded with _cyl_meet.  The fold alone decides directedness, as E-paths
+    that meet pairwise meet all together: their prefixes form a chain, and
+    a step lies in the sup of free tails when it lies in each tail."""
     try:
         mus = [epath_of(g, e) for e in fam]
     except LatticeError:
         raise FilterError("family must consist of nonzero idempotents") from None
     if not mus:
         raise FilterError("empty family")
-    if any(_cyl_meet(g, mu, rho) is None for i, mu in enumerate(mus) for rho in mus[i + 1 :]):
-        raise FilterError("family is not directed")
-    mu0 = max(mus, key=lambda m: len(m.gamma.steps))
-    same = [m for m in mus if m.gamma == mu0.gamma]
-    if g.is_free(mu0.p):
-        sup = tuple(max(m.tail[j] for m in same) for j in range(g.k(mu0.p)))
-        return EPath(mu0.gamma, mu0.p, sup)
-    return EPath(mu0.gamma, mu0.p, max((m.tail for m in same), key=len))
+    out = mus[0]
+    for mu in mus[1:]:
+        out = _cyl_meet(g, out, mu)
+        if out is None:
+            raise FilterError("family is not directed")
+    return out
 
 
 # -- ultrafilters and separation -----------------------------------------
@@ -188,7 +189,7 @@ def _cycle_at(g: SeparatedGraph, v: str) -> tuple[str, ...]:
     while frontier:
         nxt = []
         for at, path in frontier:
-            for e in g.out_edges(at):
+            for e in g.out_edges_of[at]:
                 if e.rng == v:
                     return path + (e.name,)
                 if e.rng not in seen:
@@ -224,16 +225,17 @@ def enumerate_semifinite(g: SeparatedGraph, start: str, bounds: Bounds):
     appears only in canonical form, canonicalised once (by PerTail)."""
     for gamma in enumerate_cpaths(g, start, bounds):
         v = cpath_range(g, gamma)
-        p = g.prime_of_vertex(v)
-        if g.is_free(p):
+        p = g.vertex_prime[v]
+        kp = g.free_k.get(p)
+        if kp is not None:
             choices = list(range(bounds.max_exp + 1)) + [INF]
-            for k in product(choices, repeat=g.k(p)):
+            for k in product(choices, repeat=kp):
                 yield EPath(gamma, p, k)
         else:
-            for path in internal_paths(g, v, bounds.max_len):
+            for path in _internal_paths(g, v, bounds.max_len):
                 yield EPath(gamma, p, path)
                 end = g.path_end(v, path)
-                for cyc in internal_paths(g, end, bounds.max_len):
+                for cyc in _internal_paths(g, end, bounds.max_len):
                     if cyc and g.path_end(end, cyc) == end:
                         if _primitive_root(cyc) == cyc and not (path and path[-1] == cyc[-1]):
                             yield EPath(gamma, p, PerTail(path, cyc))

@@ -6,6 +6,10 @@ a list of connectors into strictly lower components) or regular (a
 strongly connected graph with trivial separation, out-degree at least 2,
 plus connectors downward).  The order on primes is derived from
 reachability and validated against the declared structure.
+
+The library reads a SeparatedGraph's compiled tables for every name it
+built itself; the checked accessors, which raise GraphError on an unknown
+name, serve the names that come from outside.
 """
 
 from __future__ import annotations
@@ -66,7 +70,8 @@ class SeparatedGraph:
     prime_by_name: dict = field(default_factory=dict, init=False, repr=False)
     vertex_prime: dict = field(default_factory=dict, init=False, repr=False)
     edge_by_name: dict = field(default_factory=dict, init=False, repr=False)
-    # Compiled tables, read directly by hot paths that only see checked names:
+    # Compiled tables, the one way the library reads the graph for a name it
+    # built or has checked (the accessors below check names from outside):
     # free prime -> k, edge or connector -> its range, vertex -> its internal
     # out-edges / out-connectors (both empty at a free vertex), and the monoid
     # presentation, which monoid.presentation builds on first use.
@@ -129,12 +134,6 @@ class SeparatedGraph:
             raise GraphError(f"{prime_name!r} is not a free prime")
         return self.free_k[prime_name]
 
-    def g(self, prime_name: str, i: int) -> int:
-        p = self.prime(prime_name)
-        if not isinstance(p, FreePrime) or not 1 <= i <= p.k:
-            raise GraphError(f"no loop class {i} at {prime_name!r}")
-        return len(p.targets[i - 1])
-
     def beta_target(self, prime_name: str, i: int, t: int) -> str:
         p = self.prime(prime_name)
         if not isinstance(p, FreePrime) or not 1 <= i <= p.k:
@@ -148,15 +147,6 @@ class SeparatedGraph:
             return self.edge_by_name[name]
         except KeyError:
             raise GraphError(f"unknown edge {name!r}") from None
-
-    def out_edges(self, v: str) -> tuple[InternalEdge, ...]:
-        """Internal edges of the regular component of v with source v."""
-        self.prime_of_vertex(v)  # raises GraphError on an unknown name
-        return self.out_edges_of[v]
-
-    def out_connectors(self, v: str) -> tuple[RegularConnector, ...]:
-        self.prime_of_vertex(v)
-        return self.out_connectors_of[v]
 
     def path_end(self, v: str, path) -> str:
         """The vertex a valid internal path from v ends at (v if empty)."""
@@ -178,16 +168,15 @@ class SeparatedGraph:
     # -- reachability ----------------------------------------------------
 
     def _component_successors(self, prime_name: str) -> set[str]:
-        """Primes directly reachable from prime_name by a connector."""
-        p = self.prime(prime_name)
+        """Primes directly reachable from a known prime by a connector."""
+        p = self.prime_by_name[prime_name]
         if isinstance(p, FreePrime):
-            return {
-                self.prime_of_vertex(v) for targets in p.targets for v in targets
-            }
-        return {self.prime_of_vertex(c.rng) for c in p.connectors}
+            return {self.vertex_prime[v] for targets in p.targets for v in targets}
+        return {self.vertex_prime[c.rng] for c in p.connectors}
 
     def downset(self, prime_name: str) -> set[str]:
         """All primes q with q <= prime_name, including prime_name."""
+        self.prime(prime_name)  # raises GraphError on an unknown name
         seen = {prime_name}
         stack = [prime_name]
         while stack:
@@ -357,16 +346,16 @@ def validate_adaptable(g: SeparatedGraph) -> list[Violation]:
     # as classes.  Internal edges stay inside a component and each regular
     # component is strongly connected, so a cycle through two components is
     # a connector cycle between them: antisymmetry is all there is to check.
+    down = {p.name: g.downset(p.name) for p in g.primes}
     for p in g.primes:
-        down = g.downset(p.name)
-        for q in down - {p.name}:
-            if p.name in g.downset(q):
+        for q in down[p.name] - {p.name}:
+            if p.name in down[q]:
                 out.append(Violation("(I, <=) antisymmetric", f"{p.name} ~ {q}"))
 
     # Minimality clause: a free prime has k=0 iff it is minimal in (I, <=).
     for p in g.primes:
         if isinstance(p, FreePrime):
-            minimal = g.downset(p.name) == {p.name}
+            minimal = down[p.name] == {p.name}
             if (p.k == 0) != minimal:
                 out.append(Violation("k(p)=0 iff p minimal", p.name))
     return out

@@ -424,39 +424,45 @@ def cover_to_expansion(g: SeparatedGraph, e: Element, sigma) -> Script:
 
 
 def enumerate_cpaths(g: SeparatedGraph, start: str, bounds: Bounds):
-    """All descending c-paths from a vertex, within the bounds."""
+    """All descending c-paths from a vertex (GraphError if g lacks it),
+    within the bounds."""
 
     def rec(at: str, depth: int):
         yield ()
         if depth >= bounds.max_depth:
             return
-        p = g.prime_of_vertex(at)
-        if g.is_free(p):
-            for i in range(1, g.k(p) + 1):
+        p = g.vertex_prime[at]
+        if p in g.free_k:
+            for i, targets in enumerate(g.prime_by_name[p].targets, start=1):
                 for m in range(bounds.max_exp + 1):
-                    for t in range(1, g.g(p, i) + 1):
+                    for t, u in enumerate(targets, start=1):
                         step = FreeStep(p, i, m, t)
-                        for rest in rec(g.beta_target(p, i, t), depth + 1):
+                        for rest in rec(u, depth + 1):
                             yield (step,) + rest
         else:
-            for path in internal_paths(g, at, bounds.max_len):
-                for conn in g.out_connectors(g.path_end(at, path)):
+            for path in _internal_paths(g, at, bounds.max_len):
+                for conn in g.out_connectors_of[g.path_end(at, path)]:
                     step = RegularStep(p, path, conn.name)
                     for rest in rec(conn.rng, depth + 1):
                         yield (step,) + rest
 
+    g.prime_of_vertex(start)  # raises GraphError on an unknown name
     for steps in rec(start, 0):
         yield CPath(start, steps)
 
 
 def internal_paths(g: SeparatedGraph, start: str, max_len: int):
     """All internal paths of at most max_len edges from a vertex of a
-    regular component, the empty path first."""
+    regular component (GraphError if g lacks it), the empty path first."""
+    g.prime_of_vertex(start)  # raises GraphError on an unknown name
+    return _internal_paths(g, start, max_len)
+
+
+def _internal_paths(g: SeparatedGraph, at: str, n: int):
+    """internal_paths from a vertex the library built itself."""
     yield ()
-    if max_len == 0:
-        return
-    for edge in g.out_edges(start):
-        for rest in internal_paths(g, edge.rng, max_len - 1):
+    for edge in g.out_edges_of[at] if n else ():
+        for rest in _internal_paths(g, edge.rng, n - 1):
             yield (edge.name,) + rest
 
 
@@ -464,12 +470,13 @@ def enumerate_epaths(g: SeparatedGraph, start: str, bounds: Bounds):
     """All E-paths (nonzero idempotents) from a vertex, within the bounds."""
     for gamma in enumerate_cpaths(g, start, bounds):
         v = cpath_range(g, gamma)
-        p = g.prime_of_vertex(v)
-        if g.is_free(p):
-            for tail in product(range(bounds.max_exp + 1), repeat=g.k(p)):
+        p = g.vertex_prime[v]
+        kp = g.free_k.get(p)
+        if kp is not None:
+            for tail in product(range(bounds.max_exp + 1), repeat=kp):
                 yield EPath(gamma, p, tail)
         else:
-            for tail in internal_paths(g, v, bounds.max_len):
+            for tail in _internal_paths(g, v, bounds.max_len):
                 yield EPath(gamma, p, tail)
 
 

@@ -178,7 +178,7 @@ def presentation(g: SeparatedGraph) -> Presentation:
         else:
             for v in sorted(p.vertices):
                 d: dict[str, int] = {}
-                for e in list(g.out_edges(v)) + list(g.out_connectors(v)):
+                for e in g.out_edges_of[v] + g.out_connectors_of[v]:
                     d[e.rng] = d.get(e.rng, 0) + 1
                 rels.append(Relation(v, mon_of(d), None))
     g.monoid_presentation = Presentation(tuple(rels), tuple(sorted(g.vertex_prime)))

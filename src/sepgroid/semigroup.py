@@ -124,7 +124,8 @@ def validate_cpath(g: SeparatedGraph, c: CPath, error=WordError) -> None:
             kp = g.free_k.get(p)
             if p != s.p or kp is None:
                 raise error(f"free step at {s.p} does not start at {at}")
-            if not (1 <= s.i <= kp and 0 <= s.m and 1 <= s.t <= g.g(p, s.i)):
+            targets = g.prime_by_name[p].targets
+            if not (1 <= s.i <= kp and 0 <= s.m and 1 <= s.t <= len(targets[s.i - 1])):
                 raise error(f"bad free step {s}")
         else:
             if p in g.free_k:
@@ -365,7 +366,7 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
     if kind == "e":
         name, starred = _split_star(body)
         e = g.edge(name)
-        p = g.prime_of_vertex(e.src)
+        p = g.vertex_prime[e.src]
         if isinstance(e, InternalEdge):
             m = Monomial(p, (), (name,), ())
             el = Triple(trivial_cpath(e.src), m, trivial_cpath(e.rng))

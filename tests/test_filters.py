@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sepgroid import cli, filters as fl, groupoid as gp, lattice as lt, semigroup as sg
@@ -292,6 +294,32 @@ def test_reconstruct_on_generated_graphs(gen_module, shape, rng):
             fl.validate_path(g, got)
             assert got == fl.reconstruct_path(g, [sg.mul(g, e, f)])
     assert 0 < rejected < 200
+
+
+@pytest.mark.parametrize("name", ["g0", "g1", "g2", "g3", "mixed_graph", "regular_graph"])
+def test_reconstruction_is_the_product(graphs, gen_module, name):
+    # reconstruct_path folds the cylinder meet; the semigroup product of the
+    # family is the independent reference: zero exactly when the family is
+    # not directed, and otherwise the idempotent of the reconstructed path.
+    g = graphs.get(name) or parse_graph(getattr(gen_module, name)("fam-0").text())
+    by_start = {}
+    for e in lt.enumerate_idempotents(g, Bounds(2, 2, 2)):
+        by_start.setdefault(e.gamma.start, []).append(e)
+    starts = sorted(by_start)
+    rng = random.Random(name)
+    directed = 0
+    for _ in range(1000):
+        fam = rng.choices(by_start[rng.choice(starts)], k=rng.randint(1, 3))
+        prod = fam[0]
+        for f in fam[1:]:
+            prod = sg.mul(g, prod, f)
+        if sg.is_zero(prod):
+            with pytest.raises(FilterError, match="^family is not directed$"):
+                fl.reconstruct_path(g, fam)
+        else:
+            assert fl.reconstruct_path(g, fam) == lt.epath_of(g, prod), fam
+            directed += 1
+    assert directed >= 450, directed
 
 
 # -- ultrafilters --------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sepgroid import lattice as lt
 from sepgroid.graph import (
     FreePrime,
     GraphError,
@@ -104,22 +105,58 @@ def _vertex_graph_sccs(g):
     return {frozenset(u for u in reach[v] if v in reach[u]) for v in succ}
 
 
+def _component_closure(g):
+    """Each prime's downset, by a plain reachability closure over the
+    component graph: an edge p -> q for each connector or free target from
+    p into q."""
+    succ = {p.name: set() for p in g.primes}
+    for p in g.primes:
+        if isinstance(p, FreePrime):
+            succ[p.name].update(g.vertex_prime[v] for targets in p.targets for v in targets)
+        else:
+            succ[p.name].update(g.vertex_prime[c.rng] for c in p.connectors)
+    down = {}
+    for p in succ:
+        seen, stack = {p}, [p]
+        while stack:
+            for q in succ[stack.pop()] - seen:
+                seen.add(q)
+                stack.append(q)
+        down[p] = seen
+    return down
+
+
 def test_adaptable_graphs_have_their_components_as_sccs():
     rng = random.Random(6)
-    adaptable = flagged_mismatch = 0
+    adaptable = flagged_mismatch = cyclic = minimality = 0
     for _ in range(3000):
         g = parse_graph(_random_graph_text(rng))
         declared = {
             frozenset([p.name] if isinstance(p, FreePrime) else p.vertices) for p in g.primes
         }
         same = _vertex_graph_sccs(g) == declared
-        if validate_adaptable(g) == []:
+        found = validate_adaptable(g)
+        if found == []:
             adaptable += 1
             assert same, [str(p) for p in g.primes]
         elif not same:
             flagged_mismatch += 1
-    # Both sides of the implication are exercised.
+        # The order and minimality clauses agree with an independent closure.
+        down = _component_closure(g)
+        pairs = [v.item for v in found if v.condition == "(I, <=) antisymmetric"]
+        assert sorted(pairs) == sorted(
+            f"{p} ~ {q}" for p in down for q in down[p] if q != p and p in down[q]
+        )
+        items = [v.item for v in found if v.condition == "k(p)=0 iff p minimal"]
+        assert items == [
+            p.name for p in g.primes
+            if isinstance(p, FreePrime) and (p.k == 0) != (down[p.name] == {p.name})
+        ]
+        cyclic += bool(pairs)
+        minimality += bool(items)
+    # Both sides of the implication are exercised, and so are both clauses.
     assert adaptable >= 300 and flagged_mismatch >= 300, (adaptable, flagged_mismatch)
+    assert cyclic >= 300 and minimality >= 100, (cyclic, minimality)
 
 
 def test_component_order(g3):
@@ -142,7 +179,7 @@ def test_regular_needs_out_degree():
 def test_free_prime_accessors(g1):
     p = next(q for q in g1.primes if isinstance(q, FreePrime) and q.name == "p")
     assert p.k == 2
-    assert g1.g("p", 1) == 1 and g1.g("p", 2) == 1
+    assert p.targets == (("q1",), ("q2",))
 
 
 def test_compiled_tables_and_unknown_names():
@@ -150,17 +187,18 @@ def test_compiled_tables_and_unknown_names():
         "graph two\nfree z k=0\nregular r\nvertex u v\nedge e1: u -> v\n"
         "edge e2: u -> u\nedge e3: v -> u\nedge e4: v -> v\nconnector c1: v -> z\n"
     )
-    assert [e.name for e in g.out_edges("u")] == ["e1", "e2"]
-    assert [c.name for c in g.out_connectors("v")] == ["c1"]
-    assert g.out_edges("z") == () and g.out_connectors("u") == ()
+    assert [e.name for e in g.out_edges_of["u"]] == ["e1", "e2"]
+    assert [c.name for c in g.out_connectors_of["v"]] == ["c1"]
+    assert g.out_edges_of["z"] == () and g.out_connectors_of["u"] == ()
     assert g.path_end("u", ("e1", "e3", "e1")) == "v" and g.path_end("u", ()) == "u"
     assert g.internal_walk("u", ("e1", "e3", "e1")) == ("v", 3)
     assert g.internal_walk("u", ()) == ("u", 0)
     assert g.internal_walk("u", ("e1", "c1", "e4")) == ("v", 1)  # a connector stops it
     assert g.internal_walk("u", ("e2", "e3")) == ("u", 1)  # e3 leaves v, not u
     assert g.is_free("z") and not g.is_free("r") and g.k("z") == 0
-    for bad in (lambda: g.out_edges("x"), lambda: g.out_connectors("x"),
-                lambda: g.is_free("x"), lambda: g.k("x"), lambda: g.k("r"),
-                lambda: g.internal_walk("u", ("e1", "x"))):
+    for bad in (lambda: g.is_free("x"), lambda: g.k("x"), lambda: g.k("r"),
+                lambda: g.internal_walk("u", ("e1", "x")), lambda: g.downset("x"),
+                lambda: list(lt.enumerate_cpaths(g, "x", lt.Bounds())),
+                lambda: list(lt.internal_paths(g, "x", 1))):
         with pytest.raises(GraphError):
             bad()
