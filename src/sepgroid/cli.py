@@ -84,12 +84,16 @@ def parse_compact_open(g: SeparatedGraph, text: str) -> lt.CompactOpen:
 
 def _co_tokens(text: str):
     out = []
-    i = 0
+    i = depth = 0
     while i < len(text):
         c = text[i]
         if c.isspace():
             i += 1
         elif c in "()&+-":
+            # The parser takes three Python frames per bare parenthesis.
+            depth += (c == "(") - (c == ")")
+            if depth > 100:
+                raise lt.LatticeError("parentheses nested deeper than 100")
             out.append(c)
             i += 1
         elif text.startswith("Z(", i):

@@ -7,6 +7,8 @@ strongly connected graph with trivial separation, out-degree at least 2,
 plus connectors downward).  The order on primes is derived from
 reachability and validated against the declared structure.
 
+A SeparatedGraph checks its names and references when it is built, so
+`parse_graph` reads only syntax and `validate_adaptable` only the axioms.
 The library reads a SeparatedGraph's compiled tables for every name it
 built itself; the checked accessors, which raise GraphError on an unknown
 name, serve the names that come from outside.
@@ -82,32 +84,42 @@ class SeparatedGraph:
     monoid_presentation: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Each name and reference is checked once as the tables are filled:
+        # prime names, vertices, then edges, connectors and free targets.
+        vp = self.vertex_prime
         for p in self.primes:
             if p.name in self.prime_by_name:
                 raise GraphError(f"duplicate prime name {p.name!r}")
             self.prime_by_name[p.name] = p
         for p in self.primes:
-            if isinstance(p, FreePrime):
-                self._add_vertex(p.name, p.name)
-                self.free_k[p.name] = p.k
-                self.out_edges_of[p.name] = self.out_connectors_of[p.name] = ()
-            else:
-                for v in p.vertices:
-                    self._add_vertex(v, p.name)
-                    self.out_edges_of[v] = tuple(e for e in p.edges if e.src == v)
-                    self.out_connectors_of[v] = tuple(c for c in p.connectors if c.src == v)
+            for v in (p.name,) if isinstance(p, FreePrime) else p.vertices:
+                if v in vp or v in self.prime_by_name and v != p.name:
+                    raise GraphError(f"duplicate vertex name {v!r}")
+                vp[v] = p.name
+                self.out_edges_of[v], self.out_connectors_of[v] = [], []
         for p in self.primes:
-            if isinstance(p, RegularPrime):
-                for e in list(p.edges) + list(p.connectors):
-                    if e.name in self.edge_by_name or e.name in self.vertex_prime:
-                        raise GraphError(f"duplicate name {e.name!r}")
-                    self.edge_by_name[e.name] = e
-                    self.edge_rng[e.name] = e.rng
-
-    def _add_vertex(self, v, prime_name):
-        if v in self.vertex_prime or v in self.prime_by_name and v != prime_name:
-            raise GraphError(f"duplicate vertex name {v!r}")
-        self.vertex_prime[v] = prime_name
+            if isinstance(p, FreePrime):
+                self.free_k[p.name] = p.k
+                for targets in p.targets:
+                    for v in targets:
+                        if v not in vp:
+                            raise GraphError(f"dangling connector target {v!r} at {p.name!r}")
+                continue
+            for e in (*p.edges, *p.connectors):
+                if e.name in self.edge_by_name or e.name in vp:
+                    raise GraphError(f"duplicate name {e.name!r}")
+                internal = isinstance(e, InternalEdge)
+                if internal and not vp.get(e.src) == vp.get(e.rng) == p.name:
+                    raise GraphError(f"edge {e.name!r} endpoint outside {p.name!r}")
+                if vp.get(e.src) != p.name:
+                    raise GraphError(f"connector {e.name!r} source outside {p.name!r}")
+                if e.rng not in vp:
+                    raise GraphError(f"dangling connector target {e.rng!r}")
+                self.edge_by_name[e.name] = e
+                self.edge_rng[e.name] = e.rng
+                (self.out_edges_of if internal else self.out_connectors_of)[e.src].append(e)
+        self.out_edges_of = {v: tuple(es) for v, es in self.out_edges_of.items()}
+        self.out_connectors_of = {v: tuple(cs) for v, cs in self.out_connectors_of.items()}
 
     # -- basic accessors -------------------------------------------------
 
@@ -177,134 +189,99 @@ class SeparatedGraph:
     def downset(self, prime_name: str) -> set[str]:
         """All primes q with q <= prime_name, including prime_name."""
         self.prime(prime_name)  # raises GraphError on an unknown name
-        seen = {prime_name}
-        stack = [prime_name]
-        while stack:
-            for q in self._component_successors(stack.pop()):
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return seen
+        return _reach(prime_name, self._component_successors)
+
+
+def _reach(start, successors) -> set:
+    """Everything reachable from start by successors, start included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in successors(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 # -- parsing -------------------------------------------------------------
 
+# A line that breaks its directive's shape reads "line N: expected: <shape>".
+_SHAPES = {
+    "graph": "graph NAME",
+    "free": "free NAME k=<int>",
+    "regular": "regular NAME",
+    "X": "X I -> V1 [V2 ...]",
+    "edge": "edge NAME: V -> W",
+    "connector": "connector NAME: V -> W",
+}
+
 
 def parse_graph(text: str) -> SeparatedGraph:
-    """Parse the line-oriented graph file format.  No validation beyond syntax."""
+    """Read the line-oriented graph file format in one pass, checking only
+    its syntax: the SeparatedGraph constructor checks names and references."""
     name = None
-    primes: list[FreePrime | RegularPrime] = []
-    # Mutable builders for the prime currently being read.
-    cur = None  # dict for either kind
-
-    def flush():
-        nonlocal cur
-        if cur is None:
-            return
-        if cur["kind"] == "free":
-            got = [i for i, _ in cur["targets"]]
-            want = list(range(1, cur["k"] + 1))
-            if sorted(got) != want:
-                raise GraphError(
-                    f"free prime {cur['name']!r}: expected X lines for classes "
-                    f"{want}, got {sorted(got)}"
-                )
-            by_index = dict(cur["targets"])
-            primes.append(
-                FreePrime(
-                    cur["name"],
-                    cur["k"],
-                    tuple(tuple(by_index[i]) for i in want),
-                )
-            )
-        else:
-            primes.append(
-                RegularPrime(
-                    cur["name"],
-                    tuple(cur["vertices"]),
-                    tuple(cur["edges"]),
-                    tuple(cur["connectors"]),
-                )
-            )
-        cur = None
-
+    # Per prime, in order: its line, its name, k (None at a regular prime)
+    # and its body: X-line targets by class, or lists by directive.
+    decls: list[tuple] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        try:
-            head = parts[0]
+        head, *args = parts
+        try:  # a ValueError below is a line of the wrong shape
             if head == "graph":
-                (name,) = parts[1:]
+                (name,) = args
             elif head == "free":
-                flush()
-                pname, kspec = parts[1:]
-                if not kspec.startswith("k="):
-                    raise GraphError("expected k=<int>")
-                cur = {"kind": "free", "name": pname, "k": int(kspec[2:]), "targets": []}
+                pname, kspec = args
+                k = int(kspec[2:]) if kspec.startswith("k=") else -1
+                if k < 0:
+                    raise ValueError
+                decls.append((lineno, pname, k, {}))
             elif head == "regular":
-                flush()
-                (pname,) = parts[1:]
-                cur = {
-                    "kind": "regular",
-                    "name": pname,
-                    "vertices": [],
-                    "edges": [],
-                    "connectors": [],
-                }
-            elif head == "X":
-                if cur is None or cur["kind"] != "free":
-                    raise GraphError("X line outside a free prime")
-                if parts[2] != "->" or len(parts) < 4:
-                    raise GraphError("expected: X I -> V1 [V2 ...]")
-                i = int(parts[1])
-                if not 1 <= i <= cur["k"]:
-                    raise GraphError(f"class index {i} out of range 1..{cur['k']}")
-                cur["targets"].append((i, parts[3:]))
-            elif head == "vertex":
-                if cur is None or cur["kind"] != "regular":
-                    raise GraphError("vertex line outside a regular prime")
-                cur["vertices"].extend(parts[1:])
-            elif head in ("edge", "connector"):
-                if cur is None or cur["kind"] != "regular":
-                    raise GraphError(f"{head} line outside a regular prime")
-                if len(parts) != 5 or not parts[1].endswith(":") or parts[3] != "->":
-                    raise GraphError(f"expected: {head} NAME: V -> W")
-                ename = parts[1][:-1]
-                if head == "edge":
-                    cur["edges"].append(InternalEdge(ename, parts[2], parts[4]))
+                (pname,) = args
+                decls.append((lineno, pname, None, {"vertex": [], "edge": [], "connector": []}))
+            elif head in ("X", "vertex", "edge", "connector"):
+                if not decls or (decls[-1][2] is None) == (head == "X"):
+                    kind = "free" if head == "X" else "regular"
+                    raise GraphError(f"{head} line outside a {kind} prime")
+                _, pname, k, body = decls[-1]
+                if head == "X":
+                    i, arrow, *targets = args
+                    i = int(i)
+                    if arrow != "->" or not targets:
+                        raise ValueError
+                    if not 1 <= i <= k:
+                        raise GraphError(f"class index {i} out of range 1..{k}")
+                    if i in body:
+                        raise GraphError(f"repeated class {i} at {pname!r}")
+                    body[i] = tuple(targets)
+                elif head == "vertex":
+                    body[head].extend(args)
                 else:
-                    cur["connectors"].append(RegularConnector(ename, parts[2], parts[4]))
+                    ename, v, arrow, w = args
+                    if not ename.endswith(":") or arrow != "->":
+                        raise ValueError
+                    make = InternalEdge if head == "edge" else RegularConnector
+                    body[head].append(make(ename[:-1], v, w))
             else:
                 raise GraphError(f"unknown directive {head!r}")
-        except (ValueError, GraphError) as exc:
+        except ValueError:
+            raise GraphError(f"line {lineno}: expected: {_SHAPES[head]}") from None
+        except GraphError as exc:
             raise GraphError(f"line {lineno}: {exc}") from None
-    flush()
     if name is None:
         raise GraphError("missing 'graph NAME' line")
-    g = SeparatedGraph(name, primes)
-    _check_references(g)
-    return g
-
-
-def _check_references(g: SeparatedGraph):
-    for p in g.primes:
-        if isinstance(p, FreePrime):
-            for targets in p.targets:
-                for v in targets:
-                    if v not in g.vertex_prime:
-                        raise GraphError(f"dangling connector target {v!r} at {p.name!r}")
+    primes: list[FreePrime | RegularPrime] = []
+    for line, pname, k, body in decls:
+        if k is None:
+            primes.append(RegularPrime(pname, *map(tuple, body.values())))
+        elif len(body) < k:  # the classes are distinct and in 1..k
+            missing = next(i for i in range(1, k + 1) if i not in body)
+            raise GraphError(f"line {line}: free prime {pname!r} has no X line for class {missing}")
         else:
-            vs = set(p.vertices)
-            for e in p.edges:
-                if e.src not in vs or e.rng not in vs:
-                    raise GraphError(f"edge {e.name!r} endpoint outside {p.name!r}")
-            for c in p.connectors:
-                if c.src not in vs:
-                    raise GraphError(f"connector {c.name!r} source outside {p.name!r}")
-                if c.rng not in g.vertex_prime:
-                    raise GraphError(f"dangling connector target {c.rng!r}")
+            primes.append(FreePrime(pname, k, tuple(body[i] for i in range(1, k + 1))))
+    return SeparatedGraph(name, primes)
 
 
 # -- validation ----------------------------------------------------------
@@ -313,18 +290,15 @@ def _check_references(g: SeparatedGraph):
 def validate_adaptable(g: SeparatedGraph) -> list[Violation]:
     """Check the adaptability axioms.  Empty list means the graph is adaptable."""
     out: list[Violation] = []
-
+    lower = "connector target strictly lower"
     for p in g.primes:
         if isinstance(p, FreePrime):
             for i, targets in enumerate(p.targets, start=1):
                 if not targets:
                     out.append(Violation("g(p,i) >= 1", f"{p.name} class {i}"))
                 for v in targets:
-                    q = g.prime_of_vertex(v)
-                    if q == p.name:
-                        out.append(
-                            Violation("connector target strictly lower", f"{p.name} -> {v}")
-                        )
+                    if g.vertex_prime[v] == p.name:
+                        out.append(Violation(lower, f"{p.name} -> {v}"))
             if p.k > 0 and not any(p.targets):
                 out.append(Violation("free prime with k>=1 must reach lower", p.name))
         else:
@@ -334,51 +308,33 @@ def validate_adaptable(g: SeparatedGraph) -> list[Violation]:
             for w in p.vertices:
                 if len(g.out_edges_of[w]) < 2:
                     out.append(Violation("|s_Ep^-1(w)| >= 2", f"{p.name}:{w}"))
-            if not _strongly_connected(p):
+            if not _strongly_connected(g, p):
                 out.append(Violation("regular component transitive", p.name))
             for c in p.connectors:
-                if g.prime_of_vertex(c.rng) == p.name:
-                    out.append(
-                        Violation("connector target strictly lower", f"{p.name} -> {c.rng}")
-                    )
+                if g.vertex_prime[c.rng] == p.name:
+                    out.append(Violation(lower, f"{p.name} -> {c.rng}"))
 
     # Reachability must induce a partial order with the declared components
     # as classes.  Internal edges stay inside a component and each regular
     # component is strongly connected, so a cycle through two components is
-    # a connector cycle between them: antisymmetry is all there is to check.
-    down = {p.name: g.downset(p.name) for p in g.primes}
+    # a connector cycle between them: antisymmetry is all there is to check,
+    # pair by pair in declaration order.
+    down = {p.name: _reach(p.name, g._component_successors) for p in g.primes}
     for p in g.primes:
-        for q in down[p.name] - {p.name}:
-            if p.name in down[q]:
-                out.append(Violation("(I, <=) antisymmetric", f"{p.name} ~ {q}"))
-
+        for q in g.primes:
+            if q is not p and q.name in down[p.name] and p.name in down[q.name]:
+                out.append(Violation("(I, <=) antisymmetric", f"{p.name} ~ {q.name}"))
     # Minimality clause: a free prime has k=0 iff it is minimal in (I, <=).
     for p in g.primes:
-        if isinstance(p, FreePrime):
-            minimal = down[p.name] == {p.name}
-            if (p.k == 0) != minimal:
-                out.append(Violation("k(p)=0 iff p minimal", p.name))
+        if isinstance(p, FreePrime) and (p.k == 0) != (down[p.name] == {p.name}):
+            out.append(Violation("k(p)=0 iff p minimal", p.name))
     return out
 
 
-def _strongly_connected(p: RegularPrime) -> bool:
-    if len(p.vertices) == 1:
-        return True
-    adj = {v: [] for v in p.vertices}
-    radj = {v: [] for v in p.vertices}
+def _strongly_connected(g: SeparatedGraph, p: RegularPrime) -> bool:
+    back = {v: [] for v in p.vertices}
     for e in p.edges:
-        adj[e.src].append(e.rng)
-        radj[e.rng].append(e.src)
-
-    def reach(start, nbrs):
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in nbrs[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
+        back[e.rng].append(e.src)
     v0 = p.vertices[0]
-    return len(reach(v0, adj)) == len(p.vertices) == len(reach(v0, radj))
+    ahead = _reach(v0, lambda v: (e.rng for e in g.out_edges_of[v]))
+    return len(ahead) == len(p.vertices) == len(_reach(v0, back.__getitem__))

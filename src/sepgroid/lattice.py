@@ -260,16 +260,22 @@ def _normalize(g: SeparatedGraph, cyls) -> CompactOpen:
 
 
 def _cyl_subtract(g: SeparatedGraph, mu: EPath, rho: EPath) -> list[EPath]:
-    """Z(mu) minus Z(rho) as disjoint cylinders, by directed expansion."""
+    """Z(mu) minus Z(rho) as disjoint cylinders, by directed expansion.
+    Exactly one child of each expansion holds the meet, and the others are
+    disjoint from Z(rho): they are kept, and the descent goes on in that one
+    child until the child lies inside Z(rho)."""
     target = _cyl_meet(g, mu, rho)
     if target is None:
         return [mu]
-    if target == mu:
-        return []
-    choice = _direction(g, mu, target) if mu.p in g.free_k else None
     out: list[EPath] = []
-    for child in epath_children(g, mu, choice):
-        out.extend(_cyl_subtract(g, child, rho))
+    while target != mu:
+        choice = _direction(g, mu, target) if mu.p in g.free_k else None
+        for child in epath_children(g, mu, choice):
+            meet = _cyl_meet(g, child, rho)
+            if meet is None:
+                out.append(child)
+            else:
+                mu, target = child, meet
     return out
 
 

@@ -82,6 +82,27 @@ def test_compact_open_tokens():
         _co_tokens("Z(v:p) % Z(v:p)")
 
 
+def test_compact_open_nesting_is_bounded(capsys):
+    def nested(n):
+        return "(" * n + "Z(v:p)" + ")" * n
+
+    assert run(capsys, "cylinders", G3, nested(100))[:2] == (0, "Z(v:p)")
+    with pytest.raises(LatticeError, match="^parentheses nested deeper than 100$"):
+        _co_tokens(nested(101))
+    # parentheses inside Z(...) are the word's, not the expression's
+    assert _co_tokens("Z(" + nested(150) + ")") == [("Z", nested(150))]
+    code, out, err = run(capsys, "cylinders", G3, nested(330))
+    assert (code, out, err) == (65, "", "error: parentheses nested deeper than 100")
+
+
+def test_deep_subtraction_and_cover(capsys):
+    deep = " ".join(["a:p.1"] * 1200 + ["a:p.1*"] * 1200)
+    code, out, _ = run(capsys, "cylinders", G3, f"Z(v:p) - Z({deep})")
+    assert code == 0 and out.count("Z(") == 1200
+    code, out, err = run(capsys, "cover-to-expansion", G3, "v:p", deep)
+    assert (code, out, err) == (65, "", "error: not an orthogonal cover")
+
+
 def test_filter_and_ultrafilter(capsys):
     code, out, _ = run(
         capsys, "filter-contains", G3, "[v:p] ; free(inf)", "a:p.1 a:p.1*"
@@ -385,6 +406,19 @@ def test_a_graph_that_is_not_adaptable_is_an_input_error(capsys, tmp_path):
         code, out, err = run(capsys, argv[0], str(graph), *argv[1:])
         assert (code, out) == (65, ""), argv
         assert err == f"error: {graph} is not adaptable: |s_Ep^-1(w)| >= 2: r:w"
+
+
+@pytest.mark.parametrize("case", [
+    ("graph x\nfree p k=1\nX 1\n", "line 3: expected: X I -> V1 [V2 ...]"),
+    ("graph x\nfree p k=1\nX\n", "line 3: expected: X I -> V1 [V2 ...]"),
+    ("graph\n", "line 1: expected: graph NAME"),
+    ("graph x\nfree p\n", "line 2: expected: free NAME k=<int>"),
+])
+def test_malformed_graph_lines_are_parse_errors(capsys, tmp_path, case):
+    text, message = case
+    graph = tmp_path / "x.sg"
+    graph.write_text(text)
+    assert run(capsys, "validate", str(graph)) == (65, "", f"error: {message}")
 
 
 def test_graph_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):

@@ -6,7 +6,10 @@ from sepgroid import lattice as lt
 from sepgroid.graph import (
     FreePrime,
     GraphError,
+    InternalEdge,
+    RegularConnector,
     RegularPrime,
+    SeparatedGraph,
     parse_graph,
     validate_adaptable,
 )
@@ -166,8 +169,93 @@ def test_component_order(g3):
 
 
 def test_parse_rejects_bad_graph():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^line 2: expected: free NAME k=<int>$"):
         parse_graph("graph x\nfree p 1\n")
+
+
+REG = "regular r\nvertex u v\nedge e1: u -> v\nedge e2: v -> u\n"
+
+
+@pytest.mark.parametrize("case", [
+    # shape errors
+    ("graph x\nfree p k=1\nX 1\n", "line 3: expected: X I -> V1 [V2 ...]"),
+    ("graph x\nfree p k=1\nX\n", "line 3: expected: X I -> V1 [V2 ...]"),
+    ("graph x\nfree p k=1\nX 1 -> \n", "line 3: expected: X I -> V1 [V2 ...]"),
+    ("graph x\nfree p k=1\nX 1 => w\n", "line 3: expected: X I -> V1 [V2 ...]"),
+    ("graph x\nfree p k=1\nX a -> w\n", "line 3: expected: X I -> V1 [V2 ...]"),
+    ("graph x\nfree p\n", "line 2: expected: free NAME k=<int>"),
+    ("graph x\nfree p k=-1\n", "line 2: expected: free NAME k=<int>"),
+    ("graph x\nfree p k=one\n", "line 2: expected: free NAME k=<int>"),
+    ("graph x\nfree p k=1 q\n", "line 2: expected: free NAME k=<int>"),
+    ("graph\n", "line 1: expected: graph NAME"),
+    ("graph x y\n", "line 1: expected: graph NAME"),
+    ("graph x\nregular\n", "line 2: expected: regular NAME"),
+    ("graph x\n" + REG + "edge e3 u -> v\n", "line 6: expected: edge NAME: V -> W"),
+    ("graph x\n" + REG + "connector c: u v\n", "line 6: expected: connector NAME: V -> W"),
+    # the classes of a free prime
+    ("graph x\nfree p k=1\nX 2 -> q\n", "line 3: class index 2 out of range 1..1"),
+    ("graph x\nfree p k=1\nX 0 -> q\n", "line 3: class index 0 out of range 1..1"),
+    ("graph x\nfree p k=1\nX 1 -> q\nX 1 -> q\nfree q k=0\n",
+     "line 4: repeated class 1 at 'p'"),
+    ("graph x\n# p\nfree p k=2\nX 1 -> q\nfree q k=0\n",
+     "line 3: free prime 'p' has no X line for class 2"),
+    ("graph x\nfree p k=1000000000000\nX 1 -> q\nfree q k=0\n",
+     "line 2: free prime 'p' has no X line for class 2"),
+    # lines outside their prime, unknown directives, no graph line
+    ("graph x\nX 1 -> q\n", "line 2: X line outside a free prime"),
+    ("graph x\n" + REG + "X 1 -> q\n", "line 6: X line outside a free prime"),
+    ("graph x\nvertex u\n", "line 2: vertex line outside a regular prime"),
+    ("graph x\nfree p k=0\nedge e: u -> u\n", "line 3: edge line outside a regular prime"),
+    ("graph x\nfree p k=0\nconnector c: u -> p\n",
+     "line 3: connector line outside a regular prime"),
+    ("graph x\nprime p\n", "line 2: unknown directive 'prime'"),
+    ("free p k=0\n", "missing 'graph NAME' line"),
+    # duplicate names
+    ("graph x\nfree p k=0\nfree p k=0\n", "duplicate prime name 'p'"),
+    ("graph x\nfree p k=0\nregular p\n", "duplicate prime name 'p'"),
+    ("graph x\nregular r\nvertex u u\n", "duplicate vertex name 'u'"),
+    ("graph x\nfree p k=0\nregular r\nvertex p\n", "duplicate vertex name 'p'"),
+    ("graph x\nregular r\nvertex s\nregular s\nvertex w\n", "duplicate vertex name 's'"),
+    ("graph x\n" + REG + "edge e1: u -> u\n", "duplicate name 'e1'"),
+    ("graph x\n" + REG + "edge u: u -> u\n", "duplicate name 'u'"),
+    ("graph x\nfree z k=0\n" + REG + "connector e2: u -> z\n", "duplicate name 'e2'"),
+    # references
+    ("graph x\nfree p k=1\nX 1 -> nowhere\n", "dangling connector target 'nowhere' at 'p'"),
+    ("graph x\n" + REG + "connector c: u -> nowhere\n", "dangling connector target 'nowhere'"),
+    ("graph x\nfree z k=0\n" + REG + "edge e3: u -> z\n", "edge 'e3' endpoint outside 'r'"),
+    ("graph x\nfree z k=0\n" + REG + "edge e3: z -> u\n", "edge 'e3' endpoint outside 'r'"),
+    ("graph x\nfree z k=0\n" + REG + "connector c: z -> u\n",
+     "connector 'c' source outside 'r'"),
+    # several faults: the first in declaration order of its kind
+    ("graph x\n" + REG + "edge e3: u -> nowhere\nconnector c: nowhere -> u\n",
+     "edge 'e3' endpoint outside 'r'"),
+])
+def test_malformed_graph_files(case):
+    text, message = case
+    with pytest.raises(GraphError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("case", [
+    ([FreePrime("p", 1, (("nowhere",),))], "dangling connector target 'nowhere' at 'p'"),
+    ([RegularPrime("r", ("u",), (InternalEdge("e", "u", "z"),), ()), FreePrime("z", 0, ())],
+     "edge 'e' endpoint outside 'r'"),
+    ([RegularPrime("r", ("u",), (), (RegularConnector("c", "u", "nowhere"),))],
+     "dangling connector target 'nowhere'"),
+])
+def test_hand_built_graphs_check_their_references(case):
+    primes, message = case
+    with pytest.raises(GraphError) as exc:
+        SeparatedGraph("x", primes)
+    assert str(exc.value) == message
+
+
+def test_antisymmetry_pairs_follow_declaration_order():
+    # a connector 4-cycle of free primes: p_i -> p_(i-1 mod 4)
+    text = "graph c4\n" + "".join(f"free p{i} k=1\nX 1 -> p{(i - 1) % 4}\n" for i in range(4))
+    pairs = [v.item for v in validate_adaptable(parse_graph(text))]
+    assert pairs == [f"p{i} ~ p{j}" for i in range(4) for j in range(4) if i != j]
 
 
 def test_regular_needs_out_degree():

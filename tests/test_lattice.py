@@ -268,6 +268,17 @@ def test_free_subtract_decomposition(g1):
     assert words == ["b:p.1.1 b:p.1.1*"]
 
 
+def test_deep_subtraction_descends_in_a_loop(g3):
+    # Z(a^n a*^n) lies n expansion levels below Z(v:p): the difference is
+    # one cylinder per level, deeper than the interpreter's recursion limit.
+    deep = co(g3, " ".join(["a:p.1"] * 1200 + ["a:p.1*"] * 1200))
+    top = co(g3, "v:p")
+    diff = lt.co_subtract(g3, top, deep)
+    assert len(diff.cyls) == 1200
+    assert lt.co_eq(g3, lt.co_union(g3, diff, deep), top)
+    assert lt.co_is_empty(lt.co_intersect(g3, diff, deep))
+
+
 def test_boolean_ring_laws(graphs, rng):
     for name in ("g1", "g2", "g3"):
         g = graphs[name]
