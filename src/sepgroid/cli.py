@@ -46,11 +46,13 @@ def parse_compact_open(g: SeparatedGraph, text: str) -> lt.CompactOpen:
         pos[0] += 1
         return t
 
-    def atom():
+    def atom(depth):
         t = peek()
         if t == "(":
+            if depth == 100:  # each bare parenthesis costs three Python frames
+                raise lt.LatticeError("parentheses nested deeper than 100")
             eat("(")
-            out = expr()
+            out = expr(depth + 1)
             eat(")")
             return out
         if isinstance(t, tuple) and t[0] == "Z":
@@ -61,22 +63,22 @@ def parse_compact_open(g: SeparatedGraph, text: str) -> lt.CompactOpen:
             return lt.CompactOpen((lt.epath_of(g, e),))
         raise lt.LatticeError(f"expected Z(...) or parenthesis, got {t!r}")
 
-    def factor():
-        out = atom()
+    def factor(depth):
+        out = atom(depth)
         while peek() == "&":
             eat("&")
-            out = lt.co_intersect(g, out, atom())
+            out = lt.co_intersect(g, out, atom(depth))
         return out
 
-    def expr():
-        out = factor()
+    def expr(depth):
+        out = factor(depth)
         while peek() in ("+", "-"):
             op = eat()
-            rhs = factor()
+            rhs = factor(depth)
             out = (lt.co_union if op == "+" else lt.co_subtract)(g, out, rhs)
         return out
 
-    out = expr()
+    out = expr(0)
     if pos[0] != len(tokens):
         raise lt.LatticeError(f"trailing tokens in compact-open expression {text!r}")
     return out
@@ -84,16 +86,12 @@ def parse_compact_open(g: SeparatedGraph, text: str) -> lt.CompactOpen:
 
 def _co_tokens(text: str):
     out = []
-    i = depth = 0
+    i = 0
     while i < len(text):
         c = text[i]
         if c.isspace():
             i += 1
         elif c in "()&+-":
-            # The parser takes three Python frames per bare parenthesis.
-            depth += (c == "(") - (c == ")")
-            if depth > 100:
-                raise lt.LatticeError("parentheses nested deeper than 100")
             out.append(c)
             i += 1
         elif text.startswith("Z(", i):

@@ -99,6 +99,8 @@ class SeparatedGraph:
                 self.out_edges_of[v], self.out_connectors_of[v] = [], []
         for p in self.primes:
             if isinstance(p, FreePrime):
+                if len(p.targets) != p.k:
+                    raise GraphError(f"free prime {p.name!r} needs {p.k} target classes")
                 self.free_k[p.name] = p.k
                 for targets in p.targets:
                     for v in targets:
@@ -194,8 +196,7 @@ class SeparatedGraph:
 
 def _reach(start, successors) -> set:
     """Everything reachable from start by successors, start included."""
-    seen = {start}
-    stack = [start]
+    seen, stack = {start}, [start]
     while stack:
         for y in successors(stack.pop()):
             if y not in seen:
@@ -314,11 +315,10 @@ def validate_adaptable(g: SeparatedGraph) -> list[Violation]:
                 if g.vertex_prime[c.rng] == p.name:
                     out.append(Violation(lower, f"{p.name} -> {c.rng}"))
 
-    # Reachability must induce a partial order with the declared components
-    # as classes.  Internal edges stay inside a component and each regular
-    # component is strongly connected, so a cycle through two components is
-    # a connector cycle between them: antisymmetry is all there is to check,
-    # pair by pair in declaration order.
+    # Reachability must order the primes.  Internal edges stay inside a
+    # prime and each regular prime is strongly connected, so a cycle through
+    # two primes is a connector cycle between them: antisymmetry is all there
+    # is to check, pair by pair in declaration order.
     down = {p.name: _reach(p.name, g._component_successors) for p in g.primes}
     for p in g.primes:
         for q in g.primes:

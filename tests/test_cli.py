@@ -87,12 +87,15 @@ def test_compact_open_nesting_is_bounded(capsys):
         return "(" * n + "Z(v:p)" + ")" * n
 
     assert run(capsys, "cylinders", G3, nested(100))[:2] == (0, "Z(v:p)")
-    with pytest.raises(LatticeError, match="^parentheses nested deeper than 100$"):
-        _co_tokens(nested(101))
+    # a Z(...) between the bare parentheses does not reset their count
+    interleaved = "(Z(v:p) & " * 100 + "Z(v:p)" + ")" * 100
+    assert run(capsys, "cylinders", G3, interleaved)[:2] == (0, "Z(v:p)")
     # parentheses inside Z(...) are the word's, not the expression's
     assert _co_tokens("Z(" + nested(150) + ")") == [("Z", nested(150))]
-    code, out, err = run(capsys, "cylinders", G3, nested(330))
-    assert (code, out, err) == (65, "", "error: parentheses nested deeper than 100")
+    deep = "(Z(v:p) & " * 400 + "Z(v:p)" + ")" * 400
+    for text in (nested(101), nested(330), deep, "(" * 101 + "Z(v:p)"):
+        code, out, err = run(capsys, "cylinders", G3, text)
+        assert (code, out, err) == (65, "", "error: parentheses nested deeper than 100")
 
 
 def test_deep_subtraction_and_cover(capsys):

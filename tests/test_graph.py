@@ -243,6 +243,8 @@ def test_malformed_graph_files(case):
      "edge 'e' endpoint outside 'r'"),
     ([RegularPrime("r", ("u",), (), (RegularConnector("c", "u", "nowhere"),))],
      "dangling connector target 'nowhere'"),
+    ([FreePrime("p", 2, (("p",),))], "free prime 'p' needs 2 target classes"),
+    ([FreePrime("p", -1, ())], "free prime 'p' needs -1 target classes"),
 ])
 def test_hand_built_graphs_check_their_references(case):
     primes, message = case
