@@ -96,12 +96,6 @@ def validate_tail(g: SeparatedGraph, mu: EPath) -> None:
 # -- initial segments and filters ----------------------------------------
 
 
-def is_initial_segment(g: SeparatedGraph, mu_p: EPath, mu: EPath) -> bool:
-    return cpath_is_prefix(mu_p.gamma, mu.gamma) and _tail_is_initial(
-        g, mu_p.gamma, mu_p.tail, mu
-    )
-
-
 def filter_contains(g: SeparatedGraph, mu: EPath, e: Element) -> bool:
     """True iff the filter of mu contains the nonzero idempotent e.  The
     E-path of e is read off its fields: the prefix is e.gamma and the tail

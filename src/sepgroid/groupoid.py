@@ -20,7 +20,7 @@ from itertools import zip_longest
 
 from .graph import SeparatedGraph
 from .filters import PerTail, is_ultrafilter
-from .lattice import CompactOpen, EPath, co_of, disjoint_union, top_epath, trusted_idem
+from .lattice import EPath, disjoint_union, top_epath, trusted_idem
 from .semigroup import (
     Element,
     cpath_edge_len,
@@ -199,14 +199,6 @@ def in_bisection(g: SeparatedGraph, germ: Germ, s: Element) -> bool:
 
 
 # -- bisections ----------------------------------------------------------
-
-
-def bisection_endpoints(
-    g: SeparatedGraph, s: Element
-) -> tuple[CompactOpen, CompactOpen]:
-    if is_zero(s):
-        raise GroupoidError("Zero has no bisection")
-    return (co_of(g, mul(g, star(g, s), s)), co_of(g, mul(g, s, star(g, s))))
 
 
 def is_bisection_family(g: SeparatedGraph, fam) -> bool:

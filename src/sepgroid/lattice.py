@@ -457,15 +457,10 @@ def enumerate_cpaths(g: SeparatedGraph, start: str, bounds: Bounds):
         yield CPath(start, steps)
 
 
-def internal_paths(g: SeparatedGraph, start: str, max_len: int):
-    """All internal paths of at most max_len edges from a vertex of a
-    regular component (GraphError if g lacks it), the empty path first."""
-    g.prime_of_vertex(start)  # raises GraphError on an unknown name
-    return _internal_paths(g, start, max_len)
-
-
 def _internal_paths(g: SeparatedGraph, at: str, n: int):
-    """internal_paths from a vertex the library built itself."""
+    """All internal paths of at most n edges from a vertex of a regular
+    component, the empty path first; the vertex is one the library built
+    itself."""
     yield ()
     for edge in g.out_edges_of[at] if n else ():
         for rest in _internal_paths(g, edge.rng, n - 1):

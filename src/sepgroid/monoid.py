@@ -23,8 +23,12 @@ replays them on the cylinders' E-paths, matched by type vertex
 (`epath_end`); elements are built only for the certificate, whose check
 reads each side through `disjoint_union`.  `mon_leq` runs y's
 expansion-only closure until a state lies above an expansion of x
-(`_below`), and answers No when the closure, exhausted with nothing
-pruned, holds none.  Every Unknown names the limit it hit.
+(`_below`, which expands all of a vertex's excess copies in one step),
+and answers No when the closure, exhausted with nothing pruned, holds
+none.  Every Unknown names the limit it hit.
+
+The monoid's operation is `mon_add`, and the type map, from compact open
+sets to M(E,C), is `typ_of`.
 
 Precondition: the graph is adaptable (graph.validate_adaptable); nothing
 here checks it.
@@ -41,7 +45,7 @@ from operator import add, ge, sub
 
 from .graph import FreePrime, SeparatedGraph
 from .lattice import CompactOpen, EPath, co_eq, disjoint_union, epath_children, epath_end
-from .lattice import LatticeError, epath_of, trusted_idem, trusted_isometry
+from .lattice import trusted_idem, trusted_isometry
 from .semigroup import Element, is_zero, mul, star
 
 
@@ -77,24 +81,6 @@ def mon_add(x: MonElem, y: MonElem) -> MonElem:
     for v, n in y.counts:
         d[v] = d.get(v, 0) + n
     return mon_of(d)
-
-
-def mon_geq(x: MonElem, y: MonElem) -> bool:
-    d = dict(x.counts)
-    return all(d.get(v, 0) >= n for v, n in y.counts)
-
-
-def mon_sub(x: MonElem, y: MonElem) -> MonElem:
-    if not mon_geq(x, y):
-        raise MonoidError("difference is not defined")
-    d = dict(x.counts)
-    for v, n in y.counts:
-        d[v] = d.get(v, 0) - n
-    return mon_of(d)
-
-
-def mon_weight(x: MonElem) -> int:
-    return sum(n for _, n in x.counts)
 
 
 def parse_monelem(g: SeparatedGraph, text: str) -> MonElem:
@@ -525,16 +511,19 @@ def mon_eq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()
 def _below(lower: dict, u, b):
     """An expansion of u that lies below b, or None when there is none;
     `lower` maps each vertex index that its relations lower to the change
-    of that relation.  While some vertex v has u_v > b_v, one copy of v is
-    expanded; None once v is not in `lower` or sum(u) >= sum(b).
+    of that relation.  While some vertex v has u_v > b_v, its u_v - b_v
+    excess copies are expanded in one step; None once v is not in `lower`
+    or sum(u) >= sum(b).  A step costs one pass over the vertices, however
+    many copies it expands.
 
-    Proof: (1) any expansion of u below b must expand a copy of such a v;
-    that move can be made first, because the moves before it never consume
-    v.  (2) Only a free prime has several relations, and each of them keeps
-    its copy, as does the one relation of a regular vertex with a loop:
-    such a v never falls.  Any other v has one relation, so the move is
-    forced.  (3) Every expansion adds at least 1 to the weight, and
-    anything below b weighs at most sum(b)."""
+    Proof: (1) any expansion of u below b must expand u_v - b_v copies of
+    such a v, as only v's relations lower v; those moves can be made first,
+    because the moves before them never consume v.  (2) Only a free prime
+    has several relations, and each of them keeps its copy, as does the one
+    relation of a regular vertex with a loop: such a v never falls.  Any
+    other v has one relation, so the moves are forced.  (3) Every expansion
+    adds at least 1 to the weight, and anything below b weighs at most
+    sum(b)."""
     u = list(u)
     while True:
         v = next((i for i, (m, n) in enumerate(zip(u, b)) if m > n), None)
@@ -542,8 +531,9 @@ def _below(lower: dict, u, b):
             return tuple(u)
         if v not in lower or sum(u) >= sum(b):
             return None
+        k = u[v] - b[v]
         for i, n in lower[v]:
-            u[i] += n
+            u[i] += k * n
 
 
 def mon_leq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget()):
@@ -605,33 +595,10 @@ def refinement_witness(
 # -- the type map --------------------------------------------------------
 
 
-def vertex_of_idempotent(g: SeparatedGraph, e: Element) -> str:
-    """The vertex representing the cylinder Z(e) in M(E,C)."""
-    return epath_end(g, _idem_epath(g, e))
-
-
-def _idem_epath(g: SeparatedGraph, e: Element) -> EPath:
-    try:
-        return epath_of(g, e)
-    except LatticeError:
-        raise MonoidError("not a nonzero idempotent") from None
-
-
 def typ_of(g: SeparatedGraph, a: CompactOpen) -> MonElem:
+    """The type of A in M(E,C): one copy of each cylinder's type vertex,
+    where its E-path ends (`epath_end`)."""
     return mon_of(Counter(epath_end(g, mu) for mu in a.cyls))
-
-
-def connect_idempotents(g: SeparatedGraph, e1: Element, e2: Element) -> Element:
-    """s with s s* = e1 and s* s = e2; the idempotents must have the same
-    type vertex."""
-    mu1, mu2 = _idem_epath(g, e1), _idem_epath(g, e2)
-    v1, v2 = epath_end(g, mu1), epath_end(g, mu2)
-    if v1 != v2:
-        raise MonoidError(f"type vertices differ: {v1} vs {v2}")
-    s = trusted_isometry(g, mu1, mu2)
-    if mul(g, s, star(g, s)) != e1 or mul(g, star(g, s), s) != e2:
-        raise MonoidError("connector construction failed")
-    return s
 
 
 # -- equidecomposition ---------------------------------------------------

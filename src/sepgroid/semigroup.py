@@ -21,16 +21,19 @@ from where the prefix ends, and validate_epath both, the one check of an
 E-path.  step_in_tail is the one step rule, which translate, the
 cylinder meet and the filter test share.
 
-A descending c-path word is its own normal form, so parse_word reads a
-word's opening c-path gamma and closing eta* as steps, checks each once
-with validate_cpath and builds gamma . 1 . r(gamma) and its star directly;
-generator_element and mul fold only the tokens between them.  When a run
-is not a c-path the whole word is folded, so the value and every error,
-in its order, are the token-by-token fold's.
+element_to_word writes an element's four canonical fields in turn:
+gamma's tokens, the t-part, the body (the two tails) and eta's tokens
+reversed and starred.  A descending c-path word is its own normal form,
+so parse_word reads a word's opening c-path gamma and closing eta* as
+steps, checks each once with validate_cpath and builds gamma . 1 .
+r(gamma) and its star directly; generator_element and mul fold only the
+tokens between them, in element_to_word's output the t-part and the body.
+When a run is not a c-path the whole word is folded, so the value and
+every error, in its order, are the token-by-token fold's.
 
 Values are frozen and slotted (no per-instance __dict__), so elements can be
 shared and hashed.  The steps of a c-path are named tuples, so comparing two
-c-paths is a tuple comparison done in C.
+c-paths is a tuple comparison done in C; the trivial c-path at v is CPath(v).
 
 Precondition: the graph is adaptable (graph.validate_adaptable); nothing
 here checks it.
@@ -80,21 +83,11 @@ class CPath:
     steps: tuple[Step, ...] = ()
 
 
-def trivial_cpath(v: str) -> CPath:
-    return CPath(v, ())
-
-
 def step_range(g: SeparatedGraph, s: Step) -> str:
     """The range of a valid step (see validate_cpath)."""
     if isinstance(s, FreeStep):
         return g.prime_by_name[s.p].targets[s.i - 1][s.t - 1]
     return g.edge_rng[s.connector]
-
-
-def step_edge_len(s: Step) -> int:
-    if isinstance(s, FreeStep):
-        return s.m + 1
-    return len(s.path) + 1
 
 
 def cpath_range(g: SeparatedGraph, c: CPath) -> str:
@@ -104,7 +97,9 @@ def cpath_range(g: SeparatedGraph, c: CPath) -> str:
 
 
 def cpath_edge_len(c: CPath) -> int:
-    return sum(step_edge_len(s) for s in c.steps)
+    """The edges of a c-path: each step's loops or internal path, and its
+    connector."""
+    return sum(s.m + 1 if isinstance(s, FreeStep) else len(s.path) + 1 for s in c.steps)
 
 
 def cpath_is_prefix(pre: CPath, full: CPath) -> bool:
@@ -362,17 +357,17 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
         v = body
         if v not in g.vertex_prime:
             raise WordError(f"unknown vertex {v!r}")
-        return Triple(trivial_cpath(v), t_monomial(g, {}, g.vertex_prime[v]), trivial_cpath(v))
+        return Triple(CPath(v), t_monomial(g, {}, g.vertex_prime[v]), CPath(v))
     if kind == "e":
         name, starred = _split_star(body)
         e = g.edge(name)
         p = g.vertex_prime[e.src]
         if isinstance(e, InternalEdge):
             m = Monomial(p, (), (name,), ())
-            el = Triple(trivial_cpath(e.src), m, trivial_cpath(e.rng))
+            el = Triple(CPath(e.src), m, CPath(e.rng))
         else:
             cp = CPath(e.src, (RegularStep(p, (), name),))
-            el = Triple(cp, t_monomial(g, {}, g.vertex_prime[e.rng]), trivial_cpath(e.rng))
+            el = Triple(cp, t_monomial(g, {}, g.vertex_prime[e.rng]), CPath(e.rng))
         return star(g, el) if starred else el
     if kind == "a":
         spec, starred = _split_star(body)
@@ -382,14 +377,14 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
             raise WordError(f"loop index {j} out of range at {p!r}")
         k = tuple(1 if x == j else 0 for x in range(1, kp + 1))
         m = Monomial(p, (), k, (0,) * kp)
-        el = Triple(trivial_cpath(p), m, trivial_cpath(p))
+        el = Triple(CPath(p), m, CPath(p))
         return star(g, el) if starred else el
     if kind == "b":
         spec, starred = _split_star(body)
         p, i, t = _read_spec(spec, 2, f"bad connector token {token!r}")
         u = g.beta_target(p, i, t)
         cp = CPath(p, (FreeStep(p, i, 0, t),))
-        el = Triple(cp, t_monomial(g, {}, g.vertex_prime[u]), trivial_cpath(u))
+        el = Triple(cp, t_monomial(g, {}, g.vertex_prime[u]), CPath(u))
         return star(g, el) if starred else el
     if kind == "t":
         exp = 1
@@ -399,7 +394,7 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
         if v not in g.vertex_prime or i < 1:
             raise WordError(f"bad t token {token!r}")
         m = t_monomial(g, {i: exp}, g.vertex_prime[v])
-        return Triple(trivial_cpath(v), m, trivial_cpath(v))
+        return Triple(CPath(v), m, CPath(v))
     raise WordError(f"bad token {token!r}")
 
 
@@ -470,13 +465,13 @@ def parse_word(g: SeparatedGraph, text: str) -> Element:
     out = None
     if gamma is not None:
         v = cpath_range(g, gamma)
-        out = Triple(gamma, t_monomial(g, {}, g.vertex_prime[v]), trivial_cpath(v))
+        out = Triple(gamma, t_monomial(g, {}, g.vertex_prime[v]), CPath(v))
     for tok in tokens[i:j]:
         el = generator_element(g, tok)
         out = el if out is None else mul(g, out, el)
     if eta is not None:
         v = cpath_range(g, eta)
-        el = Triple(trivial_cpath(v), t_monomial(g, {}, g.vertex_prime[v]), eta)
+        el = Triple(CPath(v), t_monomial(g, {}, g.vertex_prime[v]), eta)
         out = el if out is None else mul(g, out, el)
     return out
 
@@ -519,25 +514,15 @@ def _body_tokens(g: SeparatedGraph, m: Monomial) -> list[str]:
     return toks
 
 
-def _field_tokens(g: SeparatedGraph, e: Triple) -> tuple[list[str], ...]:
-    """The token lists of the four canonical fields of a nonzero element."""
-    tp = _tpart_tokens(e.m, cpath_range(g, e.gamma))
-    eta = [t + "*" for t in reversed(cpath_tokens(e.eta))]
-    return cpath_tokens(e.gamma), tp, _body_tokens(g, e.m), eta
-
-
-def element_fields(g: SeparatedGraph, e: Element) -> tuple[str, str, str, str]:
-    """The four canonical fields (gamma, t-part, body, eta-star) as words."""
-    if is_zero(e):
-        raise WordError("Zero has no fields")
-    return tuple(" ".join(f) for f in _field_tokens(g, e))
-
-
 def element_to_word(g: SeparatedGraph, e: Element) -> str:
-    """Flat word form; parse_word of the result reproduces e."""
+    """Flat word form, the canonical fields gamma, t-part, body and
+    eta-star in turn; parse_word of the result reproduces e."""
     if is_zero(e):
         return "0"
-    toks = [t for f in _field_tokens(g, e) for t in f]
+    toks = cpath_tokens(e.gamma)
+    toks += _tpart_tokens(e.m, cpath_range(g, e.gamma))
+    toks += _body_tokens(g, e.m)
+    toks += [t + "*" for t in reversed(cpath_tokens(e.eta))]
     if not toks:
         return f"v:{e.gamma.start}"
     return " ".join(toks)

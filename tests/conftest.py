@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from sepgroid import lattice as lt, load_fixture, semigroup as sg
+from sepgroid.filters import PerTail
 from sepgroid.graph import FreePrime
 
 
@@ -91,6 +92,28 @@ def _random_cover(g, rng, base, rounds):
         ch = rng.randint(1, g.k(mu.p)) if g.is_free(mu.p) else None
         pieces[pos : pos + 1] = lt.simple_expand(g, pieces[pos], ch)
     return pieces
+
+
+def is_initial_segment(g, nu, mu):
+    """Whether the E-path nu is an initial segment of the semifinite path
+    mu, from the definition: nu's prefix is a prefix of mu's.  Then, when
+    mu's prefix is longer, mu's next step lies in the cylinder of nu's tail:
+    a free step loops at least as often as the tail counts for its loop, and
+    a regular step's internal path starts with the tail.  Otherwise nu's
+    tail is below mu's: count by count at a free prime, and a prefix of the
+    unrolled path at a regular one."""
+    n = len(nu.gamma.steps)
+    if nu.gamma.start != mu.gamma.start or mu.gamma.steps[:n] != nu.gamma.steps:
+        return False
+    if n < len(mu.gamma.steps):
+        step = mu.gamma.steps[n]
+        if isinstance(step, sg.FreeStep):
+            return nu.tail[step.i - 1] <= step.m
+        return step.path[: len(nu.tail)] == nu.tail
+    if g.is_free(mu.p):
+        return all(a <= b for a, b in zip(nu.tail, mu.tail))
+    tail = mu.tail.unrolled(len(nu.tail)) if isinstance(mu.tail, PerTail) else mu.tail
+    return tail[: len(nu.tail)] == nu.tail
 
 
 def random_word(rng, toks, max_len):

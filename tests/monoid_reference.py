@@ -9,7 +9,11 @@ closures.
 Two later forms of `sepgroid.monoid` code are kept beside them:
 `equidecompose_to_cap` runs both expansion-only closures to the state cap
 before it picks the lightest common type, and `verify_certificate_by_co_of`
-builds each union with `co_of`.  Only the tests import this module.
+builds each union with `co_of`, and `below_one_copy` is `_below` as it was
+when it expanded one copy per turn.  So are the helpers that only these
+references and the tests use: `mon_geq`, `mon_sub` and `mon_weight` on
+monoid elements, and `connect_idempotents`, which builds an element between
+two idempotents of one type vertex.  Only the tests import this module.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from collections import deque
 
 from sepgroid import monoid as mn
 from sepgroid.lattice import CompactOpen, co_is_empty, co_of, co_subtract, disjoint_union
-from sepgroid.lattice import simple_expand, trusted_idem
+from sepgroid.lattice import epath_end, epath_of, simple_expand, trusted_idem, trusted_isometry
 from sepgroid.monoid import (
     Budget,
     EquidecompCertificate,
@@ -30,19 +34,50 @@ from sepgroid.monoid import (
     Unknown,
     Yes,
     ZERO_ELEM,
-    connect_idempotents,
     mon_add,
-    mon_geq,
-    mon_sub,
     mon_unit,
-    mon_weight,
     presentation,
     typ_of,
     verify_certificate,
-    vertex_of_idempotent,
 )
 from sepgroid.graph import SeparatedGraph
 from sepgroid.semigroup import Element, mul, star
+
+
+def mon_geq(x: MonElem, y: MonElem) -> bool:
+    d = dict(x.counts)
+    return all(d.get(v, 0) >= n for v, n in y.counts)
+
+
+def mon_sub(x: MonElem, y: MonElem) -> MonElem:
+    if not mon_geq(x, y):
+        raise MonoidError("difference is not defined")
+    d = dict(x.counts)
+    for v, n in y.counts:
+        d[v] = d.get(v, 0) - n
+    return mn.mon_of(d)
+
+
+def mon_weight(x: MonElem) -> int:
+    return sum(n for _, n in x.counts)
+
+
+def _type_vertex(g: SeparatedGraph, e: Element) -> str:
+    """The vertex representing the cylinder Z(e) in M(E,C)."""
+    return epath_end(g, epath_of(g, e))
+
+
+def connect_idempotents(g: SeparatedGraph, e1: Element, e2: Element) -> Element:
+    """s with s s* = e1 and s* s = e2; the idempotents must have the same
+    type vertex."""
+    mu1, mu2 = epath_of(g, e1), epath_of(g, e2)
+    v1, v2 = epath_end(g, mu1), epath_end(g, mu2)
+    if v1 != v2:
+        raise MonoidError(f"type vertices differ: {v1} vs {v2}")
+    s = trusted_isometry(g, mu1, mu2)
+    if mul(g, s, star(g, s)) != e1 or mul(g, star(g, s), s) != e2:
+        raise MonoidError("connector construction failed")
+    return s
 
 
 def _neighbors(pres: Presentation, u: MonElem, max_weight: int):
@@ -153,7 +188,7 @@ def mon_leq(pres: Presentation, x: MonElem, y: MonElem, budget: Budget = Budget(
 def _expand_for_relation(g: SeparatedGraph, pieces, rel: Relation):
     """Apply one relation to a cylinder list; None if no piece matches."""
     for i, e in enumerate(pieces):
-        if vertex_of_idempotent(g, e) == rel.vertex:
+        if _type_vertex(g, e) == rel.vertex:
             children = simple_expand(g, e, rel.index)
             return pieces[:i] + tuple(children) + pieces[i + 1 :]
     return None
@@ -185,7 +220,7 @@ def _refinement_reach(g: SeparatedGraph, pres, pieces0, budget: Budget):
 def _typ_pieces(g: SeparatedGraph, pieces) -> MonElem:
     out = ZERO_ELEM
     for e in pieces:
-        out = mon_add(out, mon_unit(vertex_of_idempotent(g, e)))
+        out = mon_add(out, mon_unit(_type_vertex(g, e)))
     return out
 
 
@@ -207,10 +242,10 @@ def equidecompose(
     fin_a, fin_b = list(reach_a[t]), list(reach_b[t])
     by_vertex: dict[str, list[Element]] = {}
     for e in fin_b:
-        by_vertex.setdefault(vertex_of_idempotent(g, e), []).append(e)
+        by_vertex.setdefault(_type_vertex(g, e), []).append(e)
     elements, sources, ranges = [], [], []
     for ea in fin_a:
-        eb = by_vertex[vertex_of_idempotent(g, ea)].pop()
+        eb = by_vertex[_type_vertex(g, ea)].pop()
         s = connect_idempotents(g, eb, ea)
         elements.append(s)
         sources.append(ea)
@@ -219,6 +254,21 @@ def equidecompose(
     if not verify_certificate(g, cert, a, b):
         raise MonoidError("constructed certificate failed verification")
     return cert
+
+
+def below_one_copy(lower: dict, u, b):
+    """`sepgroid.monoid._below` as it was before it expanded a vertex's
+    excess copies in one step: one copy per turn, so its time grows with
+    sum(b)."""
+    u = list(u)
+    while True:
+        v = next((i for i, (m, n) in enumerate(zip(u, b)) if m > n), None)
+        if v is None:
+            return tuple(u)
+        if v not in lower or sum(u) >= sum(b):
+            return None
+        for i, n in lower[v]:
+            u[i] += n
 
 
 def _expansion_closure(pres: Presentation, x, budget: Budget) -> mn._Search:
@@ -251,10 +301,10 @@ def equidecompose_to_cap(
     )
     by_vertex: dict[str, list[Element]] = {}
     for e in fin_b:
-        by_vertex.setdefault(vertex_of_idempotent(g, e), []).append(e)
+        by_vertex.setdefault(_type_vertex(g, e), []).append(e)
     elements, sources, ranges = [], [], []
     for ea in fin_a:
-        eb = by_vertex[vertex_of_idempotent(g, ea)].pop()
+        eb = by_vertex[_type_vertex(g, ea)].pop()
         s = connect_idempotents(g, eb, ea)
         elements.append(s)
         sources.append(ea)

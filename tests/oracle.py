@@ -7,7 +7,7 @@ migrate to the boundary between plain and starred tokens (picking up
 index shifts when they cross connectors), and loop blocks are sorted.
 Used as a cross-check oracle for parse_word / mul."""
 
-from sepgroid.graph import InternalEdge, SeparatedGraph
+from sepgroid.graph import SeparatedGraph
 from sepgroid.semigroup import WordError
 
 ZERO = "ZERO"

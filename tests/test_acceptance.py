@@ -16,7 +16,8 @@ from sepgroid.filters import INF, PerTail
 from sepgroid.lattice import Bounds
 from sepgroid.monoid import Budget, No, Unknown, Yes
 
-from conftest import _expandable, _random_cover, _top_idem, alphabet, random_word
+from conftest import _expandable, _random_cover, _top_idem, alphabet, is_initial_segment, random_word
+from monoid_reference import mon_weight
 from oracle import ZERO, oracle_nf
 
 SIX_TOKEN_ALPHABETS = {
@@ -179,7 +180,7 @@ def test_criterion_05_cylinder_algebra_vs_points(graphs):
             return frozenset(
                 i
                 for i, x in enumerate(paths)
-                if any(fl.is_initial_segment(g, mu, x) for mu in a.cyls)
+                if any(is_initial_segment(g, mu, x) for mu in a.cyls)
             )
 
         for _ in range(500):
@@ -391,7 +392,7 @@ def _equal_sum_quadruples(pres, verts, max_weight, budget):
     by_sum = {}
     for i, a in enumerate(elems):
         for b in elems[i:]:
-            if mn.mon_weight(mn.mon_add(a, b)) <= max_weight:
+            if mon_weight(mn.mon_add(a, b)) <= max_weight:
                 by_sum.setdefault(mn.mon_add(a, b), []).append((a, b))
     sums = list(by_sum)
     for i, k in enumerate(sums):
@@ -419,7 +420,7 @@ def _check_witness(pres, quad, budget):
         (mn.mon_add(ww, yy), c),
         (mn.mon_add(xx, zz), d),
     ):
-        cap = max(budget.max_weight, mn.mon_weight(lhs), mn.mon_weight(rhs))
+        cap = max(budget.max_weight, mon_weight(lhs), mon_weight(rhs))
         assert isinstance(mn.mon_eq(pres, lhs, rhs, Budget(budget.max_states, cap)), Yes), quad
 
 

@@ -13,6 +13,8 @@ from sepgroid.graph import GraphError, parse_graph
 from sepgroid.lattice import Bounds, EPath
 from sepgroid.semigroup import CPath, FreeStep
 
+from conftest import is_initial_segment
+
 
 def w(g, text):
     return sg.parse_word(g, text)
@@ -162,7 +164,7 @@ def test_filter_contains_matches_initial_segment(graphs, gen_module):
         deep = {}
         for mu, e in _membership_pairs(g, path_bounds, idem_bounds, same_start):
             got = fl.filter_contains(g, mu, e)
-            assert got == fl.is_initial_segment(g, lt.epath_of(g, e), mu), (name, mu, e)
+            assert got == is_initial_segment(g, lt.epath_of(g, e), mu), (name, mu, e)
             if mu not in deep:
                 deep[mu] = _deep_idem(g, mu, 1 + max(idem_bounds.max_exp, idem_bounds.max_len))
             assert got == lt.nat_leq(g, deep[mu], e), (name, mu, e)
@@ -354,7 +356,7 @@ def test_extend_to_infinite(graphs):
                 nu = fl.extend_to_infinite(g, mu)
                 fl.validate_path(g, nu)
                 assert fl.is_ultrafilter(g, nu)
-                assert fl.is_initial_segment(g, lt.EPath(mu.gamma, mu.p, mu.tail), nu)
+                assert is_initial_segment(g, mu, nu)
 
 
 # -- canonical periodic form ---------------------------------------------

@@ -288,7 +288,6 @@ def test_compiled_tables_and_unknown_names():
     assert g.is_free("z") and not g.is_free("r") and g.k("z") == 0
     for bad in (lambda: g.is_free("x"), lambda: g.k("x"), lambda: g.k("r"),
                 lambda: g.internal_walk("u", ("e1", "x")), lambda: g.downset("x"),
-                lambda: list(lt.enumerate_cpaths(g, "x", lt.Bounds())),
-                lambda: list(lt.internal_paths(g, "x", 1))):
+                lambda: list(lt.enumerate_cpaths(g, "x", lt.Bounds()))):
         with pytest.raises(GraphError):
             bad()

@@ -218,17 +218,6 @@ def test_unit_in_idempotent_bisection_iff_member(graphs, rng):
                 )
 
 
-def test_bisection_endpoints(g3):
-    s = w(g3, "a:p.1")
-    src, rng_ = gp.bisection_endpoints(g3, s)
-    assert [sg.element_to_word(g3, lt.idem_of(g3, mu)) for mu in src.cyls] == [
-        "v:p"
-    ]
-    assert [sg.element_to_word(g3, lt.idem_of(g3, mu)) for mu in rng_.cyls] == [
-        "a:p.1 a:p.1*"
-    ]
-
-
 def test_bisection_family(g2):
     assert gp.is_bisection_family(
         g2, [w(g2, "e:f1 e:f2*"), w(g2, "e:f2 e:f1*")]

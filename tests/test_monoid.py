@@ -21,6 +21,7 @@ from sepgroid.monoid import (
 )
 
 from conftest import _top_idem, alphabet, random_word
+from monoid_reference import mon_geq, mon_sub
 
 
 def w(g, text):
@@ -48,9 +49,9 @@ def test_mon_arithmetic():
     a = mon_of({"p": 2})
     b = mon_of({"p": 1, "q1": 1})
     assert mon_add(a, b) == mon_of({"p": 3, "q1": 1})
-    assert mn.mon_geq(a, mon_unit("p"))
-    assert not mn.mon_geq(a, b)
-    assert mn.mon_sub(mon_add(a, b), b) == a
+    assert mon_geq(a, mon_unit("p"))
+    assert not mon_geq(a, b)
+    assert mon_sub(mon_add(a, b), b) == a
 
 
 # -- presentations -------------------------------------------------------
@@ -152,12 +153,12 @@ def test_mon_eq_path_steps_are_relations(g1, g2):
         for a, b in zip(res.path, res.path[1:]):
             assert any(
                 (
-                    mn.mon_geq(a, mon_unit(r.vertex))
-                    and b == mon_add(mn.mon_sub(a, mon_unit(r.vertex)), r.rhs)
+                    mon_geq(a, mon_unit(r.vertex))
+                    and b == mon_add(mon_sub(a, mon_unit(r.vertex)), r.rhs)
                 )
                 or (
-                    mn.mon_geq(a, r.rhs)
-                    and b == mon_add(mn.mon_sub(a, r.rhs), mon_unit(r.vertex))
+                    mon_geq(a, r.rhs)
+                    and b == mon_add(mon_sub(a, r.rhs), mon_unit(r.vertex))
                 )
                 for r in rels
             )
@@ -192,6 +193,24 @@ def test_mon_leq_proves_no(g1, g2):
     assert mn.mon_leq(pres, three, one, Budget(1, 40)).reason == "state cap"
     assert mn.mon_leq(pres, three, one, Budget(100, 1)).reason == "weight cap"
     assert isinstance(mn.mon_leq(pres, three, one), Yes)
+
+
+# A regular r with two edges each way between u and v, and a connector from
+# u to the sink z: u = 2v + z and v = 2u.
+TWO_WAY = (
+    "graph h\nregular r\nvertex u v\nedge e1: u -> v\nedge e2: u -> v\n"
+    "edge e3: v -> u\nedge e4: v -> u\nconnector c: u -> z\nfree z k=0\n"
+)
+
+
+def test_mon_leq_time_does_not_grow_with_y():
+    # y = N z has no expansion, and every expansion of u keeps a copy of u
+    # or v, so u <= y is false.  _below makes all of a vertex's excess
+    # expansions in one step, so it reaches weight N in about log N steps,
+    # where a step per copy would take about N.
+    pres = mn.presentation(parse_graph(TWO_WAY))
+    assert mn.mon_leq(pres, mon_unit("u"), mon_of({"z": 10**12}), Budget(1, 1)) == No()
+    assert isinstance(mn.mon_leq(pres, mon_unit("u"), mon_of({"u": 1, "z": 10**12})), Yes)
 
 
 def test_unknown_names_the_limit_it_hit(g1, g2):
@@ -326,9 +345,11 @@ def test_refinement_splits_the_trails_and_checks_them(g1, monkeypatch):
 
 
 def test_vertex_of_idempotent(g2, g3):
-    assert mn.vertex_of_idempotent(g3, w(g3, "a:p.1 a:p.1*")) == "p"
-    assert mn.vertex_of_idempotent(g3, w(g3, "b:p.1.1 b:p.1.1*")) == "w"
-    assert mn.vertex_of_idempotent(g2, w(g2, "e:f1 e:f2 e:f2* e:f1*")) == "w"
+    # the type vertex of Z(e) is where e's E-path ends
+    for g, word, v in ((g3, "a:p.1 a:p.1*", "p"), (g3, "b:p.1.1 b:p.1.1*", "w"),
+                       (g2, "e:f1 e:f2 e:f2* e:f1*", "w")):
+        assert lt.epath_end(g, lt.epath_of(g, w(g, word))) == v
+        assert mn.typ_of(g, lt.co_of(g, w(g, word))) == mon_unit(v)
 
 
 def test_typ_of(g3):
@@ -364,19 +385,6 @@ def test_typ_invariant_under_expansion(graphs, rng):
 
 
 # -- equidecomposition ---------------------------------------------------
-
-
-def test_connect_idempotents(g2, g3):
-    e1 = w(g3, "v:p")
-    e2 = w(g3, "a:p.1 a:p.1*")
-    s = mn.connect_idempotents(g3, e1, e2)
-    assert sg.mul(g3, s, sg.star(g3, s)) == e1
-    assert sg.mul(g3, sg.star(g3, s), s) == e2
-    f1 = w(g2, "e:f1 e:f1*")
-    f2 = w(g2, "e:f2 e:f2*")
-    t = mn.connect_idempotents(g2, f1, f2)
-    assert sg.mul(g2, t, sg.star(g2, t)) == f1
-    assert sg.mul(g2, sg.star(g2, t), t) == f2
 
 
 def test_equidecompose_spec_example(g3):
@@ -429,7 +437,7 @@ def test_exhausted_closures_prove_types_unequal(gen_module, shape):
     pres, budget = mn.presentation(g), Budget(300, 10)
     at_z = [
         e for e in lt.enumerate_idempotents(g, lt.Bounds(1, 0, 0))
-        if mn.vertex_of_idempotent(g, e) == "z" and e != w(g, "v:z")
+        if lt.epath_end(g, lt.epath_of(g, e)) == "z" and e != w(g, "v:z")
     ]
     a, b = co(g, "v:z"), lt.co_of(g, *at_z[:2])
     assert len(b.cyls) == 2 and mn.typ_of(g, b) == mon_of({"z": 2})

@@ -42,11 +42,11 @@ def _random_elem(rng, verts, max_weight):
 def _expanded(rng, pres, x, steps):
     """x after up to `steps` random relations applied left to right."""
     for _ in range(steps):
-        rels = [r for r in pres.relations if mn.mon_geq(x, mn.mon_unit(r.vertex))]
+        rels = [r for r in pres.relations if ref.mon_geq(x, mn.mon_unit(r.vertex))]
         if not rels:
             break
         r = rng.choice(rels)
-        x = mon_add(mn.mon_sub(x, mn.mon_unit(r.vertex)), r.rhs)
+        x = mon_add(ref.mon_sub(x, mn.mon_unit(r.vertex)), r.rhs)
     return x
 
 
@@ -84,7 +84,7 @@ def _proves_equal(pres, x, y, budget):
     """Whether x = y is shown without the search under test: by a Yes of the
     reference search under a weight cap that covers both sides, or by equal
     normal forms of the graph's completed system."""
-    cap = max(mn.mon_weight(x), mn.mon_weight(y))
+    cap = max(ref.mon_weight(x), ref.mon_weight(y))
     if isinstance(ref.mon_eq(pres, x, y, Budget(2000, cap)), Yes):
         return True
     system = _system(pres, budget)
@@ -107,7 +107,7 @@ def _closures_prove_unequal(pres, x, y, budget):
     a, b = _expansion_closures(pres, x, y, budget)
     return (
         not (a.queue or b.queue or (a.pruned and b.pruned))
-        and max(mn.mon_weight(x), mn.mon_weight(y)) <= budget.max_weight
+        and max(ref.mon_weight(x), ref.mon_weight(y)) <= budget.max_weight
         and not set(a.parents) & set(b.parents)
     )
 
@@ -115,7 +115,7 @@ def _closures_prove_unequal(pres, x, y, budget):
 def _relation_step(pres, u, v):
     """Whether v is u with one relation applied, either way round."""
     return any(
-        mn.mon_geq(u, l) and v == mon_add(mn.mon_sub(u, l), r)
+        ref.mon_geq(u, l) and v == mon_add(ref.mon_sub(u, l), r)
         for rel in pres.relations
         for l, r in ((mn.mon_unit(rel.vertex), rel.rhs), (rel.rhs, mn.mon_unit(rel.vertex)))
     )
@@ -217,6 +217,17 @@ def _compact_opens(rng, g, pool):
     yield lt.co_of(g, rng.choice(pool)), lt.co_of(g, rng.choice(pool), rng.choice(pool))
 
 
+def test_connect_idempotents(g2, g3):
+    e1, e2 = sg.parse_word(g3, "v:p"), sg.parse_word(g3, "a:p.1 a:p.1*")
+    s = ref.connect_idempotents(g3, e1, e2)
+    assert sg.mul(g3, s, sg.star(g3, s)) == e1
+    assert sg.mul(g3, sg.star(g3, s), s) == e2
+    f1, f2 = sg.parse_word(g2, "e:f1 e:f1*"), sg.parse_word(g2, "e:f2 e:f2*")
+    t = ref.connect_idempotents(g2, f1, f2)
+    assert sg.mul(g2, t, sg.star(g2, t)) == f1
+    assert sg.mul(g2, sg.star(g2, t), t) == f2
+
+
 @pytest.mark.parametrize("name", GRAPHS)
 def test_one_search_matches_the_reference(graphs, gen_module, name):
     g = _graph(name, graphs, gen_module)
@@ -292,6 +303,7 @@ def test_below_matches_the_expansion_closure(graphs, gen_module, name):
         closure = ref._expansion_closure(pres, mn._vector(pres, y), Budget(200, 9))
         for b in rng.sample(list(closure.parents), min(5, len(closure.parents))):
             got = mn._below(lower, u, b)
+            assert got == ref.below_one_copy(lower, u, b), (x, b)
             reach = ref._expansion_closure(pres, u, Budget(10**6, sum(b)))
             assert not reach.queue, (x, b)
             below = [a for a in reach.parents if all(map(le, a, b))]

@@ -230,7 +230,7 @@ def test_translate_shifts_the_t_part_through_a_regular_step():
 
 
 def _at(v, m, eta=None):
-    return sg.Triple(sg.trivial_cpath(v), m, sg.trivial_cpath(eta or v))
+    return sg.Triple(sg.CPath(v), m, sg.CPath(eta or v))
 
 
 def test_validate_element_rejects_ends_outside_the_prime(gen_module):
@@ -282,13 +282,6 @@ def test_validate_element_takes_int_exponents_only(g3):
     sg.validate_element(g3, _at("p", sg.Monomial("p", ((1, -2),), (0,), (0,))))
 
 
-def test_element_fields_reassemble(g3):
-    e = sg.parse_word(g3, "a:p.1 b:p.1.1 e:f1 e:f2* e:f1* b:p.1.1*")
-    gam, tp, body, eta = sg.element_fields(g3, e)
-    flat = " ".join(x for x in (gam, tp, body, eta) if x)
-    assert sg.parse_word(g3, flat) == e
-
-
 # -- value layout --------------------------------------------------------
 
 # Values are slotted, and c-path steps are named tuples compared as tuples,
@@ -317,7 +310,7 @@ def test_values_have_no_instance_dict(g3, gen_module):
     mixed = _mixed(gen_module)
     e = sg.parse_word(g3, "a:p.1 b:p.1.1 e:f1 e:f1* b:p.1.1* a:p.1*")
     mu = lt.epath_of(g3, e)
-    x = lt.EPath(sg.trivial_cpath("p"), "p", (fl.INF,))
+    x = lt.EPath(sg.CPath("p"), "p", (fl.INF,))
     y = lt.EPath(e.gamma, "r", fl.PerTail((), ("f1",)))
     pres = mn.presentation(g3)
     free_p, reg_r = g3.prime("p"), g3.prime("r")
@@ -363,7 +356,7 @@ def test_steps_built_by_different_routes_are_equal(g3, gen_module):
     alpha = sg.generator_element(g3, "a:p.1")
     enumerated = [c.steps[0] for c in lt.enumerate_cpaths(g3, "p", Bounds(1, 1, 0)) if c.steps]
     children = [
-        [m.gamma.steps[0] for m in lt.epath_children(g3, lt.EPath(sg.trivial_cpath("p"), "p", (n,)), 1)
+        [m.gamma.steps[0] for m in lt.epath_children(g3, lt.EPath(sg.CPath("p"), "p", (n,)), 1)
          if m.gamma.steps]
         for n in (0, 1)
     ]
@@ -380,7 +373,7 @@ def test_steps_built_by_different_routes_are_equal(g3, gen_module):
     enumerated = {s: s for c in lt.enumerate_cpaths(g, v, Bounds(1, 0, 1)) for s in c.steps}
     children = [
         {m.gamma.steps[0]: m.gamma.steps[0]
-         for m in lt.epath_children(g, lt.EPath(sg.trivial_cpath(v), prime, tail), None)
+         for m in lt.epath_children(g, lt.EPath(sg.CPath(v), prime, tail), None)
          if m.gamma.steps}
         for tail in ((), (loop,))
     ]
@@ -424,6 +417,13 @@ def test_validate_takes_tuples_only(g3):
     with pytest.raises(WordError, match="steps"):
         sg.validate_cpath(g3, sg.CPath("p", [FreeStep("p", 1, 0, 1)]))
     sg.validate_cpath(g3, sg.CPath("p", (FreeStep("p", 1, 0, 1),)))
+
+
+def test_validate_cpath_rejects_a_free_step_of_another_prime(g1):
+    # g1: free p (k = 2) over the points q1 and q2.  The step names q1 but
+    # starts at p, where its loop, count and target index are all in range.
+    with pytest.raises(WordError, match="^free step at q1 does not start at p$"):
+        sg.validate_cpath(g1, sg.CPath("p", (FreeStep("q1", 1, 0, 1),)))
 
 
 # -- parse_word against the plain fold ------------------------------------
@@ -495,6 +495,40 @@ def test_parse_word_equals_the_fold(graphs, gen_module):
             except WordError:
                 pass  # not a c-path: parse_word folded every token
     assert 10 * read > total  # the reader, not only the fold, made these values
+
+
+def test_parse_word_folds_only_the_t_part_and_the_body(graphs, gen_module, monkeypatch):
+    # On element_to_word's output, parse_word reads gamma and eta* as steps:
+    # generator_element sees the t-part and body tokens alone, or the one
+    # token of a word with no other (v:x, or 0).  A fallback folds every
+    # token.
+    rng = random.Random(22)
+    gs = list(graphs.values()) + [
+        parse_graph(getattr(gen_module, shape)("pw-0").text())
+        for shape in ("tower_graph", "regular_graph", "mixed_graph")
+    ]
+    cases = [(g, w, _fold(g, w)) for g in gs for w in _reader_words(g, rng)]
+    calls = []
+    real = sg.generator_element
+    monkeypatch.setattr(sg, "generator_element", lambda g, tok: calls.append(tok) or real(g, tok))
+    fallbacks = steps = 0
+    for g, word, e in cases:
+        fields = has_steps = 0
+        if not sg.is_zero(e):
+            m = e.m
+            if g.is_free(m.p):
+                fields = sum(m.left) + sum(m.right)
+            else:
+                fields = len(m.left) + len(m.right)
+            fields += sum(abs(d) for _, d in m.tpart)
+            has_steps = bool(e.gamma.steps or e.eta.steps)
+        calls.clear()
+        assert sg.parse_word(g, word) == e, word
+        fallbacks += has_steps and len(calls) == len(word.split())
+        assert len(calls) == (fields if fields or has_steps else 1), word
+        steps += has_steps
+    assert fallbacks == 0
+    assert 4 * steps > len(cases), (steps, len(cases))  # 147 of 563 words
 
 
 def test_parse_word_edge_cases(g3, gen_module):
