@@ -8,9 +8,9 @@ eventually-periodic infinite path, so that membership stays decidable.  A
 finite semifinite path is the E-path of an idempotent.  Filters of
 idempotents correspond to semifinite paths via initial segments;
 ultrafilters (equivalently tight filters) correspond to the infinite ones.
-A path is checked once, where it enters (validate_path, validate_tail),
-by the E-path rules of semigroup plus what an infinite tail adds; the
-paths the library builds are not checked again.
+A path is checked once, where it enters (validate_tail, after the word
+that spells its prefix), by the E-path rules of semigroup plus what an
+infinite tail adds; the paths the library builds are not checked again.
 
 Precondition: the graph is adaptable (graph.validate_adaptable), as the
 correspondences above assume; nothing here checks it.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .graph import SeparatedGraph
-from .lattice import Bounds, EPath, LatticeError, enumerate_cpaths, epath_of, idem_of
+from .lattice import Bounds, EPath, LatticeError, enumerate_cpaths, epath_end, epath_of, idem_of
 from .lattice import _cyl_meet, _internal_paths, simple_expand
 from .semigroup import (
     CPath,
@@ -31,7 +31,6 @@ from .semigroup import (
     cpath_range,
     is_idempotent,
     step_in_tail,
-    validate_cpath,
     validate_tail_end,
 )
 
@@ -65,22 +64,14 @@ class PerTail:
         return self.prefix + self.cycle * reps
 
 
-def validate_path(g: SeparatedGraph, mu: EPath) -> None:
-    """Check a semifinite path that comes from a caller: its prefix c-path
-    (semigroup.validate_cpath), then validate_tail.  Raises FilterError, or
-    GraphError for a name the graph lacks."""
-    validate_cpath(g, mu.gamma, FilterError)
-    validate_tail(g, mu)
-
-
 def validate_tail(g: SeparatedGraph, mu: EPath) -> None:
-    """The checks of validate_path after the prefix c-path, for a caller
-    whose prefix is already checked (a parsed word's gamma): the E-path
-    tail rules of semigroup.validate_tail_end, which also check that the
-    prefix ends in mu.p, and what a semifinite path adds to them.  A loop
-    count may be INF, and a regular tail may be a PerTail whose prefix and
-    cycle each pass validate_tail_end and whose cycle returns to its start.
-    Raises FilterError, or GraphError for an edge the graph lacks."""
+    """Check a semifinite path from a caller whose prefix is already a
+    checked c-path (a parsed word's gamma): the E-path tail rules of
+    semigroup.validate_tail_end, which also check that the prefix ends in
+    mu.p, and what a semifinite path adds to them.  A loop count may be
+    INF, and a regular tail may be a PerTail whose prefix and cycle each
+    pass validate_tail_end and whose cycle returns to its start.  Raises
+    FilterError, or GraphError for an edge the graph lacks."""
     v, tail = cpath_range(g, mu.gamma), mu.tail
     if mu.p in g.free_k:
         if type(tail) is tuple:  # an INF count passes where 0 does
@@ -171,8 +162,7 @@ def extend_to_infinite(g: SeparatedGraph, mu: EPath) -> EPath:
         raise FilterError("path is already infinite")
     if mu.p in g.free_k:
         return EPath(mu.gamma, mu.p, (INF,) * len(mu.tail))
-    v = g.path_end(cpath_range(g, mu.gamma), mu.tail)
-    return EPath(mu.gamma, mu.p, PerTail(mu.tail, _cycle_at(g, v)))
+    return EPath(mu.gamma, mu.p, PerTail(mu.tail, _cycle_at(g, epath_end(g, mu))))
 
 
 def _cycle_at(g: SeparatedGraph, v: str) -> tuple[str, ...]:

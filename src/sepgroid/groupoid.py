@@ -164,7 +164,11 @@ def germ_of(g: SeparatedGraph, s: Element, x: EPath) -> Germ:
 
 def in_bisection(g: SeparatedGraph, germ: Germ, s: Element) -> bool:
     """Whether the germ lies in Z(s), checked against the structural
-    description of Z(s) (prefix stripping plus t-part transport)."""
+    description of Z(s) (prefix stripping plus t-part transport).  A path's
+    prefix ends in its prime, an element's gamma and eta end in its
+    monomial's prime, a germ's two paths end at one prime, and a descending
+    step goes strictly down.  So when y's prefix is s.eta, x's is s.gamma
+    and both paths end at s's prime."""
     if is_zero(s):
         return False
     x, y = germ.x, germ.y
@@ -173,9 +177,7 @@ def in_bisection(g: SeparatedGraph, germ: Germ, s: Element) -> bool:
     xs = x.gamma.steps[len(s.gamma.steps) :]
     ys = y.gamma.steps[len(s.eta.steps) :]
     m = s.m
-    if not xs and not ys:
-        if x.p != m.p or y.p != m.p:
-            return False
+    if not ys:
         left, right = m.left, m.right
         if m.p not in g.free_k:
             x0 = _strip_tail(y.tail, right)
@@ -183,15 +185,13 @@ def in_bisection(g: SeparatedGraph, germ: Germ, s: Element) -> bool:
                 return False
         n2 = _n2_of(g, EPath(x.gamma, m.p, left), EPath(y.gamma, m.p, right))
         return germ.weight == GermWeight(m.tpart, n2)
-    if not ys:
-        return False
     tr = translate(g, m, ys)
     if tr is None:
         return False
     eta_tilde, phi = tr
     if xs != eta_tilde:
         return False
-    if x.p != y.p or x.tail != y.tail:
+    if x.tail != y.tail:
         return False
     gpart = top_epath(g, x.gamma, x.p)
     npart = top_epath(g, y.gamma, y.p)

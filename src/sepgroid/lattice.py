@@ -280,14 +280,14 @@ def _cyl_subtract(g: SeparatedGraph, mu: EPath, rho: EPath) -> list[EPath]:
 
 
 def _direction(g: SeparatedGraph, mu: EPath, target: EPath) -> int:
-    """The loop index along which target properly extends mu."""
+    """The loop index along which target extends mu at a free prime.  Both
+    callers pass a target strictly inside Z(mu): either its prefix goes on
+    by a free step at mu.p, or it is mu's and target's loop counts, each at
+    least mu's, exceed mu's at some loop."""
     n = len(mu.gamma.steps)
     if len(target.gamma.steps) > n:
         return target.gamma.steps[n].i
-    for j, (a, b) in enumerate(zip(mu.tail, target.tail), start=1):
-        if b > a:
-            return j
-    raise LatticeError("no expansion direction: target does not extend mu")
+    return next(j for j, (a, b) in enumerate(zip(mu.tail, target.tail), start=1) if b > a)
 
 
 def co_intersect(g: SeparatedGraph, a: CompactOpen, b: CompactOpen) -> CompactOpen:
@@ -395,7 +395,13 @@ def orthogonalize_cover(g: SeparatedGraph, e: Element, sigma) -> list[Element]:
 
 
 def cover_to_expansion(g: SeparatedGraph, e: Element, sigma) -> Script:
-    """Find a script with expand(e, script) == sigma as a set."""
+    """Find a script with expand(e, script) == sigma as a set.  Once
+    _orthogonal_cover has passed, each step is forced: an entry x whose goal
+    is not [x] is cut by disjoint members strictly below Z(x).  At a free
+    prime, x's point with every loop count INF lies in exactly one of them,
+    the one with prefix x.gamma, which names the loop (_direction).  Each
+    member lies in exactly one child of the expansion: it extends x's tail
+    by a first edge or loop, or steps on through a connector or loop count."""
     mu = _epath(e, "e")
     rhos = _orthogonal_cover(g, mu, sigma)
     if rhos is None:
@@ -410,17 +416,11 @@ def cover_to_expansion(g: SeparatedGraph, e: Element, sigma) -> Script:
         x, goal = entries[pos], targets[pos]
         choice = None
         if x.p in g.free_k:
-            same = [s for s in goal if s.gamma == x.gamma]
-            if len(same) != 1:
-                raise LatticeError("expected a unique member over the free prefix")
-            choice = _direction(g, x, same[0])
+            choice = _direction(g, x, next(s for s in goal if s.gamma == x.gamma))
         children = epath_children(g, x, choice)
         parts: list[list[EPath]] = [[] for _ in children]
         for s in goal:
-            owner = next((ci for ci, c in enumerate(children) if _cyl_meet(g, s, c) == s), None)
-            if owner is None:
-                raise LatticeError("cover member crosses expansion children")
-            parts[owner].append(s)
+            parts[next(ci for ci, c in enumerate(children) if _cyl_meet(g, s, c) == s)].append(s)
         script.append((pos, choice))
         entries[pos : pos + 1] = children
         targets[pos : pos + 1] = parts

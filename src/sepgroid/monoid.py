@@ -125,6 +125,9 @@ class Relation:
 
 
 # Not slotted: cached_property stores its values in the instance __dict__.
+# The search tables are built on first use, not by presentation(): every
+# perfbench set-up builds the presentation, and only the equidecompose
+# workload searches it.
 @dataclass(frozen=True)
 class Presentation:
     relations: tuple[Relation, ...]

@@ -6,8 +6,16 @@ import sys
 import pytest
 
 from sepgroid import lattice as lt, load_fixture, semigroup as sg
-from sepgroid.filters import PerTail
+from sepgroid.filters import FilterError, PerTail, validate_tail
 from sepgroid.graph import FreePrime
+
+
+# A regular r with two edges each way between u and v, and a connector from
+# u to the sink z: the CI workflow's graph h.
+TWO_WAY = (
+    "graph h\nregular r\nvertex u v\nedge e1: u -> v\nedge e2: u -> v\n"
+    "edge e3: v -> u\nedge e4: v -> u\nconnector c: u -> z\nfree z k=0\n"
+)
 
 
 @pytest.fixture(scope="session")
@@ -114,6 +122,15 @@ def is_initial_segment(g, nu, mu):
         return all(a <= b for a, b in zip(nu.tail, mu.tail))
     tail = mu.tail.unrolled(len(nu.tail)) if isinstance(mu.tail, PerTail) else mu.tail
     return tail[: len(nu.tail)] == nu.tail
+
+
+def check_path(g, mu):
+    """Check a semifinite path as if it came from a caller, as the command
+    line's path literals are checked: its prefix c-path, then
+    filters.validate_tail.  Raises FilterError, or GraphError for a name
+    the graph lacks."""
+    sg.validate_cpath(g, mu.gamma, FilterError)
+    validate_tail(g, mu)
 
 
 def random_word(rng, toks, max_len):

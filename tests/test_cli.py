@@ -7,6 +7,8 @@ from sepgroid import fixture_path
 from sepgroid.cli import COMMANDS, _co_tokens, main
 from sepgroid.lattice import LatticeError
 
+from conftest import TWO_WAY
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -444,3 +446,27 @@ def test_internal_value_error_exits_70(capsys, monkeypatch):
     code, out, err = run(capsys, "normalize", G3, "v:p")
     assert code == 70 and not out
     assert err == "internal error: ValueError: boom"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("normalize", G3, "t:nope.1"), "bad t token 't:nope.1'"),
+    (("normalize", G3, "t:p.0"), "bad t token 't:p.0'"),
+    (("normalize", G3, "b:p.2.1"), "no loop class 2 at 'p'"),
+    (("monoid-eq", G1, "a:p + b:q1", "a:p"), "bad monoid term 'b:q1'"),
+    (("monoid-eq", G1, "a:p + -1*a:q1", "a:p"), "negative coefficient in {'p': 1, 'q1': -1}"),
+    (("expand", G3, "v:p", "5"), "script position 5 out of range"),
+])
+def test_boundary_checks_name_what_they_reject(capsys, argv, message):
+    assert run(capsys, *argv) == (65, "", f"error: {message}")
+
+
+def test_the_zero_word_is_the_empty_compact_open(capsys):
+    assert run(capsys, "cylinders", G3, "Z(0)") == (1, "(empty)", "")
+
+
+def test_a_periodic_tail_must_return_to_its_start(capsys, tmp_path):
+    graph = tmp_path / "h.sg"
+    graph.write_text(TWO_WAY)
+    code, out, err = run(capsys, "ultrafilter", str(graph), "[v:u] ; reg( ; e1)")
+    assert (code, out, err) == (65, "", "error: cycle does not return to its start")
+    assert run(capsys, "ultrafilter", str(graph), "[v:u] ; reg( ; e1,e3)")[:2] == (0, "ultrafilter")

@@ -13,7 +13,7 @@ from sepgroid.graph import GraphError, parse_graph
 from sepgroid.lattice import Bounds, EPath
 from sepgroid.semigroup import CPath, FreeStep
 
-from conftest import is_initial_segment
+from conftest import TWO_WAY, check_path, is_initial_segment
 
 
 def w(g, text):
@@ -30,13 +30,13 @@ def path(g, word, tail):
 
 
 def test_validate_paths(g1, g2, g3):
-    fl.validate_path(g2, path(g2, "v:w", ("f1", "f2")))
-    fl.validate_path(g2, path(g2, "v:w", PerTail(("f1",), ("f2",))))
-    fl.validate_path(g3, path(g3, "v:p", (2,)))
-    fl.validate_path(g3, path(g3, "v:p", (INF,)))
-    fl.validate_path(g3, path(g3, "b:p.1.1", PerTail((), ("f1",))))
+    check_path(g2, path(g2, "v:w", ("f1", "f2")))
+    check_path(g2, path(g2, "v:w", PerTail(("f1",), ("f2",))))
+    check_path(g3, path(g3, "v:p", (2,)))
+    check_path(g3, path(g3, "v:p", (INF,)))
+    check_path(g3, path(g3, "b:p.1.1", PerTail((), ("f1",))))
     with pytest.raises((FilterError, GraphError)):
-        fl.validate_path(g2, path(g2, "v:w", ("nope",)))
+        check_path(g2, path(g2, "v:w", ("nope",)))
     # g3's p is free with one loop; w of r is regular.  The loop-count check
     # sits here, at the input boundary, and in no constructor.
     for word, tail, msg in (
@@ -53,12 +53,12 @@ def test_validate_paths(g1, g2, g3):
         ("b:p.1.1", ["f1"], "regular prime needs a path tail"),
     ):
         with pytest.raises(FilterError, match=f"^{msg}$"):
-            fl.validate_path(g3, path(g3, word, tail))
+            check_path(g3, path(g3, word, tail))
     # an INF count passes the E-path rules as 0 would; the error names the
     # entry that fails them (g1's p has two loops)
-    fl.validate_path(g1, path(g1, "v:p", (INF, 0)))
+    check_path(g1, path(g1, "v:p", (INF, 0)))
     with pytest.raises(FilterError, match="^bad loop count -1$"):
-        fl.validate_path(g1, path(g1, "v:p", (INF, -1)))
+        check_path(g1, path(g1, "v:p", (INF, -1)))
 
 
 def test_validate_path_checks_the_prefix(g3):
@@ -72,7 +72,7 @@ def test_validate_path_checks_the_prefix(g3):
     ):
         mu = EPath(CPath(start, (step,)), "r", ())
         with pytest.raises(FilterError, match=f"^{msg}$"):
-            fl.validate_path(g3, mu)
+            check_path(g3, mu)
 
 
 def test_validate_path_rejects_a_connector_in_a_regular_tail():
@@ -80,11 +80,11 @@ def test_validate_path_rejects_a_connector_in_a_regular_tail():
         "graph cb\nfree s k=0\nregular r\nvertex w\n"
         "edge f1: w -> w\nedge f2: w -> w\nconnector c: w -> s\n"
     )
-    fl.validate_path(g, path(g, "v:w", PerTail(("f2",), ("f1", "f2"))))
+    check_path(g, path(g, "v:w", PerTail(("f2",), ("f1", "f2"))))
     for tail in (("c",), ("f1", "c"), PerTail(("f1",), ("c",)),
                  PerTail(("c",), ("f1",))):
         with pytest.raises(FilterError, match="^tail edge c does not continue at w$"):
-            fl.validate_path(g, path(g, "v:w", tail))
+            check_path(g, path(g, "v:w", tail))
 
 
 def test_is_ultrafilter(g0, g2, g3):
@@ -252,7 +252,7 @@ def test_reconstruct_inverts_trace(graphs):
                     continue
                 fam = [e for e in idems if fl.filter_contains(g, mu, e)]
                 got = fl.reconstruct_path(g, fam)
-                fl.validate_path(g, got)
+                check_path(g, got)
                 assert got == mu
 
 
@@ -281,7 +281,7 @@ def test_reconstruct_on_generated_graphs(gen_module, shape, rng):
                 continue  # infinite in some direction: no finite trace
             fam = [e for e in pool if fl.filter_contains(g, mu, e)]
             got = fl.reconstruct_path(g, fam)
-            fl.validate_path(g, got)
+            check_path(g, got)
             assert got == mu
     starts = [v for v, pool in by_start.items() if len(pool) > 1]
     rejected = 0
@@ -293,7 +293,7 @@ def test_reconstruct_on_generated_graphs(gen_module, shape, rng):
             rejected += 1
         else:
             got = fl.reconstruct_path(g, [e, f])
-            fl.validate_path(g, got)
+            check_path(g, got)
             assert got == fl.reconstruct_path(g, [sg.mul(g, e, f)])
     assert 0 < rejected < 200
 
@@ -354,12 +354,56 @@ def test_extend_to_infinite(graphs):
                 if fl.is_ultrafilter(g, mu):
                     continue
                 nu = fl.extend_to_infinite(g, mu)
-                fl.validate_path(g, nu)
+                check_path(g, nu)
                 assert fl.is_ultrafilter(g, nu)
                 assert is_initial_segment(g, mu, nu)
 
 
+def _finite_paths_at_a_regular_prime(g, bounds):
+    return [
+        mu
+        for v in sorted(g.vertex_prime)
+        for mu in fl.enumerate_semifinite(g, v, bounds)
+        if not g.is_free(mu.p) and not fl.is_ultrafilter(g, mu)
+    ]
+
+
+def test_separation_witness_at_a_regular_prime():
+    # TWO_WAY: u and v of the regular r, two edges each way, and a connector
+    # from u to the point z.  Y is the simple expansion of X's one member.
+    g = parse_graph(TWO_WAY)
+    infinite = {
+        v: list(fl.enumerate_infinite(g, v, Bounds(1, 2, 4))) for v in g.vertex_prime
+    }
+    for mu in _finite_paths_at_a_regular_prime(g, Bounds(1, 2, 3)):
+        X, Y = fl.separation_witness(g, mu)
+        assert all(fl.filter_contains(g, mu, x) for x in X)
+        holding = 0
+        for nu in infinite[mu.gamma.start]:
+            if all(fl.filter_contains(g, nu, x) for x in X):
+                holding += 1
+                assert any(fl.filter_contains(g, nu, y) for y in Y), (mu, nu)
+        assert holding, mu
+
+
+def test_extend_to_infinite_at_a_regular_prime():
+    # Every cycle of TWO_WAY's r alternates between u and v, so the
+    # shortest cycle the extension appends has two edges.
+    g = parse_graph(TWO_WAY)
+    for mu in _finite_paths_at_a_regular_prime(g, Bounds(1, 2, 3)):
+        nu = fl.extend_to_infinite(g, mu)
+        check_path(g, nu)
+        assert fl.is_ultrafilter(g, nu)
+        assert is_initial_segment(g, mu, nu)
+        assert len(nu.tail.cycle) == 2
+
+
 # -- canonical periodic form ---------------------------------------------
+
+
+def test_periodic_tail_needs_a_cycle():
+    with pytest.raises(FilterError, match="^periodic tail needs a nonempty cycle$"):
+        PerTail(("f1",), ())
 
 
 def test_canonical_periodic():
@@ -379,7 +423,7 @@ def test_periodic_tails_are_canonical_by_construction(g2):
     assert cli.format_path(g2, long_form) == "[v:w] ; reg( ; f2,f1)"
     short_form = cli.parse_path(g2, "[v:w] ; reg( ; f2,f1)")
     germ = gp.germ_of(g2, w(g2, "e:f1"), short_form)
-    fl.validate_path(g2, germ.x)
+    check_path(g2, germ.x)
     hand_made_unit = gp.Germ(long_form, gp.ZERO_WEIGHT, long_form)
     assert gp.compose(g2, germ, hand_made_unit) == germ
 

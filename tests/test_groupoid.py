@@ -1,12 +1,12 @@
 import pytest
 
-from sepgroid import filters as fl, groupoid as gp, lattice as lt, semigroup as sg
+from sepgroid import cli, filters as fl, groupoid as gp, lattice as lt, semigroup as sg
 from sepgroid.filters import INF, PerTail
 from sepgroid.groupoid import GermWeight, GroupoidError
 from sepgroid.graph import parse_graph
 from sepgroid.lattice import Bounds, EPath
 
-from conftest import alphabet, random_word
+from conftest import alphabet, check_path, random_word
 
 
 def w(g, text):
@@ -23,7 +23,7 @@ def germ_of(g, s, x):
     """gp.germ_of, with its range path checked as if it came from a caller:
     no constructor checks a tail the library builds."""
     germ = gp.germ_of(g, s, x)
-    fl.validate_path(g, germ.x)
+    check_path(g, germ.x)
     return germ
 
 
@@ -216,6 +216,44 @@ def test_unit_in_idempotent_bisection_iff_member(graphs, rng):
                 assert gp.in_bisection(g, gp.unit(g, x), e) == fl.filter_contains(
                     g, x, e
                 )
+
+
+def in_bisection_by_definition(g, germ, s):
+    """Z(s) from its definition: no germ for Zero, and otherwise the germs
+    of s at the infinite paths of its source cylinder Z(s*s)."""
+    if sg.is_zero(s):
+        return False
+    ss = sg.mul(g, sg.star(g, s), s)
+    return fl.filter_contains(g, germ.y, ss) and gp.germ_of(g, s, germ.y) == germ
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "inb-0", "inb-1", "inb-2"])
+def test_in_bisection_matches_its_definition(graphs, gen_module, rng, name):
+    # The germs are drawn at random from s's source cylinders and each is
+    # tested against Zero, its own s and random elements.
+    g = graphs.get(name) or parse_graph(gen_module.mixed_graph(name).text())
+    toks = alphabet(g)
+    drawn = random_germs(g, rng, 40)
+    elements = [sg.ZERO] + [s for s, _ in drawn]
+    elements += [w(g, random_word(rng, toks, 4)) for _ in range(60)]
+    seen = set()
+    for _, germ in drawn:
+        for s in elements:
+            got = gp.in_bisection(g, germ, s)
+            assert got == in_bisection_by_definition(g, germ, s), (germ, s)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_in_bisection_needs_equal_tails_below_a_translated_prefix(g3):
+    # v:p translates y's prefix onto x's, but x's tail starts with f1 and
+    # y's does not: the germ of the shift f1 f2* below b:p.1.1 is not a
+    # germ of v:p.
+    y = cli.parse_path(g3, "[b:p.1.1] ; reg( ; f2)")
+    germ = gp.germ_of(g3, w(g3, "b:p.1.1 e:f1 e:f2* b:p.1.1*"), y)
+    assert germ.x.gamma == y.gamma and germ.x.tail != y.tail
+    assert not gp.in_bisection(g3, germ, w(g3, "v:p"))
+    assert not in_bisection_by_definition(g3, germ, w(g3, "v:p"))
 
 
 def test_bisection_family(g2):

@@ -20,7 +20,7 @@ from sepgroid.monoid import (
     format_monelem,
 )
 
-from conftest import _top_idem, alphabet, random_word
+from conftest import TWO_WAY, _top_idem, alphabet, random_word
 from monoid_reference import mon_geq, mon_sub
 
 
@@ -195,19 +195,12 @@ def test_mon_leq_proves_no(g1, g2):
     assert isinstance(mn.mon_leq(pres, three, one), Yes)
 
 
-# A regular r with two edges each way between u and v, and a connector from
-# u to the sink z: u = 2v + z and v = 2u.
-TWO_WAY = (
-    "graph h\nregular r\nvertex u v\nedge e1: u -> v\nedge e2: u -> v\n"
-    "edge e3: v -> u\nedge e4: v -> u\nconnector c: u -> z\nfree z k=0\n"
-)
-
-
 def test_mon_leq_time_does_not_grow_with_y():
-    # y = N z has no expansion, and every expansion of u keeps a copy of u
-    # or v, so u <= y is false.  _below makes all of a vertex's excess
-    # expansions in one step, so it reaches weight N in about log N steps,
-    # where a step per copy would take about N.
+    # In TWO_WAY, u = 2v + z and v = 2u.  y = N z has no expansion, and
+    # every expansion of u keeps a copy of u or v, so u <= y is false.
+    # _below makes all of a vertex's excess expansions in one step, so it
+    # reaches weight N in about log N steps, where a step per copy would
+    # take about N.
     pres = mn.presentation(parse_graph(TWO_WAY))
     assert mn.mon_leq(pres, mon_unit("u"), mon_of({"z": 10**12}), Budget(1, 1)) == No()
     assert isinstance(mn.mon_leq(pres, mon_unit("u"), mon_of({"u": 1, "z": 10**12})), Yes)
