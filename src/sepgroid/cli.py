@@ -242,10 +242,10 @@ def main(argv=None) -> int:
     parser.add_argument("command", help="subcommand")
     parser.add_argument("args", nargs="*", help="subcommand arguments")
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--max-steps", type=int, default=100_000)
-    parser.add_argument("--max-weight", type=int, default=40)
-    parser.add_argument("--max-depth", type=int, default=2)
-    parser.add_argument("--max-exp", type=int, default=6)
+    parser.add_argument("--max-steps", type=int, default=mn.Budget().max_states)
+    parser.add_argument("--max-weight", type=int, default=mn.Budget().max_weight)
+    parser.add_argument("--max-depth", type=int, default=lt.Bounds().max_depth)
+    parser.add_argument("--max-exp", type=int, default=lt.Bounds().max_exp)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

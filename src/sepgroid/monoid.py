@@ -142,14 +142,17 @@ class Presentation:
         return _Completion()
 
     @cached_property
+    def _sides(self) -> tuple:
+        """The two sides of each relation as vectors over `vertices`."""
+        return tuple((_vector(self, mon_unit(rel.vertex)), _vector(self, rel.rhs))
+                     for rel in self.relations)
+
+    @cached_property
     def _moves(self) -> tuple:
         """(vertex index, change, weight change, relation) of each relation
         applied left to right: an expansion needs one copy of one vertex."""
-        out = []
-        for rel in self.relations:
-            l, r = _vector(self, mon_unit(rel.vertex)), _vector(self, rel.rhs)
-            out.append((self._index[rel.vertex], _sparse(map(sub, r, l)), sum(r) - 1, rel))
-        return tuple(out)
+        return tuple((self._index[rel.vertex], _sparse(map(sub, r, l)), sum(r) - 1, rel)
+                     for rel, (l, r) in zip(self.relations, self._sides))
 
 
 def presentation(g: SeparatedGraph) -> Presentation:
@@ -300,8 +303,7 @@ def _complete(pres: Presentation, max_pairs: int):
     rewrites goes back to the equations."""
     rules: dict[int, tuple] = {}  # id -> (l, r); ids fix every order
     steps: list = []
-    todo = deque((_vector(pres, mon_unit(rel.vertex)), _vector(pres, rel.rhs))
-                 for rel in pres.relations)
+    todo = deque(pres._sides)
     pairs: list = []  # heap of (lcm degree, id, id)
     processed = 0
     new_id = 0
@@ -340,9 +342,8 @@ def verify_inequality(pres: Presentation, system: RewritingSystem) -> bool:
     nf = system.normal_form
     if any(_order_key(l) <= _order_key(r) for l, r in system.rules):
         return False
-    for rel in pres.relations:
-        if nf(_vector(pres, mon_unit(rel.vertex))) != nf(_vector(pres, rel.rhs)):
-            return False
+    if any(nf(l) != nf(r) for l, r in pres._sides):
+        return False
     for (l1, r1), (l2, r2) in combinations(system.rules, 2):
         pair = _critical_pair(l1, r1, l2, r2)
         if pair is not None and nf(pair[0]) != nf(pair[1]):

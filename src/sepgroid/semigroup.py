@@ -24,12 +24,10 @@ cylinder meet and the filter test share.
 element_to_word writes an element's four canonical fields in turn:
 gamma's tokens, the t-part, the body (the two tails) and eta's tokens
 reversed and starred.  A descending c-path word is its own normal form,
-so parse_word reads a word's opening c-path gamma and closing eta* as
-steps, checks each once with validate_cpath and builds gamma . 1 .
-r(gamma) and its star directly; generator_element and mul fold only the
-tokens between them, in element_to_word's output the t-part and the body.
-When a run is not a c-path the whole word is folded, so the value and
-every error, in its order, are the token-by-token fold's.
+so parse_word reads the longest c-path gamma that opens a word and the
+longest starred one eta* that closes it as steps, checked once by
+validate_cpath, and folds only the tokens between them: in
+element_to_word's output the t-part and the body.
 
 Values are frozen and slotted (no per-instance __dict__), so elements can be
 shared and hashed.  The steps of a c-path are named tuples, so comparing two
@@ -346,6 +344,14 @@ def _read_spec(spec: str, n: int, error: str) -> tuple:
     raise WordError(error)
 
 
+def _cpath_element(g: SeparatedGraph, c: CPath, starred: bool = False) -> Triple:
+    """gamma . 1 . r(gamma) for a valid c-path gamma, the element of its
+    word, which is its own normal form; its star when starred."""
+    v = cpath_range(g, c)
+    m = t_monomial(g, {}, g.vertex_prime[v])
+    return Triple(CPath(v), m, c) if starred else Triple(c, m, CPath(v))
+
+
 def generator_element(g: SeparatedGraph, token: str) -> Element:
     """The canonical Element of a single generator token."""
     if token == "0":
@@ -354,38 +360,9 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
         raise WordError(f"bad token {token!r}")
     kind, body = token.split(":", 1)
     if kind == "v":
-        v = body
-        if v not in g.vertex_prime:
-            raise WordError(f"unknown vertex {v!r}")
-        return Triple(CPath(v), t_monomial(g, {}, g.vertex_prime[v]), CPath(v))
-    if kind == "e":
-        name, starred = _split_star(body)
-        e = g.edge(name)
-        p = g.vertex_prime[e.src]
-        if isinstance(e, InternalEdge):
-            m = Monomial(p, (), (name,), ())
-            el = Triple(CPath(e.src), m, CPath(e.rng))
-        else:
-            cp = CPath(e.src, (RegularStep(p, (), name),))
-            el = Triple(cp, t_monomial(g, {}, g.vertex_prime[e.rng]), CPath(e.rng))
-        return star(g, el) if starred else el
-    if kind == "a":
-        spec, starred = _split_star(body)
-        p, j = _read_spec(spec, 1, f"bad loop token {token!r}")
-        kp = g.k(p)
-        if not 1 <= j <= kp:
-            raise WordError(f"loop index {j} out of range at {p!r}")
-        k = tuple(1 if x == j else 0 for x in range(1, kp + 1))
-        m = Monomial(p, (), k, (0,) * kp)
-        el = Triple(CPath(p), m, CPath(p))
-        return star(g, el) if starred else el
-    if kind == "b":
-        spec, starred = _split_star(body)
-        p, i, t = _read_spec(spec, 2, f"bad connector token {token!r}")
-        u = g.beta_target(p, i, t)
-        cp = CPath(p, (FreeStep(p, i, 0, t),))
-        el = Triple(cp, t_monomial(g, {}, g.vertex_prime[u]), CPath(u))
-        return star(g, el) if starred else el
+        if body not in g.vertex_prime:
+            raise WordError(f"unknown vertex {body!r}")
+        return _cpath_element(g, CPath(body))
     if kind == "t":
         exp = 1
         if body.endswith("^-1"):
@@ -395,16 +372,37 @@ def generator_element(g: SeparatedGraph, token: str) -> Element:
             raise WordError(f"bad t token {token!r}")
         m = t_monomial(g, {i: exp}, g.vertex_prime[v])
         return Triple(CPath(v), m, CPath(v))
-    raise WordError(f"bad token {token!r}")
+    spec, starred = _split_star(body)
+    if kind == "e":
+        e = g.edge(spec)
+        p = g.vertex_prime[e.src]
+        if isinstance(e, InternalEdge):
+            el = Triple(CPath(e.src), Monomial(p, (), (spec,), ()), CPath(e.rng))
+        else:
+            el = _cpath_element(g, CPath(e.src, (RegularStep(p, (), spec),)))
+    elif kind == "a":
+        p, j = _read_spec(spec, 1, f"bad loop token {token!r}")
+        kp = g.k(p)
+        if not 1 <= j <= kp:
+            raise WordError(f"loop index {j} out of range at {p!r}")
+        k = tuple(1 if x == j else 0 for x in range(1, kp + 1))
+        el = Triple(CPath(p), Monomial(p, (), k, (0,) * kp), CPath(p))
+    elif kind == "b":
+        p, i, t = _read_spec(spec, 2, f"bad connector token {token!r}")
+        g.beta_target(p, i, t)  # raises GraphError on a missing connector
+        el = _cpath_element(g, CPath(p, (FreeStep(p, i, 0, t),)))
+    else:
+        raise WordError(f"bad token {token!r}")
+    return star(g, el) if starred else el
 
 
 def _read_cpath(g: SeparatedGraph, tokens) -> tuple[CPath | None, int]:
-    """Read the whole c-path steps that open tokens, written unstarred as
+    """The longest c-path whose steps open tokens, written unstarred as
     cpath_tokens writes them: (the c-path or None, the tokens it spans).
-    Only syntax and names are looked up here; validate_cpath checks the
-    result, and raises when the steps are not a c-path."""
-    steps = []
-    start, used = None, 0
+    Reading looks up only syntax and names; validate_cpath checks the run
+    once, and a run it rejects is cut back to its longest valid prefix."""
+    steps, ends = [], []  # ends[n]: the tokens that steps[: n + 1] span
+    start = None
     loop, m = None, 0  # the (p, i) and count of the a-tokens read so far
     path = []  # the internal edges read so far
     for n, tok in enumerate(tokens, start=1):
@@ -435,43 +433,44 @@ def _read_cpath(g: SeparatedGraph, tokens) -> tuple[CPath | None, int]:
             src, loop, m = p, None, 0
         else:
             break
-        if not used:
+        if not ends:
             start = src
-        used = n
-    if not steps:
-        return None, 0
-    c = CPath(start, tuple(steps))
-    validate_cpath(g, c)
-    return c, used
+        ends.append(n)
+    n = len(steps)
+    while n:
+        c = CPath(start, tuple(steps[:n]))
+        try:
+            validate_cpath(g, c)
+            return c, ends[n - 1]
+        except WordError:
+            n -= 1
+    return None, 0
 
 
 def parse_word(g: SeparatedGraph, text: str) -> Element:
-    """Parse a whitespace-separated generator word and normalize it.  The
-    opening c-path and the closing starred one are read as steps, and only
-    the tokens between them are folded (see the module docstring)."""
+    """Parse a whitespace-separated generator word and normalize it: the
+    longest opening c-path gamma and closing starred one eta* are read as
+    steps, and only the tokens between them are folded.  The value and the
+    first error are the plain token fold's.  Every token of the two runs is
+    a valid generator token, so the fold's first error is that of the first
+    bad token between them; and a descending c-path word is its own normal
+    form, so the fold of gamma's tokens is gamma . 1 . r(gamma) and that of
+    eta*'s its star, and as mul is associative the fold is their product
+    with the fold of the tokens between."""
     tokens = text.split()
     if not tokens:
         raise WordError("empty word")
-    try:
-        gamma, i = _read_cpath(g, tokens)
-        j = len(tokens)
-        while j > i and tokens[j - 1].endswith("*"):
-            j -= 1
-        eta, n = _read_cpath(g, [t[:-1] for t in reversed(tokens[j:])])
-        j = len(tokens) - n
-    except WordError:  # a run is not a c-path
-        gamma = eta = None
-        i, j = 0, len(tokens)
-    out = None
-    if gamma is not None:
-        v = cpath_range(g, gamma)
-        out = Triple(gamma, t_monomial(g, {}, g.vertex_prime[v]), CPath(v))
-    for tok in tokens[i:j]:
+    gamma, i = _read_cpath(g, tokens)
+    j = len(tokens)
+    while j > i and tokens[j - 1].endswith("*"):
+        j -= 1
+    eta, n = _read_cpath(g, [t[:-1] for t in reversed(tokens[j:])])
+    out = None if gamma is None else _cpath_element(g, gamma)
+    for tok in tokens[i : len(tokens) - n]:
         el = generator_element(g, tok)
         out = el if out is None else mul(g, out, el)
     if eta is not None:
-        v = cpath_range(g, eta)
-        el = Triple(CPath(v), t_monomial(g, {}, g.vertex_prime[v]), eta)
+        el = _cpath_element(g, eta, starred=True)
         out = el if out is None else mul(g, out, el)
     return out
 

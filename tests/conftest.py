@@ -11,7 +11,7 @@ from sepgroid.graph import FreePrime
 
 
 # A regular r with two edges each way between u and v, and a connector from
-# u to the sink z: the CI workflow's graph h.
+# u to the sink z.
 TWO_WAY = (
     "graph h\nregular r\nvertex u v\nedge e1: u -> v\nedge e2: u -> v\n"
     "edge e3: v -> u\nedge e4: v -> u\nconnector c: u -> z\nfree z k=0\n"

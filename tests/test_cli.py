@@ -1,8 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import sepgroid
 from sepgroid import fixture_path
 from sepgroid.cli import COMMANDS, _co_tokens, main
 from sepgroid.lattice import LatticeError
@@ -470,3 +474,73 @@ def test_a_periodic_tail_must_return_to_its_start(capsys, tmp_path):
     code, out, err = run(capsys, "ultrafilter", str(graph), "[v:u] ; reg( ; e1)")
     assert (code, out, err) == (65, "", "error: cycle does not return to its start")
     assert run(capsys, "ultrafilter", str(graph), "[v:u] ; reg( ; e1,e3)")[:2] == (0, "ultrafilter")
+
+
+# A connector cycle between regular a and b, and a free q whose only target
+# is itself.
+LOOP2 = (
+    "graph loop2\nregular a\nvertex u\nedge e1: u -> u\nedge e2: u -> u\n"
+    "connector c1: u -> w\nregular b\nvertex w\nedge f1: w -> w\nedge f2: w -> w\n"
+    "connector c2: w -> u\nfree q k=1\nX 1 -> q\n"
+)
+# A connector 4-cycle of free primes.
+CYCLE4 = (
+    "graph c4\nfree p0 k=1\nX 1 -> p3\nfree p1 k=1\nX 1 -> p0\n"
+    "free p2 k=1\nX 1 -> p1\nfree p3 k=1\nX 1 -> p2\n"
+)
+
+
+@pytest.mark.parametrize("argv,expected", [
+    # every violation, in the order of the conditions
+    (("validate", LOOP2), (1, "connector target strictly lower: q -> q\n"
+                              "(I, <=) antisymmetric: a ~ b\n(I, <=) antisymmetric: b ~ a\n"
+                              "k(p)=0 iff p minimal: q", "")),
+    # an opening c-path, a folded middle and a closing starred c-path
+    (("normalize", G3, "a:p.1 b:p.1.1 e:f1* e:f1 b:p.1.1* a:p.1*"),
+     (0, "a:p.1 b:p.1.1 b:p.1.1* a:p.1*", "")),
+    (("normalize", G3, "a:p.1 b:p.1.1 e:f1* e:f2 b:p.1.1*"), (0, "0", "")),
+    # products across g3's connector from free p to regular w: a regular
+    # body, a free body translated through the connector, and a t-part
+    (("mul", G3, "e:f1* b:p.1.1* a:p.1*", "a:p.1 b:p.1.1 e:f1 e:f2"), (0, "e:f2", "")),
+    (("mul", G3, "a:p.1* a:p.1 a:p.1*", "a:p.1 b:p.1.1 e:f1"), (0, "b:p.1.1 e:f1", "")),
+    (("mul", G3, "e:f1* b:p.1.1*", "b:p.1.1 e:f1 t:w.1"), (0, "t:w.1", "")),
+    # a monomial with a t-part or loops translated through g1's connector,
+    # each way round, leaving its t-part to the kept monomial's
+    (("mul", G1, "t:p.1 a:p.2", "b:p.1.1"), (0, "b:p.1.1 t:q1.1 t:q1.2", "")),
+    (("mul", G1, "b:p.1.1*", "t:p.1 a:p.2"), (0, "t:q1.1 t:q1.2 b:p.1.1*", "")),
+    (("mul", G1, "a:p.1 t:p.2", "b:p.1.1 t:q1.1"), (0, "a:p.1 b:p.1.1 t:q1.1 t:q1.3", "")),
+    # q1 <= p: p's first expansion p + q1 lies above q1, so z = p
+    (("monoid-leq", G1, "a:q1", "a:p"), (0, "Yes\na:p", "")),
+    # p + q1 = p: the refinement witness
+    (("refine", G1, "a:p", "a:q1", "a:p", "0"), (0, "Yes\na:p\n0\na:q1\n0", "")),
+    # one loop count too many at g3's p (k = 1)
+    (("filter-contains", G3, "[v:p] ; free(1,2)", "v:p"),
+     (65, "", "error: free prime needs a loop-count tail")),
+    # a path outside the source cylinder of s has no germ
+    (("germ", G2, "e:f1 e:f2*", "[v:w] ; reg( ; f1)"),
+     (65, "", "error: x is not in the source cylinder of s")),
+])
+def test_command_output(capsys, tmp_path, argv, expected):
+    cmd, graph, *words = argv
+    if "\n" in graph:
+        (tmp_path / "graph.sg").write_text(graph)
+        graph = str(tmp_path / "graph.sg")
+    assert run(capsys, cmd, graph, *words) == expected
+
+
+def test_validate_does_not_depend_on_the_hash_seed(tmp_path):
+    # the twelve antisymmetry pairs of the 4-cycle, in declaration order,
+    # from a fresh interpreter under two hash seeds
+    graph = tmp_path / "c4.sg"
+    graph.write_text(CYCLE4)
+    src = pathlib.Path(sepgroid.__file__).resolve().parents[1]
+    outs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "sepgroid.cli", "validate", str(graph)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 1 and not proc.stderr
+        outs.add(proc.stdout)
+    (out,) = outs
+    assert out.splitlines() == [f"(I, <=) antisymmetric: p{i} ~ p{j}"
+                                for i in range(4) for j in range(4) if i != j]

@@ -188,19 +188,25 @@ def _leq_closures(pres, x, y, budget):
 def _check_mon_leq(pres, x, y, budget, new, old):
     """An answer of mon_leq against the reference's `old`, which reads y's
     class through contractions and never answers No.  mon_leq never
-    contradicts it.  A Yes(z) shows x + z = y by equal normal forms where
-    completion finished, and mon_eq never answers No on it.  A No is proven
+    contradicts it.  A Yes(z) shows x + z = y: by equal normal forms where
+    completion finished, else by a Yes of the reference search in at most
+    2000 states, at the budget's weight cap or the weight of either side if
+    that is more; and mon_eq never answers No on it.  A No is proven
     by y's closure, exhausted with nothing pruned, and a pair scan in which
     no expansion of x lies below a state of it.  A reference Yes becomes
     Unknown only at the state or weight cap."""
     case = (x, y, budget, new, old)
     if isinstance(new, Yes):
         (z,) = new.path
+        xz = mon_add(x, z)
         system = _system(pres, budget)
         if system is not None:
             nf = system.normal_form
-            assert nf(mn._vector(pres, mon_add(x, z))) == nf(mn._vector(pres, y)), case
-        assert not isinstance(mn.mon_eq(pres, mon_add(x, z), y, budget), No), case
+            assert nf(mn._vector(pres, xz)) == nf(mn._vector(pres, y)), case
+        else:
+            cap = max(budget.max_weight, ref.mon_weight(xz), ref.mon_weight(y))
+            assert isinstance(ref.mon_eq(pres, xz, y, Budget(2000, cap)), Yes), case
+        assert not isinstance(mn.mon_eq(pres, xz, y, budget), No), case
     elif isinstance(new, No):
         assert not isinstance(old, Yes), case
         a, b = _leq_closures(pres, x, y, budget)

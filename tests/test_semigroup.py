@@ -455,8 +455,8 @@ def _assert_parses_as_fold(g, text):
     assert got == expect, text
 
 
-def _reader_words(g, rng):
-    """element_to_word of idempotents and of random products."""
+def _reader_elements(g, rng):
+    """Idempotents and random products."""
     idems = list(lt.enumerate_idempotents(g, Bounds(2, 1, 2)))
     elems = rng.sample(idems, min(len(idems), 40))
     toks = alphabet(g)
@@ -467,15 +467,24 @@ def _reader_words(g, rng):
     for _ in range(40):
         a, b = rng.choice(elems), rng.choice(elems)
         elems.append(sg.mul(g, a, sg.star(g, b)))
-    return [sg.element_to_word(g, e) for e in elems]
+    return elems
+
+
+def _reader_words(g, rng):
+    """element_to_word of idempotents and of random products."""
+    return [sg.element_to_word(g, e) for e in _reader_elements(g, rng)]
+
+
+def _generated_graphs(graphs, gen_module):
+    return list(graphs.values()) + [
+        parse_graph(getattr(gen_module, shape)("pw-0").text())
+        for shape in ("tower_graph", "regular_graph", "mixed_graph")
+    ]
 
 
 def test_parse_word_equals_the_fold(graphs, gen_module):
     rng = random.Random(21)
-    gs = list(graphs.values()) + [
-        parse_graph(getattr(gen_module, shape)("pw-0").text())
-        for shape in ("tower_graph", "regular_graph", "mixed_graph")
-    ]
+    gs = _generated_graphs(graphs, gen_module)
     read = total = 0
     for g in gs:
         words = _reader_words(g, rng)
@@ -490,28 +499,22 @@ def test_parse_word_equals_the_fold(graphs, gen_module):
         total += len(texts)
         for text in texts:
             _assert_parses_as_fold(g, text)
-            try:
-                read += sg._read_cpath(g, text.split())[1] > 0
-            except WordError:
-                pass  # not a c-path: parse_word folded every token
+            read += sg._read_cpath(g, text.split())[1] > 0
     assert 10 * read > total  # the reader, not only the fold, made these values
 
 
 def test_parse_word_folds_only_the_t_part_and_the_body(graphs, gen_module, monkeypatch):
     # On element_to_word's output, parse_word reads gamma and eta* as steps:
     # generator_element sees the t-part and body tokens alone, or the one
-    # token of a word with no other (v:x, or 0).  A fallback folds every
-    # token.
+    # token of a word with no other (v:x, or 0), and never every token of a
+    # word with steps.
     rng = random.Random(22)
-    gs = list(graphs.values()) + [
-        parse_graph(getattr(gen_module, shape)("pw-0").text())
-        for shape in ("tower_graph", "regular_graph", "mixed_graph")
-    ]
+    gs = _generated_graphs(graphs, gen_module)
     cases = [(g, w, _fold(g, w)) for g in gs for w in _reader_words(g, rng)]
     calls = []
     real = sg.generator_element
     monkeypatch.setattr(sg, "generator_element", lambda g, tok: calls.append(tok) or real(g, tok))
-    fallbacks = steps = 0
+    all_folded = steps = 0
     for g, word, e in cases:
         fields = has_steps = 0
         if not sg.is_zero(e):
@@ -524,11 +527,58 @@ def test_parse_word_folds_only_the_t_part_and_the_body(graphs, gen_module, monke
             has_steps = bool(e.gamma.steps or e.eta.steps)
         calls.clear()
         assert sg.parse_word(g, word) == e, word
-        fallbacks += has_steps and len(calls) == len(word.split())
+        all_folded += has_steps and len(calls) == len(word.split())
         assert len(calls) == (fields if fields or has_steps else 1), word
         steps += has_steps
-    assert fallbacks == 0
+    assert all_folded == 0
     assert 4 * steps > len(cases), (steps, len(cases))  # 147 of 563 words
+
+
+def test_parse_word_folds_only_what_follows_a_valid_prefix(g3, monkeypatch):
+    # g3's one connector b:p.1.1 leads from p to w, where no step starts.
+    # Each opening run below reads a valid step and then one that does not
+    # continue it, and each closing run the same from the right: the run is
+    # cut back to its valid step, and only the other tokens are folded.
+    cases = [
+        ("b:p.1.1 b:p.1.1 e:f1", "b:p.1.1 e:f1"),
+        ("a:p.1 b:p.1.1 a:p.1 b:p.1.1 e:f1", "a:p.1 b:p.1.1 e:f1"),
+        ("e:f1* b:p.1.1* b:p.1.1*", "e:f1* b:p.1.1*"),
+        ("e:f1 e:f1* b:p.1.1* a:p.1* b:p.1.1* a:p.1*", "e:f1 e:f1* b:p.1.1* a:p.1*"),
+    ]
+    calls = []
+    real = sg.generator_element
+    monkeypatch.setattr(sg, "generator_element", lambda g, tok: calls.append(tok) or real(g, tok))
+    for word, folded in cases:
+        expect = _fold(g3, word)
+        calls.clear()
+        assert sg.parse_word(g3, word) == expect, word
+        assert " ".join(calls) == folded, word
+
+
+def _broken_run_words(g, rng):
+    """Words whose opening run and closing starred run are c-paths joined
+    end to end at random, around zero to two random tokens, one of which
+    may name no edge: where two c-paths do not meet, the run breaks.  None
+    on a graph with no steps."""
+    cpaths = [c for e in _reader_elements(g, rng) if not sg.is_zero(e)
+              for c in (e.gamma, e.eta) if c.steps]
+    toks = alphabet(g) + ["e:nope"]
+    for _ in range(60 if cpaths else 0):
+        opening = [t for _ in range(rng.randint(1, 3)) for t in sg.cpath_tokens(rng.choice(cpaths))]
+        closing = [t for _ in range(rng.randint(1, 3)) for t in sg.cpath_tokens(rng.choice(cpaths))]
+        middle = [rng.choice(toks) for _ in range(rng.randint(0, 2))]
+        yield opening, " ".join(opening + middle + [t + "*" for t in reversed(closing)])
+
+
+def test_parse_word_with_broken_runs_equals_the_fold(graphs, gen_module):
+    rng = random.Random(23)
+    cut = total = 0
+    for g in _generated_graphs(graphs, gen_module):
+        for opening, text in _broken_run_words(g, rng):
+            _assert_parses_as_fold(g, text)
+            total += 1
+            cut += 0 < sg._read_cpath(g, text.split())[1] < len(opening)
+    assert 2 * cut > total, (cut, total)  # 198 of 300 opening runs are cut back
 
 
 def test_parse_word_edge_cases(g3, gen_module):
